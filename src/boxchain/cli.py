@@ -275,12 +275,12 @@ def _run_suite(name: str, args) -> montecarlo.CheckReport:
         )
     if name == "coupling-invariants":
         return montecarlo.coupling_invariant_check(
-            args.horizon, p, min(trials, 20000), seed,
+            args.horizon, p, trials, seed,
             skip_antithetic_map=(mutant == "skip-antithetic-map"),
         )
     if name == "reflection":
         return montecarlo.reflection_identity_check(
-            args.horizon, p, min(trials, 20000), seed,
+            args.horizon, p, trials, seed,
             swap_expansion_draws=(mutant != "unmirrored-reflection"),
         )
     raise UsageError(f"unknown suite {name!r}")
@@ -373,8 +373,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify",
         help="run verification suites",
-        description="Run verification suites; the pathwise coupling suites cap "
-        "--trials at 20000 runs. Exit 0 only if every selected suite passes.",
+        description="Run verification suites. Exit 0 only if every selected suite passes.",
     )
     _add_common(verify)
     verify.add_argument("--suites", type=str, default=None,
@@ -382,7 +381,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     verify.add_argument("--radius", type=int, default=4)
     verify.add_argument("--horizon", type=int, default=50,
                         help="horizon for the pathwise coupling suites")
-    verify.add_argument("--confidence", type=float, default=0.99)
     verify.add_argument("--mutant", choices=montecarlo.MUTANTS, default=None,
                         help="run against a deliberately corrupted variant")
     verify.set_defaults(func=cmd_verify)

@@ -16,22 +16,26 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from statistics import NormalDist
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .boxes import Box, unit_box
-from .coupling import (
-    PairClass,
+
+# The scalar coupled steps and pair predicates are the reference the
+# batched engine below is tested against.  They stay bound here by name
+# because perfbench/tracing.py wraps them in this namespace.
+from .coupling import (  # noqa: F401
     classify_pair,
     coupled_step,
     dominates_nonnegative,
-    initial_coupled_state,
     reflect_origin,
     reflection_coupled_step,
 )
 from .intervals import (
+    EMPTY,
     ContractionRule,
     EndpointResampleContraction,
     Interval,
@@ -73,23 +77,45 @@ MUTANTS = ("skip-antithetic-map", "unmirrored-reflection", "one-sided-expansion"
 # confidence intervals
 
 
+def _validate_confidence(confidence: float) -> None:
+    """Confidence levels must lie strictly between 0 and 1 (NaN is refused)."""
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+
+
+def _worst_margin(gaps) -> float:
+    """Largest gap, or NaN if any gap is NaN, so that an undefined comparison fails."""
+    worst = -math.inf
+    for gap in gaps:
+        if math.isnan(gap):
+            return math.nan
+        worst = max(worst, gap)
+    return worst
+
+
 def wilson_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval; well behaved for extreme proportions."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    _validate_confidence(confidence)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = hits / trials
     z2n = z * z / trials
     denom = 1.0 + z2n
     center = (phat + z2n / 2.0) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # With no hits (misses) the lower (upper) bound is exactly 0 (1); do not
+    # let rounding move it.
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def hoeffding_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Distribution-free interval from Hoeffding's inequality (conservative)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _validate_confidence(confidence)
     alpha = 1.0 - confidence
     half = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
     phat = hits / trials
@@ -236,6 +262,29 @@ def _expand_chunk(
     right[live] += stream.geometric_array(p, live.size)
 
 
+class _SiteIndex:
+    """Requested sites, sorted once, for counting interval coverage.
+
+    Sites may come in any order and repeat; counts come back in the order
+    the sites were given.
+    """
+
+    def __init__(self, sites: Sequence[int]) -> None:
+        self.sorted, self.order = np.unique(np.asarray(sites, np.int64), return_inverse=True)
+
+    def cover_counts(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """How many intervals [left, right] contain each site.
+
+        A difference array over the sorted sites: +1 at the first site each
+        interval covers, -1 just past the last, then a running sum.
+        """
+        first = np.searchsorted(self.sorted, left, side="left")
+        stop = np.searchsorted(self.sorted, right, side="right")
+        width = self.sorted.size + 1
+        diff = np.bincount(first, minlength=width) - np.bincount(stop, minlength=width)
+        return np.cumsum(diff[:-1])[self.order]
+
+
 def _interval_chunk_counts(
     stream: Stream,
     count: int,
@@ -253,10 +302,10 @@ def _interval_chunk_counts(
     alive = np.ones(count, bool)
     rows = t if by_time else 1
     counts = np.zeros((max(rows, 1), len(sites)), np.int64)
+    index = _SiteIndex(sites)
 
     def record(row: int) -> None:
-        for j, x in enumerate(sites):
-            counts[row, j] = np.count_nonzero(alive & (left <= x) & (x <= right))
+        counts[row] = index.cover_counts(left[alive], right[alive])
 
     if t == 0:
         record(0)
@@ -271,10 +320,15 @@ def _interval_chunk_counts(
     return counts
 
 
-def _run_chunks(trials: int, worker: Callable[[int, int], np.ndarray], jobs: int) -> np.ndarray:
-    layout = [
+def _chunk_layout(trials: int) -> list[tuple[int, int]]:
+    """(chunk index, rows) for trials split into chunks of at most _CHUNK rows."""
+    return [
         (i, min(_CHUNK, trials - i * _CHUNK)) for i in range((trials + _CHUNK - 1) // _CHUNK)
     ]
+
+
+def _run_chunks(trials: int, worker: Callable[[int, int], np.ndarray], jobs: int) -> np.ndarray:
+    layout = _chunk_layout(trials)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(lambda ic: worker(*ic), layout))
@@ -431,6 +485,11 @@ def _pair_gap(a: OccupancyEstimate, b: OccupancyEstimate) -> float:
     return abs(a.estimate - b.estimate) - (a.half_width + b.half_width)
 
 
+def _order_gap(near: OccupancyEstimate, far: OccupancyEstimate) -> float:
+    """How far the far estimate exceeds the near one beyond their CI half-widths."""
+    return far.estimate - near.estimate - (near.half_width + far.half_width)
+
+
 def check_even(
     t: int,
     p: float,
@@ -443,6 +502,7 @@ def check_even(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy symmetry: estimates at x and -x must agree within CIs."""
+    _validate_confidence(confidence)
     sites = list(range(-x_range, x_range + 1))
     comparisons = max(x_range, 1)
     per_site = 1.0 - (1.0 - confidence) / (2.0 * comparisons)
@@ -460,9 +520,7 @@ def check_even(
             one_sided_expansion=one_sided_expansion,
         )
     }
-    worst = -math.inf
-    for x in range(1, x_range + 1):
-        worst = max(worst, _pair_gap(estimates[x], estimates[-x]))
+    worst = _worst_margin(_pair_gap(estimates[x], estimates[-x]) for x in range(1, x_range + 1))
     return CheckReport(
         claim="occupancy-even-1d",
         passed=worst <= 0,
@@ -483,6 +541,7 @@ def check_monotone_1d(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy decrease away from the origin on the right half line."""
+    _validate_confidence(confidence)
     sites = list(range(0, x_max + 1))
     comparisons = max(x_max, 1)
     per_site = 1.0 - (1.0 - confidence) / (2.0 * comparisons)
@@ -500,11 +559,9 @@ def check_monotone_1d(
             one_sided_expansion=one_sided_expansion,
         )
     }
-    worst = -math.inf
-    for x in range(x_max):
-        near, far = estimates[x], estimates[x + 1]
-        gap = far.estimate - near.estimate - (near.half_width + far.half_width)
-        worst = max(worst, gap)
+    worst = _worst_margin(
+        _order_gap(estimates[x], estimates[x + 1]) for x in range(x_max)
+    )
     return CheckReport(
         claim="occupancy-monotone-1d",
         passed=worst <= 0,
@@ -535,6 +592,7 @@ def check_monotone_l1(
     """
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
+    _validate_confidence(confidence)
     points = [
         (x, y)
         for x in range(-radius, radius + 1)
@@ -554,17 +612,224 @@ def check_monotone_l1(
             unit_box(2), t, points, trials, p=p, seed=seed, confidence=per_site, jobs=jobs
         )
     }
-    worst = -math.inf
-    for near_pt, far_pt in ordered:
-        near, far = estimates[near_pt], estimates[far_pt]
-        gap = far.estimate - near.estimate - (near.half_width + far.half_width)
-        worst = max(worst, gap)
+    worst = _worst_margin(
+        _order_gap(estimates[near_pt], estimates[far_pt]) for near_pt, far_pt in ordered
+    )
     return CheckReport(
         claim="occupancy-monotone-l1-2d",
         passed=worst <= 0,
         worst_margin=worst,
         params={"d": d, "t": t, "p": p, "radius": radius, "trials": trials, "seed": seed},
     )
+
+
+# ---------------------------------------------------------------------------
+# batched coupled pairs
+
+
+class _PairBatch:
+    """A chunk of coupled pairs as int64 endpoint arrays.
+
+    Row i holds a first state [ml, mr] and a second state [pl, pr]: the
+    minus and plus sides of the antithetic coupling, or zeta and its mirror
+    eta in the reflection coupling.  Both sides of a pair die together, so
+    one ``dead`` mask marks the empty pair, whose endpoints are then stale.
+    ``coalesced`` marks pairs that run on shared draws; a coalesced pair
+    that dies stays coalesced, as in :func:`coupled_step`.
+
+    The steps take their draws as arguments, so tests can feed them fixed
+    ranks and run lengths; :meth:`draws` makes them from a stream.
+    """
+
+    def __init__(self, size: int, first: Span, second: Span) -> None:
+        self.ml = np.full(size, first.left, np.int64)
+        self.mr = np.full(size, first.right, np.int64)
+        self.pl = np.full(size, second.left, np.int64)
+        self.pr = np.full(size, second.right, np.int64)
+        self.dead = np.zeros(size, bool)
+        self.coalesced = np.zeros(size, bool)
+
+    def draws(self, rows: np.ndarray, p: float, stream: Stream):
+        """One step's draws for ``rows``: a uniform contraction rank of each
+        first host (0 is death, as in :func:`unrank_subinterval`), then the
+        right and the left geometric run lengths."""
+        n = self.mr[rows] - self.ml[rows] + 1
+        return (
+            stream.integers_upto(n * (n + 1) // 2),
+            stream.geometric_array(p, rows.size),
+            stream.geometric_array(p, rows.size),
+        )
+
+    def _contract(self, rows: np.ndarray, rank: np.ndarray):
+        """Kill the rows that drew rank 0; contract the first host of the rest.
+
+        Returns the surviving rows, their mask within ``rows`` and the
+        contracted first sides [a, b].  Endpoints are not written yet.
+        """
+        keep = rank > 0
+        self.dead[rows[~keep]] = True
+        rows = rows[keep]
+        base = self.ml[rows]
+        a, b = _unrank_offsets_vec(self.mr[rows] - base + 1, rank[keep] - 1)
+        return rows, keep, base + a, base + b
+
+    def antithetic_step(
+        self,
+        rows: np.ndarray,
+        rank: np.ndarray,
+        right_run: np.ndarray,
+        left_run: np.ndarray,
+        *,
+        skip_antithetic_map: bool = False,
+    ) -> None:
+        """:func:`coupled_step` on live antithetic or coalesced ``rows``.
+
+        The minus side contracts to [a, b] and expands to
+        [a - left_run, b + right_run].  The plus contraction is
+        :func:`antithetic_image`: [a, b] itself inside the hosts' overlap
+        [-1 - mr, mr], its mirror [-1 - b, -1 - a] elsewhere.  Then the rule
+        of :func:`coupled_expansion_amounts` applies: the pair coalesces
+        when the right run reaches the right-endpoint offset (0 for a
+        shared contraction), and otherwise the plus side expands with the
+        two runs swapped.  Coalesced rows take the minus step as their
+        shared step.  ``skip_antithetic_map`` copies the contraction, the
+        fault injection of :func:`coupled_step`.
+        """
+        rows, keep, a, b = self._contract(rows, rank)
+        right_run, left_run = right_run[keep], left_run[keep]
+        if skip_antithetic_map:
+            tl, tr = a, b
+        else:
+            inside = a >= -1 - self.mr[rows]
+            tl = np.where(inside, a, -1 - b)
+            tr = np.where(inside, b, -1 - a)
+        shared = self.coalesced[rows] | (right_run >= tr - b)
+        ml = a - left_run
+        mr = b + right_run
+        self.ml[rows] = ml
+        self.mr[rows] = mr
+        self.pl[rows] = np.where(shared, ml, tl - right_run)
+        self.pr[rows] = np.where(shared, mr, tr + left_run)
+        self.coalesced[rows] = shared
+
+    def reflection_step(
+        self,
+        rows: np.ndarray,
+        rank: np.ndarray,
+        right_run: np.ndarray,
+        left_run: np.ndarray,
+        *,
+        swap_expansion_draws: bool = True,
+    ) -> None:
+        """:func:`reflection_coupled_step` on live ``rows``.
+
+        zeta contracts to [a, b] and expands to [a - left_run, b + right_run];
+        eta contracts to the reflection [-b, -a] and expands with the two
+        runs swapped, or reused unswapped as fault injection.
+        """
+        rows, keep, a, b = self._contract(rows, rank)
+        right_run, left_run = right_run[keep], left_run[keep]
+        self.ml[rows] = a - left_run
+        self.mr[rows] = b + right_run
+        if swap_expansion_draws:
+            right_run, left_run = left_run, right_run
+        self.pl[rows] = -b - left_run
+        self.pr[rows] = -a + right_run
+
+    def classes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Identical and antithetic masks of ``rows``, as :func:`classify_pair`
+        decides them; dead rows are both-empty, and rows in neither mask
+        nor dead are unrelated."""
+        live = ~self.dead[rows]
+        ml, mr, pl, pr = self.ml[rows], self.mr[rows], self.pl[rows], self.pr[rows]
+        identical = live & (ml == pl) & (mr == pr)
+        antithetic = (
+            live
+            & ~identical
+            & (pl == -1 - mr)
+            & (pr == -1 - ml)
+            & (ml <= -1)
+            & (mr + 1 <= -ml)
+        )
+        return identical, antithetic
+
+    def dominates(self, rows: np.ndarray) -> np.ndarray:
+        """:func:`dominates_nonnegative` of each of ``rows``."""
+        ml, mr = self.ml[rows], self.mr[rows]
+        holds = (self.pl[rows] <= np.maximum(ml, 0)) & (self.pr[rows] >= mr)
+        return self.dead[rows] | (mr < 0) | holds
+
+    def invariants_hold(self, rows: np.ndarray) -> np.ndarray:
+        """The antithetic coupling's pathwise invariants, per row: the pair is
+        empty, antithetic or coalesced-identical; a coalesced pair is
+        identical; plus holds the nonnegative sites of minus."""
+        identical, antithetic = self.classes(rows)
+        dead, coalesced = self.dead[rows], self.coalesced[rows]
+        return (
+            (dead | antithetic | (identical & coalesced))
+            & (dead | identical | ~coalesced)
+            & self.dominates(rows)
+        )
+
+    def mirrored(self, rows: np.ndarray) -> np.ndarray:
+        """Is the second side the reflection about the origin of the first?"""
+        reflected = (self.pl[rows] == -self.mr[rows]) & (self.pr[rows] == -self.ml[rows])
+        return self.dead[rows] | reflected
+
+    def states(self, row: int) -> tuple[Interval, Interval]:
+        """The two states of one row."""
+        if self.dead[row]:
+            return EMPTY, EMPTY
+        return (
+            Span(int(self.ml[row]), int(self.mr[row])),
+            Span(int(self.pl[row]), int(self.pr[row])),
+        )
+
+
+def _pair_chunks(
+    label: str, trials: int, seed: int, first: Span, second: Span
+) -> Iterator[tuple[int, Stream, _PairBatch]]:
+    """(first run index, substream, fresh pairs) for each chunk of trials."""
+    root = Stream(seed)
+    for index, size in _chunk_layout(trials):
+        yield index * _CHUNK, root.substream(label, index), _PairBatch(size, first, second)
+
+
+def _pathwise_run(
+    label: str,
+    horizon: int,
+    p: float,
+    trials: int,
+    seed: int,
+    initial: tuple[Span, Span],
+    step: Callable[..., None],
+    holds: Callable[[_PairBatch, np.ndarray], np.ndarray],
+) -> tuple[int, tuple | None, int]:
+    """Step every run up to ``horizon`` times; a run stops when it dies or
+    ``holds`` fails on it.
+
+    Returns the number of violating runs, the first violation
+    ``(run, step, first, second)`` of the lowest violating run (or None),
+    and the number of runs that ended coalesced.
+    """
+    violations = 0
+    coalesced_runs = 0
+    first_violation = None
+    for start, stream, pairs in _pair_chunks(label, trials, seed, *initial):
+        running = np.ones(pairs.dead.size, bool)
+        for time in range(1, horizon + 1):
+            rows = np.flatnonzero(running & ~pairs.dead)
+            if rows.size == 0:
+                break
+            step(pairs, rows, *pairs.draws(rows, p, stream))
+            bad = rows[~holds(pairs, rows)]
+            if bad.size:
+                violations += bad.size
+                running[bad] = False
+                if first_violation is None or start + bad[0] < first_violation[0]:
+                    first_violation = (start + int(bad[0]), time, *pairs.states(bad[0]))
+        coalesced_runs += int(np.count_nonzero(pairs.coalesced))
+    return violations, first_violation, coalesced_runs
 
 
 # ---------------------------------------------------------------------------
@@ -578,47 +843,32 @@ def _coupled_occupancy_counts(
     seed: int,
     sites: Sequence[int],
     skip_antithetic_map: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy counts of both coupled marginals at times 1..t."""
+    jobs: int = 1,
+) -> np.ndarray:
+    """Occupancy counts of the minus and plus marginals at times 1..t.
+
+    Shape (2, t, len(sites)): index 0 is the minus side, 1 the plus side.
+    """
     root = Stream(seed)
-    sites_arr = np.asarray(sites, np.int64)
-    counts_minus = np.zeros((t, len(sites)), np.int64)
-    counts_plus = np.zeros((t, len(sites)), np.int64)
-    block = 8192
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        ml = np.zeros((t, size), np.int64)
-        mr = np.zeros((t, size), np.int64)
-        pl = np.zeros((t, size), np.int64)
-        pr = np.zeros((t, size), np.int64)
-        dead_minus = np.zeros((t, size), bool)
-        dead_plus = np.zeros((t, size), bool)
-        stream = root.substream("coupled-marginal", start // block)
-        for i in range(size):
-            state = initial_coupled_state()
-            for time in range(t):
-                state = coupled_step(state, p, stream, skip_antithetic_map=skip_antithetic_map)
-                if state.minus is None:
-                    dead_minus[time, i] = True
-                else:
-                    ml[time, i] = state.minus.left
-                    mr[time, i] = state.minus.right
-                if state.plus is None:
-                    dead_plus[time, i] = True
-                else:
-                    pl[time, i] = state.plus.left
-                    pr[time, i] = state.plus.right
+    index = _SiteIndex(sites)
+
+    def worker(chunk: int, count: int) -> np.ndarray:
+        stream = root.substream("coupled-marginal", chunk)
+        pairs = _PairBatch(count, Span(-1, -1), Span(0, 0))
+        counts = np.zeros((2, t, len(sites)), np.int64)
         for time in range(t):
-            alive_m = ~dead_minus[time]
-            alive_p = ~dead_plus[time]
-            for j, x in enumerate(sites_arr):
-                counts_minus[time, j] += np.count_nonzero(
-                    alive_m & (ml[time] <= x) & (x <= mr[time])
-                )
-                counts_plus[time, j] += np.count_nonzero(
-                    alive_p & (pl[time] <= x) & (x <= pr[time])
-                )
-    return counts_minus, counts_plus
+            rows = np.flatnonzero(~pairs.dead)
+            if rows.size == 0:
+                break
+            pairs.antithetic_step(
+                rows, *pairs.draws(rows, p, stream), skip_antithetic_map=skip_antithetic_map
+            )
+            live = ~pairs.dead
+            counts[0, time] = index.cover_counts(pairs.ml[live], pairs.mr[live])
+            counts[1, time] = index.cover_counts(pairs.pl[live], pairs.pr[live])
+        return counts
+
+    return _run_chunks(trials, worker, jobs)
 
 
 def _two_sample_pvalue(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
@@ -630,7 +880,8 @@ def _two_sample_pvalue(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
     n = a + b + c + d
     num = n * (a * d - b * c) ** 2
     den = (a + b) * (c + d) * (a + c) * (b + d)
-    return float(stats.chi2.sf(num / den, 1))
+    # Upper tail of the chi-square law with one degree of freedom.
+    return math.erfc(math.sqrt(num / den / 2.0))
 
 
 def coupling_marginal_test(
@@ -651,9 +902,10 @@ def coupling_marginal_test(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    validate_expansion_param(p)
     sites = list(range(-x_window, x_window + 1))
     counts_minus, counts_plus = _coupled_occupancy_counts(
-        t, p, trials, seed, sites, skip_antithetic_map
+        t, p, trials, seed, sites, skip_antithetic_map, jobs
     )
     root = Stream(seed)
 
@@ -704,44 +956,36 @@ def coupling_invariant_check(
 
     Every visited pair must be empty, coalesced-identical, or antithetic;
     the plus side must contain the nonnegative sites of the minus side at
-    every step; coalescence must be absorbing.
+    every step; coalescence must be absorbing.  A run stops at its first
+    violation; a failing report names the lowest-numbered violating run as
+    ``params["first_violation"] = (run, step, minus, plus)``, steps counted
+    from 1.
     """
-    root = Stream(seed)
-    violations = 0
-    coalesced_runs = 0
-    for run in range(trials):
-        stream = root.substream("coupled-invariants", run)
-        state = initial_coupled_state()
-        for _ in range(horizon):
-            state = coupled_step(state, p, stream, skip_antithetic_map=skip_antithetic_map)
-            kind = classify_pair(state.minus, state.plus)
-            ok = (
-                kind is PairClass.BOTH_EMPTY
-                or kind is PairClass.ANTITHETIC
-                or (kind is PairClass.IDENTICAL and state.coalesced)
-            )
-            if state.coalesced and state.minus != state.plus:
-                ok = False
-            if not dominates_nonnegative(state.minus, state.plus):
-                ok = False
-            if not ok:
-                violations += 1
-                break
-            if kind is PairClass.BOTH_EMPTY and not state.coalesced:
-                break
-        if state.coalesced:
-            coalesced_runs += 1
+    validate_expansion_param(p)
+    violations, first_violation, coalesced_runs = _pathwise_run(
+        "coupled-invariants",
+        horizon,
+        p,
+        trials,
+        seed,
+        (Span(-1, -1), Span(0, 0)),
+        partial(_PairBatch.antithetic_step, skip_antithetic_map=skip_antithetic_map),
+        _PairBatch.invariants_hold,
+    )
+    params = {
+        "horizon": horizon,
+        "p": p,
+        "trials": trials,
+        "seed": seed,
+        "coalesced_runs": coalesced_runs,
+    }
+    if first_violation is not None:
+        params["first_violation"] = first_violation
     return CheckReport(
         claim="coupling-invariants",
         passed=violations == 0,
         worst_margin=float(violations),
-        params={
-            "horizon": horizon,
-            "p": p,
-            "trials": trials,
-            "seed": seed,
-            "coalesced_runs": coalesced_runs,
-        },
+        params=params,
     )
 
 
@@ -756,28 +1000,29 @@ def reflection_identity_check(
     """The mirrored copy must equal the reflection of the first at all times.
 
     A run stops at its first violation, so a broken step never feeds an
-    inconsistent pair back into the coupling.
+    inconsistent pair back into the coupling.  A failing report names the
+    lowest-numbered violating run as ``params["first_violation"] =
+    (run, step, zeta, eta)``, steps counted from 1.
     """
-    root = Stream(seed)
-    violations = 0
-    for run in range(trials):
-        stream = root.substream("reflection", run)
-        zeta: Interval = Span(0, 0)
-        eta: Interval = Span(0, 0)
-        for _ in range(horizon):
-            zeta, eta = reflection_coupled_step(
-                zeta, eta, p, stream, swap_expansion_draws=swap_expansion_draws
-            )
-            if eta != reflect_origin(zeta):
-                violations += 1
-                break
-            if zeta is None:
-                break
+    validate_expansion_param(p)
+    violations, first_violation, _ = _pathwise_run(
+        "reflection",
+        horizon,
+        p,
+        trials,
+        seed,
+        (Span(0, 0), Span(0, 0)),
+        partial(_PairBatch.reflection_step, swap_expansion_draws=swap_expansion_draws),
+        _PairBatch.mirrored,
+    )
+    params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed}
+    if first_violation is not None:
+        params["first_violation"] = first_violation
     return CheckReport(
         claim="reflection-identity",
         passed=violations == 0,
         worst_margin=float(violations),
-        params={"horizon": horizon, "p": p, "trials": trials, "seed": seed},
+        params=params,
     )
 
 
@@ -810,34 +1055,26 @@ def coalescence_stats(
     Runs still coupled and alive at the horizon are censored; no claim is
     made about finiteness of the coupling time.
     """
-    root = Stream(seed)
-    first_times: dict[int, int] = {}
+    validate_expansion_param(p)
+    first_times = np.zeros(max(horizon, 0) + 1, np.int64)
     coalesced = 0
     absorbed = 0
-    censored = 0
-    for run in range(trials):
-        stream = root.substream("coalescence", run)
-        state = initial_coupled_state()
-        resolved = False
+    for _, stream, pairs in _pair_chunks("coalescence", trials, seed, Span(-1, -1), Span(0, 0)):
         for time in range(1, horizon + 1):
-            state = coupled_step(state, p, stream)
-            if state.coalesced or (state.minus is None and state.plus is None):
-                first_times[time] = first_times.get(time, 0) + 1
-                if state.coalesced:
-                    coalesced += 1
-                else:
-                    absorbed += 1
-                resolved = True
+            rows = np.flatnonzero(~pairs.dead & ~pairs.coalesced)
+            if rows.size == 0:
                 break
-        if not resolved:
-            censored += 1
+            pairs.antithetic_step(rows, *pairs.draws(rows, p, stream))
+            first_times[time] += np.count_nonzero(pairs.dead[rows] | pairs.coalesced[rows])
+        coalesced += int(np.count_nonzero(pairs.coalesced))
+        absorbed += int(np.count_nonzero(pairs.dead & ~pairs.coalesced))
     return CoalescenceSummary(
         p=p,
         horizon=horizon,
         trials=trials,
         seed=seed,
-        first_event_times=dict(sorted(first_times.items())),
+        first_event_times={time: int(n) for time, n in enumerate(first_times) if n},
         coalesced=coalesced,
         absorbed=absorbed,
-        censored=censored,
+        censored=trials - coalesced - absorbed,
     )

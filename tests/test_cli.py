@@ -286,3 +286,18 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_verify_runs_and_records_every_requested_trial(tmp_path):
+    out = tmp_path / "report.csv"
+    code = main([
+        "verify", "--suites", "coupling-invariants,reflection", "--trials", "30000",
+        "--horizon", "20", "--seed", "4", "--out", str(out),
+    ])
+    assert code == 0
+    for row in read_csv(out)[1:]:
+        assert "trials=30000" in row[1].split(";")
+    assert read_meta(out)["config"]["trials"] == 30000
+    # --confidence was never applied by any suite, so verify does not take it.
+    assert main(["verify", "--suites", "reflection", "--confidence", "0.9",
+                 "--out", str(tmp_path / "c.csv")]) == 2
