@@ -386,11 +386,19 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     if defaults:
-        # Subparsers parse into fresh namespaces, so file-supplied defaults
-        # must be planted on every subcommand; explicit flags still win.
-        parser.set_defaults(**defaults)
-        for sub in commands.choices.values():
-            sub.set_defaults(**defaults)
+        # Subparsers parse into fresh namespaces, so each file-supplied
+        # default is planted on the parsers that define its flag, and only
+        # there; explicit flags still win.
+        parsers = [parser, *commands.choices.values()]
+        flags = [
+            {a.dest for a in each._actions if a.default is not argparse.SUPPRESS}
+            for each in parsers
+        ]
+        unknown = sorted(set(defaults).difference(*flags))
+        if unknown:
+            raise UsageError(f"config keys name no flag: {', '.join(unknown)}")
+        for each, names in zip(parsers, flags):
+            each.set_defaults(**{k: v for k, v in defaults.items() if k in names})
     return parser
 
 
@@ -410,9 +418,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: config file must hold a JSON object", file=sys.stderr)
             return USAGE_ERROR
         defaults = {k.replace("-", "_"): v for k, v in loaded.items()}
-    parser = build_parser(defaults)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(defaults).parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except SystemExit:
         return USAGE_ERROR
     try:

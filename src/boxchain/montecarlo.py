@@ -13,12 +13,13 @@ dynamics (fault injection), which the faithful checks must detect.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +84,14 @@ def _validate_confidence(confidence: float) -> None:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
 
 
+def _validate_counts(hits: int, trials: int) -> None:
+    """A proportion needs trials >= 1 and 0 <= hits <= trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 <= hits <= trials:
+        raise ValueError(f"hits must lie in [0, {trials}], got {hits!r}")
+
+
 def _worst_margin(gaps) -> float:
     """Largest gap, or NaN if any gap is NaN, so that an undefined comparison fails."""
     worst = -math.inf
@@ -95,8 +104,7 @@ def _worst_margin(gaps) -> float:
 
 def wilson_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval; well behaved for extreme proportions."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _validate_counts(hits, trials)
     _validate_confidence(confidence)
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = hits / trials
@@ -113,8 +121,7 @@ def wilson_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
 
 def hoeffding_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Distribution-free interval from Hoeffding's inequality (conservative)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _validate_counts(hits, trials)
     _validate_confidence(confidence)
     alpha = 1.0 - confidence
     half = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
@@ -159,14 +166,21 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorized chunk simulation, one dimension
+# vectorized chunk simulation
+#
+# A chunk holds ``rows`` boxes as int64 endpoint arrays ``lo, hi`` of shape
+# (d, rows), one row of endpoints per axis, and an ``alive`` mask; an
+# interval is the box with d = 1.  The steps index one axis row at a time
+# (``lo[axis][kept] = ...``), which is as fast as separate 1-D arrays.
 
 
 def _unrank_offsets_vec(n: np.ndarray, i0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized decode of ranks into (left, right) offsets within hosts."""
-    a_top = 2 * n + 1
+    two_n = 2 * n
+    a_top = two_n + 1
     disc = a_top * a_top - 8 * i0
-    s = np.floor(np.sqrt(disc.astype(np.float64))).astype(np.int64)
+    # isqrt(disc) <= a_top; starting from at most 2n keeps (s + 1)^2 in int64.
+    s = np.minimum(np.sqrt(disc.astype(np.float64)).astype(np.int64), two_n)
     s = np.where((s + 1) * (s + 1) <= disc, s + 1, s)
     s = np.where(s * s > disc, s - 1, s)
     a = np.clip((a_top - s) // 2, 0, n - 1)
@@ -181,29 +195,72 @@ def _unrank_offsets_vec(n: np.ndarray, i0: np.ndarray) -> tuple[np.ndarray, np.n
     return a, a + (i0 - cum)
 
 
+# The int64 rank limit.  The decode above squares 2n + 1, which is
+# 8 n(n+1)/2 + 1, so an axis may have fewer than 2**60 nonempty
+# sub-intervals; one draw ranks all sub-boxes, so their product must stay
+# below 2**63.  Below these limits no intermediate of a step wraps.
+
+
+def _ranks_fit(sizes: Sequence[int]) -> bool:
+    ranks = [n * (n + 1) // 2 for n in sizes]
+    return max(ranks) < 1 << 60 and math.prod(ranks) < 1 << 63
+
+
+def _rank_counts(sizes: list[np.ndarray]) -> list[np.ndarray]:
+    """Nonempty sub-intervals n(n+1)/2 per axis of each row; raises
+    ``ValueError`` before a count or their product could wrap in int64.
+
+    The largest size on each axis settles the common case; only when those
+    do not fit are the rows checked one by one.
+    """
+    if not _ranks_fit([int(n.max()) for n in sizes]):
+        for row in zip(*(n.tolist() for n in sizes)):
+            if not _ranks_fit(row):
+                raise ValueError(
+                    f"a state of side lengths {row} exceeds the int64 rank limit of the "
+                    "sampler: n(n+1)/2 must stay below 2**60 per axis and its product below 2**63"
+                )
+    return [n * (n + 1) // 2 for n in sizes]
+
+
 def _contract_chunk(
-    left: np.ndarray,
-    right: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     alive: np.ndarray,
     rule: ContractionRule,
     stream: Stream,
 ) -> None:
-    live = np.nonzero(alive)[0]
+    """Contract the live boxes in place; a box contracted to empty dies.
+
+    The uniform rule draws one rank per box over its nonempty sub-boxes
+    plus the empty outcome (rank 0) and splits the rest mixed-radix, last
+    axis fastest, as :func:`contract_uniform` does.  The other rules
+    contract intervals only.  Each rule yields the surviving rows ``keep``
+    and, per axis, their new (left, right) offsets within the host.
+    """
+    live = alive.nonzero()[0]
     if live.size == 0:
         return
-    base = left[live]
-    n = right[live] - base + 1
+    bases = [low[live] for low in lo]
+    sizes = [high[live] - base + 1 for high, base in zip(hi, bases)]
+    n = sizes[0]
     if isinstance(rule, UniformContraction):
-        total = n * (n + 1) // 2
+        ranks = _rank_counts(sizes)
+        total = ranks[0]
+        for axis_ranks in ranks[1:]:
+            total = total * axis_ranks
         draw = stream.integers_upto(total)
-        dead = draw == 0
-        alive[live[dead]] = False
-        keep = ~dead
-        if keep.any():
-            a, b = _unrank_offsets_vec(n[keep], draw[keep] - 1)
-            kept = live[keep]
-            left[kept] = base[keep] + a
-            right[kept] = base[keep] + b
+        keep = draw > 0
+        rest = draw[keep] - 1
+        offsets = [None] * len(lo)
+        for axis in reversed(range(len(lo))):
+            if axis:
+                rest, digit = np.divmod(rest, ranks[axis][keep])
+            else:
+                digit = rest
+            offsets[axis] = _unrank_offsets_vec(sizes[axis][keep], digit)
+    elif len(lo) > 1:
+        raise ValueError(f"{type(rule).__name__} contracts intervals only; boxes contract uniformly")
     elif isinstance(rule, KillThenUniformContraction):
         death = np.empty(live.size)
         for nv in np.unique(n):
@@ -211,16 +268,11 @@ def _contract_chunk(
             if not 0 <= prob <= 1:
                 raise ValueError(f"death probability {prob} outside [0, 1]")
             death[n == nv] = prob
-        dead = stream.random_array(live.size) < death
-        alive[live[dead]] = False
-        keep = ~dead
+        keep = stream.random_array(live.size) >= death
+        offsets = [(n[:0], n[:0])]
         if keep.any():
-            total = n[keep] * (n[keep] + 1) // 2
-            draw = stream.integers_upto(total - 1) + 1
-            a, b = _unrank_offsets_vec(n[keep], draw - 1)
-            kept = live[keep]
-            left[kept] = base[keep] + a
-            right[kept] = base[keep] + b
+            (ranks,) = _rank_counts([n[keep]])
+            offsets = [_unrank_offsets_vec(n[keep], stream.integers_upto(ranks - 1))]
     elif isinstance(rule, SizeWeightedContraction):
         u = stream.random_array(live.size)
         size = np.empty(live.size, np.int64)
@@ -229,95 +281,114 @@ def _contract_chunk(
             cum = np.cumsum(size_pmf_weights(rule.size_pmf, int(nv)))
             size[mask] = np.searchsorted(cum, u[mask], side="right")
         size = np.minimum(size, n)
-        dead = size == 0
-        alive[live[dead]] = False
-        keep = ~dead
+        keep = size > 0
+        pos = n[:0]
         if keep.any():
             pos = stream.integers_upto(n[keep] - size[keep])
-            kept = live[keep]
-            left[kept] = base[keep] + pos
-            right[kept] = base[keep] + pos + size[keep] - 1
+        offsets = [(pos, pos + size[keep] - 1)]
     elif isinstance(rule, EndpointResampleContraction):
         u = stream.integers_upto(n - 1)
         v = stream.integers_upto(n - 1)
-        left[live] = base + np.minimum(u, v)
-        right[live] = base + np.maximum(u, v)
+        keep = np.ones(live.size, bool)
+        offsets = [(np.minimum(u, v), np.maximum(u, v))]
     else:
         raise TypeError(f"unknown contraction rule {rule!r}")
+    alive[live[~keep]] = False
+    kept = live[keep]
+    for low, high, base, (a, b) in zip(lo, hi, bases, offsets):
+        base = base[keep]
+        low[kept] = base + a
+        high[kept] = base + b
 
 
 def _expand_chunk(
-    left: np.ndarray,
-    right: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     alive: np.ndarray,
     p: float,
     stream: Stream,
     one_sided: bool,
 ) -> None:
-    live = np.nonzero(alive)[0]
+    """Push the faces of the live boxes out by geometric(p) run lengths, axis
+    by axis, low face then high face (``one_sided`` keeps the low faces)."""
+    live = alive.nonzero()[0]
     if live.size == 0:
         return
-    if not one_sided:
-        left[live] -= stream.geometric_array(p, live.size)
-    right[live] += stream.geometric_array(p, live.size)
+    for low, high in zip(lo, hi):
+        if not one_sided:
+            low[live] -= stream.geometric_array(p, live.size)
+        high[live] += stream.geometric_array(p, live.size)
 
 
 class _SiteIndex:
-    """Requested sites, sorted once, for counting interval coverage.
+    """Requested sites, or d-dimensional points, for counting box coverage.
 
-    Sites may come in any order and repeat; counts come back in the order
-    the sites were given.
+    The distinct coordinates of each axis are sorted once.  Sites may come
+    in any order and repeat; counts come back in the order the sites were
+    given.
     """
 
-    def __init__(self, sites: Sequence[int]) -> None:
-        self.sorted, self.order = np.unique(np.asarray(sites, np.int64), return_inverse=True)
+    def __init__(self, sites: Sequence, dim: int = 1) -> None:
+        points = np.asarray(sites, np.int64).reshape(-1, dim)
+        self.size = len(points)
+        unique = [np.unique(column, return_inverse=True) for column in points.T]
+        self.coords = [coords for coords, _ in unique]
+        self.order = tuple(order for _, order in unique)
+        self.shape = tuple(coords.size + 1 for coords in self.coords)
+        self.cells = math.prod(self.shape)
+        # Each corner picks the start (0) or the stop (1) end on every axis;
+        # corners with an odd number of stops subtract.
+        self.corners = [(ends, sum(ends) % 2) for ends in itertools.product((0, 1), repeat=dim)]
 
-    def cover_counts(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """How many intervals [left, right] contain each site.
+    def cover_counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """How many boxes [lo, hi] contain each site.
 
-        A difference array over the sorted sites: +1 at the first site each
-        interval covers, -1 just past the last, then a running sum.
+        ``lo`` and ``hi`` hold one row of endpoints per axis, or are flat
+        for one axis.  A difference array over the grid of distinct per-axis
+        coordinates: each box adds +-1 at the 2^d corners spanned by the
+        first coordinate it covers and the one just past the last, and a
+        running sum along every axis leaves each grid cell's coverage.  The
+        grid has one cell per combination of distinct coordinates.
         """
-        first = np.searchsorted(self.sorted, left, side="left")
-        stop = np.searchsorted(self.sorted, right, side="right")
-        width = self.sorted.size + 1
-        diff = np.bincount(first, minlength=width) - np.bincount(stop, minlength=width)
-        return np.cumsum(diff[:-1])[self.order]
+        if lo.ndim == 1:
+            lo, hi = lo[None], hi[None]
+        ends = [
+            (np.searchsorted(coords, low, side="left"), np.searchsorted(coords, high, side="right"))
+            for coords, low, high in zip(self.coords, lo, hi)
+        ]
+        diff = np.zeros(self.cells, np.int64)
+        for corner, odd in self.corners:
+            flat = ends[0][corner[0]]
+            for axis in range(1, len(ends)):
+                flat = flat * self.shape[axis] + ends[axis][corner[axis]]
+            if odd:
+                diff -= np.bincount(flat, minlength=self.cells)
+            else:
+                diff += np.bincount(flat, minlength=self.cells)
+        grid = diff.reshape(self.shape)
+        for axis in range(grid.ndim):
+            grid = np.cumsum(grid, axis=axis)
+        return grid[self.order]
 
 
-def _interval_chunk_counts(
-    stream: Stream,
-    count: int,
-    initial: Span,
-    t: int,
-    rule: ContractionRule,
-    p: float,
-    sites: Sequence[int],
-    one_sided: bool,
-    by_time: bool,
+def _chunk_counts(
+    stream: Stream, count: int, initial: Sequence[Span], t: int, rule: ContractionRule,
+    p: float, index: _SiteIndex, one_sided: bool, by_time: bool,
 ) -> np.ndarray:
-    """Hit counts per site, at the final time or at every time 1..t."""
-    left = np.full(count, initial.left, np.int64)
-    right = np.full(count, initial.right, np.int64)
+    """Hit counts per site of ``count`` chains started at the box with spans
+    ``initial``: one row at time t, or one row per time 1..t."""
+    lo = np.repeat(np.array([[span.left] for span in initial], np.int64), count, axis=1)
+    hi = np.repeat(np.array([[span.right] for span in initial], np.int64), count, axis=1)
     alive = np.ones(count, bool)
-    rows = t if by_time else 1
-    counts = np.zeros((max(rows, 1), len(sites)), np.int64)
-    index = _SiteIndex(sites)
-
-    def record(row: int) -> None:
-        counts[row] = index.cover_counts(left[alive], right[alive])
-
-    if t == 0:
-        record(0)
-        return counts
-    for step_index in range(t):
-        _contract_chunk(left, right, alive, rule, stream)
-        _expand_chunk(left, right, alive, p, stream, one_sided)
+    rows = []
+    for _ in range(t):
+        _contract_chunk(lo, hi, alive, rule, stream)
+        _expand_chunk(lo, hi, alive, p, stream, one_sided)
         if by_time:
-            record(step_index)
+            rows.append(index.cover_counts(lo[:, alive], hi[:, alive]))
     if not by_time:
-        record(0)
-    return counts
+        rows.append(index.cover_counts(lo[:, alive], hi[:, alive]))
+    return np.stack(rows)
 
 
 def _chunk_layout(trials: int) -> list[tuple[int, int]]:
@@ -340,6 +411,39 @@ def _run_chunks(trials: int, worker: Callable[[int, int], np.ndarray], jobs: int
     return out
 
 
+# ---------------------------------------------------------------------------
+# occupancy estimators
+
+
+def _estimate(
+    label: str, initial: Sequence[Span], t: int, sites: list, trials: int,
+    rule: ContractionRule, p: float, seed: int, confidence: float, method: str, jobs: int,
+    one_sided: bool,
+) -> list[OccupancyEstimate]:
+    """Occupancy estimates of the chain started at the box with spans
+    ``initial``, chunk ``i`` drawn from the substream ``(label, i)``."""
+    validate_expansion_param(p)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    ci = _CI_METHODS[method]
+    index = _SiteIndex(sites, len(initial))
+    root = Stream(seed)
+
+    def worker(chunk: int, count: int) -> np.ndarray:
+        return _chunk_counts(
+            root.substream(label, chunk), count, initial, t, rule, p, index, one_sided, False
+        )
+
+    counts = _run_chunks(trials, worker, jobs)[0]
+    out = []
+    for site, hits in zip(sites, counts.tolist()):
+        lo, hi = ci(hits, trials, confidence)
+        out.append(OccupancyEstimate(site, trials, hits, hits / trials, lo, hi))
+    return out
+
+
 def estimate_occupancy(
     initial: Span,
     t: int,
@@ -359,88 +463,10 @@ def estimate_occupancy(
     All sites are counted from the same simulated paths.  Identical seeds
     give identical estimates regardless of ``jobs``.
     """
-    validate_expansion_param(p)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    ci = _CI_METHODS[method]
-    sites = [int(x) for x in sites]
-    root = Stream(seed)
-
-    def worker(index: int, count: int) -> np.ndarray:
-        return _interval_chunk_counts(
-            root.substream("mc-interval", index),
-            count,
-            initial,
-            t,
-            rule,
-            p,
-            sites,
-            one_sided_expansion,
-            False,
-        )
-
-    counts = _run_chunks(trials, worker, jobs)[0]
-    out = []
-    for x, hits in zip(sites, counts.tolist()):
-        lo, hi = ci(hits, trials, confidence)
-        out.append(OccupancyEstimate(x, trials, hits, hits / trials, lo, hi))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized chunk simulation, two dimensions
-
-
-def _box_chunk_counts(
-    stream: Stream,
-    count: int,
-    initial: Box,
-    t: int,
-    p: float,
-    points: Sequence[tuple[int, int]],
-) -> np.ndarray:
-    (span0, span1) = initial.spans
-    l0 = np.full(count, span0.left, np.int64)
-    r0 = np.full(count, span0.right, np.int64)
-    l1 = np.full(count, span1.left, np.int64)
-    r1 = np.full(count, span1.right, np.int64)
-    alive = np.ones(count, bool)
-    for _ in range(t):
-        live = np.nonzero(alive)[0]
-        if live.size == 0:
-            break
-        n0 = r0[live] - l0[live] + 1
-        n1 = r1[live] - l1[live] + 1
-        k0 = n0 * (n0 + 1) // 2
-        k1 = n1 * (n1 + 1) // 2
-        draw = stream.integers_upto(k0 * k1)
-        dead = draw == 0
-        alive[live[dead]] = False
-        keep = ~dead
-        if keep.any():
-            kept = live[keep]
-            digit0, digit1 = np.divmod(draw[keep] - 1, k1[keep])
-            a0, b0 = _unrank_offsets_vec(n0[keep], digit0)
-            a1, b1 = _unrank_offsets_vec(n1[keep], digit1)
-            base0 = l0[kept]
-            base1 = l1[kept]
-            l0[kept] = base0 + a0
-            r0[kept] = base0 + b0
-            l1[kept] = base1 + a1
-            r1[kept] = base1 + b1
-        live = np.nonzero(alive)[0]
-        if live.size == 0:
-            break
-        l0[live] -= stream.geometric_array(p, live.size)
-        r0[live] += stream.geometric_array(p, live.size)
-        l1[live] -= stream.geometric_array(p, live.size)
-        r1[live] += stream.geometric_array(p, live.size)
-    counts = np.zeros(len(points), np.int64)
-    for j, (x, y) in enumerate(points):
-        counts[j] = np.count_nonzero(alive & (l0 <= x) & (x <= r0) & (l1 <= y) & (y <= r1))
-    return counts
+    return _estimate(
+        "mc-interval", (initial,), t, [int(x) for x in sites], trials,
+        rule, p, seed, confidence, method, jobs, one_sided_expansion,
+    )
 
 
 def estimate_occupancy_2d(
@@ -456,24 +482,12 @@ def estimate_occupancy_2d(
     jobs: int = 1,
 ) -> list[OccupancyEstimate]:
     """Occupancy estimates over a set of lattice points of the planar process."""
-    validate_expansion_param(p)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if initial.dim != 2:
         raise ValueError("estimate_occupancy_2d needs a two-dimensional box")
-    ci = _CI_METHODS[method]
-    points = [(int(x), int(y)) for x, y in points]
-    root = Stream(seed)
-
-    def worker(index: int, count: int) -> np.ndarray:
-        return _box_chunk_counts(root.substream("mc-box", index), count, initial, t, p, points)
-
-    counts = _run_chunks(trials, worker, jobs)
-    out = []
-    for point, hits in zip(points, counts.tolist()):
-        lo, hi = ci(hits, trials, confidence)
-        out.append(OccupancyEstimate(point, trials, hits, hits / trials, lo, hi))
-    return out
+    return _estimate(
+        "mc-box", initial.spans, t, [(int(x), int(y)) for x, y in points], trials,
+        UNIFORM, p, seed, confidence, method, jobs, False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +504,21 @@ def _order_gap(near: OccupancyEstimate, far: OccupancyEstimate) -> float:
     return far.estimate - near.estimate - (near.half_width + far.half_width)
 
 
+def _occupancy_check(
+    claim: str, params: dict, confidence: float, comparisons: int,
+    estimate: Callable[[float], list[OccupancyEstimate]],
+    gaps: Callable[[dict], Iterable[float]],
+) -> CheckReport:
+    """Run ``estimate`` at the Bonferroni per-site level for ``comparisons``
+    two-sided comparisons; the check passes when every gap over the
+    estimates, keyed by site, is <= 0 (a NaN gap fails)."""
+    _validate_confidence(confidence)
+    per_site = 1.0 - (1.0 - confidence) / (2.0 * max(comparisons, 1))
+    estimates = {e.site: e for e in estimate(per_site)}
+    worst = _worst_margin(gaps(estimates))
+    return CheckReport(claim=claim, passed=worst <= 0, worst_margin=worst, params=params)
+
+
 def check_even(
     t: int,
     p: float,
@@ -502,30 +531,16 @@ def check_even(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy symmetry: estimates at x and -x must agree within CIs."""
-    _validate_confidence(confidence)
-    sites = list(range(-x_range, x_range + 1))
-    comparisons = max(x_range, 1)
-    per_site = 1.0 - (1.0 - confidence) / (2.0 * comparisons)
-    estimates = {
-        e.site: e
-        for e in estimate_occupancy(
-            Span(0, 0),
-            t,
-            sites,
-            trials,
-            p=p,
-            seed=seed,
-            confidence=per_site,
-            jobs=jobs,
-            one_sided_expansion=one_sided_expansion,
-        )
-    }
-    worst = _worst_margin(_pair_gap(estimates[x], estimates[-x]) for x in range(1, x_range + 1))
-    return CheckReport(
-        claim="occupancy-even-1d",
-        passed=worst <= 0,
-        worst_margin=worst,
-        params={"t": t, "p": p, "x_range": x_range, "trials": trials, "seed": seed},
+    return _occupancy_check(
+        "occupancy-even-1d",
+        {"t": t, "p": p, "x_range": x_range, "trials": trials, "seed": seed},
+        confidence,
+        x_range,
+        lambda level: estimate_occupancy(
+            Span(0, 0), t, range(-x_range, x_range + 1), trials, p=p, seed=seed,
+            confidence=level, jobs=jobs, one_sided_expansion=one_sided_expansion,
+        ),
+        lambda est: (_pair_gap(est[x], est[-x]) for x in range(1, x_range + 1)),
     )
 
 
@@ -541,32 +556,16 @@ def check_monotone_1d(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy decrease away from the origin on the right half line."""
-    _validate_confidence(confidence)
-    sites = list(range(0, x_max + 1))
-    comparisons = max(x_max, 1)
-    per_site = 1.0 - (1.0 - confidence) / (2.0 * comparisons)
-    estimates = {
-        e.site: e
-        for e in estimate_occupancy(
-            Span(0, 0),
-            t,
-            sites,
-            trials,
-            p=p,
-            seed=seed,
-            confidence=per_site,
-            jobs=jobs,
-            one_sided_expansion=one_sided_expansion,
-        )
-    }
-    worst = _worst_margin(
-        _order_gap(estimates[x], estimates[x + 1]) for x in range(x_max)
-    )
-    return CheckReport(
-        claim="occupancy-monotone-1d",
-        passed=worst <= 0,
-        worst_margin=worst,
-        params={"t": t, "p": p, "x_max": x_max, "trials": trials, "seed": seed},
+    return _occupancy_check(
+        "occupancy-monotone-1d",
+        {"t": t, "p": p, "x_max": x_max, "trials": trials, "seed": seed},
+        confidence,
+        x_max,
+        lambda level: estimate_occupancy(
+            Span(0, 0), t, range(0, x_max + 1), trials, p=p, seed=seed,
+            confidence=level, jobs=jobs, one_sided_expansion=one_sided_expansion,
+        ),
+        lambda est: (_order_gap(est[x], est[x + 1]) for x in range(x_max)),
     )
 
 
@@ -592,7 +591,6 @@ def check_monotone_l1(
     """
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
-    _validate_confidence(confidence)
     points = [
         (x, y)
         for x in range(-radius, radius + 1)
@@ -605,21 +603,15 @@ def check_monotone_l1(
         for b in points
         if a != b and abs(a[0]) + abs(a[1]) <= abs(b[0]) + abs(b[1])
     ]
-    per_site = 1.0 - (1.0 - confidence) / (2.0 * max(len(ordered), 1))
-    estimates = {
-        e.site: e
-        for e in estimate_occupancy_2d(
-            unit_box(2), t, points, trials, p=p, seed=seed, confidence=per_site, jobs=jobs
-        )
-    }
-    worst = _worst_margin(
-        _order_gap(estimates[near_pt], estimates[far_pt]) for near_pt, far_pt in ordered
-    )
-    return CheckReport(
-        claim="occupancy-monotone-l1-2d",
-        passed=worst <= 0,
-        worst_margin=worst,
-        params={"d": d, "t": t, "p": p, "radius": radius, "trials": trials, "seed": seed},
+    return _occupancy_check(
+        "occupancy-monotone-l1-2d",
+        {"d": d, "t": t, "p": p, "radius": radius, "trials": trials, "seed": seed},
+        confidence,
+        len(ordered),
+        lambda level: estimate_occupancy_2d(
+            unit_box(2), t, points, trials, p=p, seed=seed, confidence=level, jobs=jobs
+        ),
+        lambda est: (_order_gap(est[near], est[far]) for near, far in ordered),
     )
 
 
@@ -841,21 +833,20 @@ def _coupled_occupancy_counts(
     p: float,
     trials: int,
     seed: int,
-    sites: Sequence[int],
+    index: _SiteIndex,
     skip_antithetic_map: bool,
     jobs: int = 1,
 ) -> np.ndarray:
     """Occupancy counts of the minus and plus marginals at times 1..t.
 
-    Shape (2, t, len(sites)): index 0 is the minus side, 1 the plus side.
+    Shape (2, t, sites): index 0 is the minus side, 1 the plus side.
     """
     root = Stream(seed)
-    index = _SiteIndex(sites)
 
     def worker(chunk: int, count: int) -> np.ndarray:
         stream = root.substream("coupled-marginal", chunk)
         pairs = _PairBatch(count, Span(-1, -1), Span(0, 0))
-        counts = np.zeros((2, t, len(sites)), np.int64)
+        counts = np.zeros((2, t, index.size), np.int64)
         for time in range(t):
             rows = np.flatnonzero(~pairs.dead)
             if rows.size == 0:
@@ -904,15 +895,16 @@ def coupling_marginal_test(
         raise ValueError("t must be >= 1")
     validate_expansion_param(p)
     sites = list(range(-x_window, x_window + 1))
+    index = _SiteIndex(sites)
     counts_minus, counts_plus = _coupled_occupancy_counts(
-        t, p, trials, seed, sites, skip_antithetic_map, jobs
+        t, p, trials, seed, index, skip_antithetic_map, jobs
     )
     root = Stream(seed)
 
     def standalone(label: str, initial: Span) -> np.ndarray:
-        def worker(index: int, count: int) -> np.ndarray:
-            return _interval_chunk_counts(
-                root.substream(label, index), count, initial, t, UNIFORM, p, sites, False, True
+        def worker(chunk: int, count: int) -> np.ndarray:
+            return _chunk_counts(
+                root.substream(label, chunk), count, (initial,), t, UNIFORM, p, index, False, True
             )
 
         return _run_chunks(trials, worker, jobs)

@@ -301,3 +301,33 @@ def test_verify_runs_and_records_every_requested_trial(tmp_path):
     # --confidence was never applied by any suite, so verify does not take it.
     assert main(["verify", "--suites", "reflection", "--confidence", "0.9",
                  "--out", str(tmp_path / "c.csv")]) == 2
+
+
+def test_config_plants_only_the_flags_each_subcommand_defines(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"confidence": 0.5, "n_max": 3}))
+    out = tmp_path / "verify.csv"
+    assert main(["--config", str(config), "verify", "--suites", "reflection",
+                 "--trials", "1000", "--out", str(out)]) == 0
+    recorded = read_meta(out)["config"]
+    assert "confidence" not in recorded and "n_max" not in recorded
+    out = tmp_path / "mc.csv"
+    assert main(["--config", str(config), "mc", "--trials", "1000", "--out", str(out)]) == 0
+    recorded = read_meta(out)["config"]
+    assert recorded["confidence"] == 0.5 and "n_max" not in recorded
+
+
+def test_config_key_of_no_flag_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t": 2, "n-maximum": 3}))
+    out = tmp_path / "sim.csv"
+    assert main(["--config", str(config), "simulate", "--out", str(out)]) == 2
+    assert "n_maximum" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mc_beyond_the_int64_rank_limit_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--initial=-3500000000:3500000000", "--trials", "10",
+                 "--out", str(out)]) == 2
+    assert "int64 rank limit" in capsys.readouterr().err

@@ -93,6 +93,8 @@ def test_estimate_validation():
     from boxchain import Box
     with pytest.raises(ValueError):
         estimate_occupancy_2d(Box((Span(0, 0),)), 1, [(0, 0)], 10)
+    with pytest.raises(ValueError):
+        estimate_occupancy_2d(unit_box(2), -1, [(0, 0)], 10)
     with pytest.raises(KeyError):
         estimate_occupancy(Span(0, 0), 1, [0], 10, method="bogus")
 
@@ -401,6 +403,25 @@ def test_cover_counts_match_per_site_counting():
         got = _SiteIndex(sites).cover_counts(left, right)
         want = [np.count_nonzero((left <= x) & (x <= right)) for x in sites]
         assert got.tolist() == want
+    # Boxes in two and three dimensions, endpoints one row per axis.
+    for dim in (2, 3, 2, 3):
+        lo = rng.integers(-6, 6, (dim, 2000))
+        hi = lo + rng.geometric(0.3, (dim, 2000)) - 1
+        points = [tuple(p) for p in rng.integers(-8, 8, (rng.integers(1, 40), dim)).tolist()]
+        points += points[:5]  # duplicates
+        got = _SiteIndex(points, dim).cover_counts(lo, hi)
+        want = []
+        for point in points:
+            column = np.array(point)[:, None]
+            want.append(np.count_nonzero(np.all((lo <= column) & (column <= hi), axis=0)))
+        assert got.tolist() == want
+    # No points, and no boxes.
+    for dim in (1, 2, 3):
+        lo = rng.integers(-6, 6, (dim, 50))
+        assert _SiteIndex([], dim).cover_counts(lo, lo).tolist() == []
+        points = [(0,) * dim, (1,) * dim]
+        empty = np.zeros((dim, 0), np.int64)
+        assert _SiteIndex(points, dim).cover_counts(empty, empty).tolist() == [0, 0]
 
 
 def test_first_violation_names_a_broken_mirror_state():
@@ -432,6 +453,81 @@ def test_invalid_confidence_fails_closed():
             check_monotone_1d(2, 0.5, 6, 1_000, seed=7, confidence=bad)
         with pytest.raises(ValueError):
             check_monotone_l1(2, 1, 0.5, 2, 1_000, seed=7, confidence=bad)
+
+
+def test_hits_outside_trials_fail_closed():
+    import math
+
+    for hits in (150, 101, -1, math.nan):
+        with pytest.raises(ValueError):
+            wilson_interval(hits, 100)
+        with pytest.raises(ValueError):
+            hoeffding_interval(hits, 100)
+    assert hoeffding_interval(100, 100)[1] == 1.0
+
+
+def test_fixed_seed_hits_are_pinned():
+    # Recorded before the 1-D and planar samplers shared one chunk core;
+    # any change to the order or the number of draws moves these counts.
+    from boxchain import Box
+    from boxchain.intervals import EndpointResampleContraction, KillThenUniformContraction
+
+    def hits(estimates):
+        return [e.hits for e in estimates]
+
+    assert hits(estimate_occupancy(Span(0, 0), 3, [3, -2, 0, 1, 0, -1], 20_000, seed=1)) == [
+        1771, 2530, 3988, 3509, 3988, 3428
+    ]
+    assert hits(
+        estimate_occupancy(Span(-1, 2), 20, [-3, 0, 4], 20_000, seed=2, p=0.7, jobs=2)
+    ) == [1150, 1216, 1116]
+    kill = KillThenUniformContraction(expansion_p=0.5)
+    assert hits(estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, rule=kill)) == [
+        4508, 5854, 2995
+    ]
+    endpoint = EndpointResampleContraction()
+    assert hits(
+        estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, rule=endpoint)
+    ) == [12243, 16611, 7721]
+    assert hits(
+        estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, one_sided_expansion=True)
+    ) == [0, 4690, 2942]
+    points = [(1, 1), (2, 0), (0, 0), (-1, 0), (1, 1)]
+    assert hits(estimate_occupancy_2d(unit_box(2), 3, points, 20_000, seed=1)) == [
+        2662, 2311, 3535, 3004, 2662
+    ]
+    wide = Box((Span(-1, 2), Span(0, 0)))
+    assert hits(
+        estimate_occupancy_2d(wide, 2, [(0, 0), (3, -1), (-2, 1)], 20_000, seed=4, jobs=2)
+    ) == [8709, 3544, 3383]
+
+
+def test_int64_rank_limit_raises_before_wrapping():
+    from boxchain import Box
+
+    with pytest.raises(ValueError, match="int64 rank limit"):
+        estimate_occupancy(Span(-3_500_000_000, 3_500_000_000), 1, [0], 10)
+    with pytest.raises(ValueError, match="int64 rank limit"):
+        estimate_occupancy_2d(Box((Span(0, 80_000), Span(0, 80_000))), 1, [(0, 0)], 10)
+    # The largest interval whose rank decode stays in int64, and a box whose
+    # rank count stays below 2**63, still sample; one more site does not.
+    n = 1_518_500_249
+    assert n * (n + 1) // 2 < 2**60 <= (n + 1) * (n + 2) // 2
+    estimate_occupancy(Span(0, n - 1), 1, [0], 10)
+    with pytest.raises(ValueError, match="int64 rank limit"):
+        estimate_occupancy(Span(0, n), 1, [0], 10)
+    estimate_occupancy_2d(Box((Span(0, 69_999), Span(0, 69_999))), 1, [(0, 0)], 10)
+
+
+def test_rank_limit_checks_each_row():
+    from boxchain.montecarlo import _rank_counts
+
+    # Each row fits though the per-axis maxima together would not.
+    big = 1_000_000_000
+    sizes = [np.array([big, 1]), np.array([1, big])]
+    assert [k.tolist() for k in _rank_counts(sizes)] == [[big * (big + 1) // 2, 1], [1, big * (big + 1) // 2]]
+    with pytest.raises(ValueError, match="int64 rank limit"):
+        _rank_counts([np.array([big, 1]), np.array([10, big])])
 
 
 def test_nan_margin_counts_as_failure():
