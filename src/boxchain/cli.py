@@ -169,13 +169,8 @@ def cmd_exact(args) -> int:
     rows = [(b.site, repr(float(b.lo)), repr(float(b.hi))) for b in table]
     _write_csv(args.out, ["x", "lo", "hi"], rows)
     if args.dist_out:
-        span_rows = sorted(
-            (iv.left, iv.right, repr(float(w)))
-            for iv, w in dist.weights.items()
-            if iv is not None
-        )
-        empty_mass = dist.weights.get(None, 0)
-        dist_rows = [("EMPTY", "EMPTY", repr(float(empty_mass)))] + span_rows
+        dist_rows = [("EMPTY", "EMPTY", repr(float(dist.mass_of(None))))]
+        dist_rows += [(left, right, repr(float(w))) for left, right, w in dist.span_rows()]
         _write_csv(args.dist_out, ["left", "right", "mass"], dist_rows)
     _write_meta(
         args.out,

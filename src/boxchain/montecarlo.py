@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+# Cells in one block of the coverage sweep (8 bytes each, 2 MiB).
+_SWEEP_CELLS = 2**18
 
 # Deliberate fault injections used to confirm the checks have teeth.
 MUTANTS = ("skip-antithetic-map", "unmirrored-reflection", "one-sided-expansion")
@@ -333,12 +335,20 @@ class _SiteIndex:
         self.size = len(points)
         unique = [np.unique(column, return_inverse=True) for column in points.T]
         self.coords = [coords for coords, _ in unique]
-        self.order = tuple(order for _, order in unique)
+        order = [order for _, order in unique]
         self.shape = tuple(coords.size + 1 for coords in self.coords)
-        self.cells = math.prod(self.shape)
         # Each corner picks the start (0) or the stop (1) end on every axis;
         # corners with an odd number of stops subtract.
         self.corners = [(ends, sum(ends) % 2) for ends in itertools.product((0, 1), repeat=dim)]
+        # The sweep along axis 0 visits blocks of rows [first, stop), each
+        # with the points whose first coordinate falls there; the last row,
+        # past every coordinate, holds no point.
+        step = max(1, _SWEEP_CELLS // math.prod(self.shape[1:]))
+        self.blocks = []
+        for first in range(0, self.shape[0] - 1, step):
+            stop = min(first + step, self.shape[0] - 1)
+            mine = np.flatnonzero((order[0] >= first) & (order[0] < stop))
+            self.blocks.append((first, stop, mine, (order[0][mine] - first, *(o[mine] for o in order[1:]))))
 
     def cover_counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """How many boxes [lo, hi] contain each site.
@@ -347,8 +357,13 @@ class _SiteIndex:
         for one axis.  A difference array over the grid of distinct per-axis
         coordinates: each box adds +-1 at the 2^d corners spanned by the
         first coordinate it covers and the one just past the last, and a
-        running sum along every axis leaves each grid cell's coverage.  The
-        grid has one cell per combination of distinct coordinates.
+        running sum along every axis leaves each grid cell's coverage.
+
+        The grid is swept along axis 0 one block of rows at a time, so at
+        most about ``_SWEEP_CELLS`` cells are held however many points are
+        scattered.  A block's first row also takes every corner before it,
+        which makes it the running (d-1)-dimensional slab of the sweep; its
+        extra last row takes every corner after it and is never read.
         """
         if lo.ndim == 1:
             lo, hi = lo[None], hi[None]
@@ -356,19 +371,26 @@ class _SiteIndex:
             (np.searchsorted(coords, low, side="left"), np.searchsorted(coords, high, side="right"))
             for coords, low, high in zip(self.coords, lo, hi)
         ]
-        diff = np.zeros(self.cells, np.int64)
-        for corner, odd in self.corners:
-            flat = ends[0][corner[0]]
-            for axis in range(1, len(ends)):
-                flat = flat * self.shape[axis] + ends[axis][corner[axis]]
-            if odd:
-                diff -= np.bincount(flat, minlength=self.cells)
-            else:
-                diff += np.bincount(flat, minlength=self.cells)
-        grid = diff.reshape(self.shape)
-        for axis in range(grid.ndim):
-            grid = np.cumsum(grid, axis=axis)
-        return grid[self.order]
+        counts = np.empty(self.size, np.int64)
+        for first, stop, mine, cells in self.blocks:
+            shape = (stop - first + 1, *self.shape[1:])
+            size = math.prod(shape)
+            diff = np.zeros(size, np.int64)
+            for corner, odd in self.corners:
+                flat = ends[0][corner[0]]
+                if len(self.blocks) > 1:
+                    flat = np.clip(flat, first, stop) - first
+                for axis in range(1, len(ends)):
+                    flat = flat * shape[axis] + ends[axis][corner[axis]]
+                if odd:
+                    diff -= np.bincount(flat, minlength=size)
+                else:
+                    diff += np.bincount(flat, minlength=size)
+            grid = diff.reshape(shape)
+            for axis in range(grid.ndim):
+                grid = np.cumsum(grid, axis=axis)
+            counts[mine] = grid[cells]
+        return counts
 
 
 def _chunk_counts(

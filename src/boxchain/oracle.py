@@ -7,18 +7,20 @@ unbounded geometric tails, so shifts beyond ``n_max`` per side are dropped
 and their probability is accumulated in ``lost``.  Every reported
 occupancy value then becomes a certified bracket [lo, lo + lost].
 
-Two arithmetic modes are supported: 64-bit floats for large sweeps (with a
-grid-based fast path for the uniform rule) and exact rationals for small
-horizons, where mass conservation holds identically.
+Two arithmetic modes are supported: 64-bit floats for large sweeps, where
+the law lives on an upper-triangular grid of (left, right) endpoints, and
+exact rationals for small horizons, where mass conservation holds
+identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coupling import (
     PairClass,
@@ -62,6 +64,10 @@ __all__ = [
 
 Mass = Union[float, Fraction]
 
+# A float grid of more cells than this (8 bytes each, 512 MiB) is refused
+# rather than allocated.
+_GRID_CELL_LIMIT = 2**26
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -78,13 +84,55 @@ class TruncationPolicy:
         return 1.0 - (1.0 - float(p) ** (self.n_max + 1)) ** 2
 
 
+class _WeightsView:
+    """The ``weights`` field of ``StateDist``.
+
+    A law given a dict keeps it.  A grid law builds the dict from its grid
+    on first access: the nonzero cells, and ``EMPTY`` only if its mass is
+    positive.  Edits to that dict do not reach the grid.
+    """
+
+    def __get__(self, dist: Optional["StateDist"], owner: type) -> dict[Interval, Mass]:
+        if dist is None:
+            raise AttributeError("weights")  # the field has no default
+        if dist._weights is None:
+            lefts, rights, masses = dist._cells()
+            weights: dict[Interval, Mass] = {EMPTY: dist.empty_mass} if dist.empty_mass > 0.0 else {}
+            weights.update(zip(map(Span, lefts, rights), masses))
+            dist._weights = weights
+        return dist._weights
+
+    def __set__(self, dist: "StateDist", weights: Optional[dict[Interval, Mass]]) -> None:
+        dist._weights = weights
+
+
 @dataclass
 class StateDist:
-    """Finitely supported distribution over intervals plus tracked lost mass."""
+    """Finitely supported distribution over intervals plus tracked lost mass.
 
-    weights: dict[Interval, Mass]
+    A rational law, or a float law given as a dict, holds its ``weights``.
+    A float law computed by the oracle lives on an upper-triangular grid
+    instead (``on_grid``): ``grid[i, j]`` is the mass of
+    ``Span(origin + i, origin + j)`` and ``empty_mass`` that of the empty
+    state, and ``weights`` is a view built on first access.
+    """
+
+    weights: dict[Interval, Mass] = _WeightsView()
     lost: Mass
     exact: bool = False
+
+    # Set only on a grid law.
+    grid = None
+    origin = None
+    empty_mass = None
+    _cover = None
+
+    @classmethod
+    def on_grid(cls, grid: np.ndarray, origin: int, empty_mass: float, lost: float) -> "StateDist":
+        """A float law held as its endpoint grid."""
+        dist = cls(None, lost)
+        dist.grid, dist.origin, dist.empty_mass = grid, origin, empty_mass
+        return dist
 
     @classmethod
     def point_mass(cls, interval: Interval, exact: bool = False) -> "StateDist":
@@ -92,12 +140,43 @@ class StateDist:
         zero: Mass = Fraction(0) if exact else 0.0
         return cls({interval: one}, zero, exact)
 
+    def _cells(self) -> tuple[list[int], list[int], list[float]]:
+        """Left ends, right ends and masses of a grid law's nonzero cells,
+        in row-major order, which is sorted by (left, right)."""
+        rows, cols = np.nonzero(self.grid)
+        return (rows + self.origin).tolist(), (cols + self.origin).tolist(), self.grid[rows, cols].tolist()
+
+    def span_rows(self) -> list[tuple[int, int, Mass]]:
+        """``(left, right, mass)`` for every span of the support, sorted.
+
+        A grid law reads them off the grid without building ``weights``.
+        """
+        if self.grid is None:
+            return sorted((iv.left, iv.right, w) for iv, w in self.weights.items() if iv is not None)
+        return list(zip(*self._cells()))
+
     def total(self) -> Mass:
+        if self.grid is not None:
+            return float(self.grid.sum()) + self.empty_mass + self.lost
         return sum(self.weights.values()) + self.lost
 
     def mass_of(self, interval: Interval) -> Mass:
-        zero: Mass = Fraction(0) if self.exact else 0.0
-        return self.weights.get(interval, zero)
+        if self.grid is None:
+            zero: Mass = Fraction(0) if self.exact else 0.0
+            return self.weights.get(interval, zero)
+        if interval is None:
+            return self.empty_mass
+        left, right = interval.left - self.origin, interval.right - self.origin
+        return float(self.grid[left, right]) if 0 <= left and right < len(self.grid) else 0.0
+
+    def _coverage(self, site: int) -> float:
+        """Mass of the spans of a grid law that contain ``site``."""
+        if self._cover is None:
+            # The diagonal of the dominance sums: acc[k, k] sums the cells
+            # with left <= k <= right.
+            self._cover = np.diagonal(_dominance(self.grid)).copy()
+        k = site - self.origin
+        return float(self._cover[k]) if 0 <= k < len(self._cover) else 0.0
 
 
 @dataclass(frozen=True)
@@ -172,68 +251,148 @@ def _contract_generic(dist: StateDist, rule: ContractionRule) -> StateDist:
     return StateDist(out, dist.lost, dist.exact)
 
 
-def _grid_from_dist(dist: StateDist) -> Optional[tuple[np.ndarray, int, float]]:
+# ---------------------------------------------------------------------------
+# the float grid
+
+
+def _zeros(extent: int) -> np.ndarray:
+    """An ``extent`` x ``extent`` grid of zeros; refused past the cell limit."""
+    if extent * extent > _GRID_CELL_LIMIT:
+        raise ValueError(
+            f"a float law of extent {extent} needs a {extent}x{extent} grid, "
+            f"over the limit of {_GRID_CELL_LIMIT} cells"
+        )
+    return np.zeros((extent, extent))
+
+
+def _grid_of(dist: StateDist) -> Optional[tuple[np.ndarray, int, float]]:
+    """(grid, origin, empty mass) of a float law; None if it holds no span."""
+    if dist.grid is not None:
+        return dist.grid, dist.origin, dist.empty_mass
     spans = [(iv.left, iv.right, float(w)) for iv, w in dist.weights.items() if iv is not None]
-    empty_mass = float(dist.weights.get(EMPTY, 0.0))
     if not spans:
         return None
-    origin = min(left for left, _, _ in spans)
-    top = max(right for _, right, _ in spans)
-    size = top - origin + 1
-    grid = np.zeros((size, size))
-    for left, right, w in spans:
-        grid[left - origin, right - origin] += w
-    return grid, origin, empty_mass
+    lefts, rights, masses = (np.array(column) for column in zip(*spans))
+    origin = int(lefts.min())
+    grid = _zeros(int(rights.max()) - origin + 1)
+    grid[lefts - origin, rights - origin] = masses
+    return grid, origin, float(dist.weights.get(EMPTY, 0.0))
 
 
-def _dist_from_grid(grid: np.ndarray, origin: int, empty_mass: float, lost: float) -> StateDist:
-    weights: dict[Interval, Mass] = {}
-    if empty_mass > 0.0:
-        weights[EMPTY] = empty_mass
-    rows, cols = np.nonzero(grid)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        weights[Span(i + origin, j + origin)] = float(grid[i, j])
-    return StateDist(weights, lost, exact=False)
+def _by_size(factor: np.ndarray) -> np.ndarray:
+    """A read-only grid view whose cell (i, j) is ``factor[j - i]``, the
+    factor of spans of size j - i + 1, and 0 below the diagonal."""
+    extent = len(factor)
+    line = np.concatenate([np.zeros(extent - 1), factor])
+    return sliding_window_view(line, extent)[::-1]
 
 
-def _contract_uniform_grid(grid: np.ndarray, empty_mass: float) -> tuple[np.ndarray, float]:
-    size = grid.shape[0]
-    idx = np.arange(size)
-    lengths = idx[None, :] - idx[:, None] + 1
-    valid = lengths >= 1
-    slots = np.where(valid, lengths * (lengths + 1) // 2, 0)
-    shares = np.where(valid, grid / (slots + 1), 0.0)
-    died = float(shares.sum())
-    acc = np.cumsum(shares, axis=0)
-    acc = np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
-    return np.where(valid, acc, 0.0), empty_mass + died
+def _dominance(share: np.ndarray) -> np.ndarray:
+    """acc[a, b] = sum of share[i, j] over i <= a and j >= b, the cells
+    whose span contains [a, b]."""
+    acc = np.cumsum(share, axis=0)
+    return np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
+
+
+# A contraction kernel gives, for the sizes 1..extent of the grid, three
+# factors per size n: the share of a source's mass that each of its
+# nonempty sub-intervals receives, the share that dies (None when none
+# does), and a factor on every outcome of size n.
+
+
+def _uniform_kernel(rule: UniformContraction, sizes: np.ndarray):
+    unit = 1.0 / (sizes * (sizes + 1) // 2 + 1)
+    return unit, unit, np.ones(len(sizes))
+
+
+def _kill_kernel(rule: KillThenUniformContraction, sizes: np.ndarray):
+    death = np.array([float(rule.death_probability(rule.expansion_p, n)) for n in sizes.tolist()])
+    bad = np.flatnonzero(~((death >= 0) & (death <= 1)))
+    if bad.size:
+        raise ValueError(f"death probability {death[bad[0]]} outside [0, 1]")
+    return (1.0 - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes))
+
+
+def _endpoint_kernel(rule: EndpointResampleContraction, sizes: np.ndarray):
+    # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
+    # comes from two ordered pairs of draws.
+    return 1.0 / (sizes * sizes), None, np.where(sizes == 1, 1.0, 2.0)
+
+
+_GRID_CONTRACT: dict[type, Callable] = {
+    UniformContraction: _uniform_kernel,
+    KillThenUniformContraction: _kill_kernel,
+    EndpointResampleContraction: _endpoint_kernel,
+}
+
+
+def _grid_kernel(rule: ContractionRule) -> Optional[Callable]:
+    return next((kernel for kind, kernel in _GRID_CONTRACT.items() if isinstance(rule, kind)), None)
+
+
+def _contract_grid(grid: np.ndarray, empty_mass: float, rule: ContractionRule, kernel: Callable) -> tuple[np.ndarray, float]:
+    share, death, outcome = kernel(rule, np.arange(1, len(grid) + 1))
+    out = _dominance(grid * _by_size(share)) * _by_size(outcome)
+    if death is not None:
+        empty_mass += float(np.einsum("ij,ij->", grid, _by_size(death)))
+    return out, empty_mass
+
+
+def _geometric_sum(s: np.ndarray, x: np.ndarray, p: float, terms: int, axis: int) -> None:
+    """Fill ``s`` with the sum over a < terms of p**a times ``x`` moved a
+    cells toward higher indices along ``axis``.
+
+    The sum is built by doubling: S_2c = S_c + p**c S_c moved c cells, and
+    S_c+1 = S_c + p**c x moved c cells.  That is about 2 log2(terms) passes,
+    all adding positive terms, so a cell no term reaches stays exactly 0.
+    ``s`` is all zero and has room for x.shape[axis] + terms - 1 cells
+    along ``axis``.
+    """
+
+    def cut(start: int, stop: int) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = x.shape[axis]
+    s[cut(0, n)] = x
+    c = 1
+    for bit in bin(terms)[3:]:
+        s[cut(c, n + 2 * c - 1)] += p**c * s[cut(0, n + c - 1)]
+        c *= 2
+        if bit == "1":
+            s[cut(c, n + c)] += p**c * x
+            c += 1
 
 
 def _expand_grid(grid: np.ndarray, p: float, n_max: int) -> tuple[np.ndarray, int, float]:
-    """Returns (expanded grid, origin shift, lost increment)."""
+    """Returns (expanded grid, origin shift, lost increment).
+
+    Each endpoint moves out by a geometric amount truncated at ``n_max``,
+    the left one first, then the right one.
+    """
     kernel = (1.0 - p) * p ** np.arange(n_max + 1)
     retained = float(kernel.sum())
-    size = grid.shape[0]
-    tall = np.zeros((size + 2 * n_max, size))
-    for a in range(n_max + 1):
-        tall[n_max - a : n_max - a + size, :] += kernel[a] * grid
-    out = np.zeros((size + 2 * n_max, size + 2 * n_max))
-    for b in range(n_max + 1):
-        out[:, n_max + b : n_max + b + size] += kernel[b] * tall
+    size = len(grid)
+    out = _zeros(size + 2 * n_max)
+    # Rows hold left endpoints, which move to lower rows: up the reversed rows.
+    left = out[: size + n_max, n_max : n_max + size]
+    _geometric_sum(left[::-1], (1.0 - p) ** 2 * grid[::-1], p, n_max + 1, axis=0)
+    # Columns hold right endpoints, which move to higher columns.
+    _geometric_sum(out[: size + n_max, n_max:], left.copy(), p, n_max + 1, axis=1)
     live = float(grid.sum())
     return out, n_max, live * (1.0 - retained * retained)
 
 
 def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist:
     """Exact mixture over all contraction outcomes of every source state."""
-    if not dist.exact and isinstance(rule, UniformContraction):
-        packed = _grid_from_dist(dist)
-        if packed is None:
-            return StateDist(dict(dist.weights), dist.lost, dist.exact)
-        grid, origin, empty_mass = packed
-        grid, empty_mass = _contract_uniform_grid(grid, empty_mass)
-        return _dist_from_grid(grid, origin, empty_mass, float(dist.lost))
-    return _contract_generic(dist, rule)
+    kernel = None if dist.exact else _grid_kernel(rule)
+    if kernel is None:
+        return _contract_generic(dist, rule)
+    packed = _grid_of(dist)
+    if packed is None:
+        return StateDist(dict(dist.weights), dist.lost, dist.exact)
+    grid, origin, empty_mass = packed
+    grid, empty_mass = _contract_grid(grid, empty_mass, rule, kernel)
+    return StateDist.on_grid(grid, origin, empty_mass, float(dist.lost))
 
 
 def expansion_pushforward(dist: StateDist, p, policy: TruncationPolicy) -> StateDist:
@@ -241,27 +400,33 @@ def expansion_pushforward(dist: StateDist, p, policy: TruncationPolicy) -> State
     validate_expansion_param(p)
     n_max = policy.n_max
     if not dist.exact:
-        packed = _grid_from_dist(dist)
+        packed = _grid_of(dist)
         if packed is None:
             return StateDist(dict(dist.weights), dist.lost, dist.exact)
         grid, origin, empty_mass = packed
         grid, shift, lost_inc = _expand_grid(grid, float(p), n_max)
-        return _dist_from_grid(grid, origin - shift, empty_mass, float(dist.lost) + lost_inc)
+        return StateDist.on_grid(grid, origin - shift, empty_mass, float(dist.lost) + lost_inc)
     p = Fraction(p)
     kernel = [(1 - p) * p**a for a in range(n_max + 1)]
     retained_sq = (1 - p ** (n_max + 1)) ** 2
     zero = Fraction(0)
     out: dict[Interval, Mass] = {}
     lost = dist.lost
+    # One side at a time: the left endpoint moves into (left, right) pairs,
+    # then the right endpoint of each pair moves.
+    moved: dict[tuple[int, int], Mass] = {}
     for interval, weight in dist.weights.items():
         if interval is None:
             out[EMPTY] = out.get(EMPTY, zero) + weight
             continue
         lost += weight * (1 - retained_sq)
         for a, qa in enumerate(kernel):
-            for b, qb in enumerate(kernel):
-                key = Span(interval.left - a, interval.right + b)
-                out[key] = out.get(key, zero) + weight * qa * qb
+            key = (interval.left - a, interval.right)
+            moved[key] = moved.get(key, zero) + weight * qa
+    for (left, right), weight in moved.items():
+        for b, qb in enumerate(kernel):
+            span = Span(left, right + b)
+            out[span] = out.get(span, zero) + weight * qb
     return StateDist(out, lost, exact=True)
 
 
@@ -276,29 +441,14 @@ def evolve(
     """Law of the process after ``horizon`` steps from a point mass.
 
     ``lost`` is nondecreasing in the horizon and bounds the bracket width
-    of every occupancy value.
+    of every occupancy value.  A float law under a rule with a grid kernel
+    moves onto the grid at the first step and stays there.
     """
     validate_expansion_param(p)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if exact:
         p = Fraction(p)
-    if not exact and isinstance(rule, UniformContraction) and initial is not None:
-        # Grid fast path: stay in array form across all steps.
-        grid = np.array([[1.0]])
-        origin = initial.left
-        extent = initial.size
-        if extent > 1:
-            grid = np.zeros((extent, extent))
-            grid[0, extent - 1] = 1.0
-        empty_mass = 0.0
-        lost = 0.0
-        for _ in range(horizon):
-            grid, empty_mass = _contract_uniform_grid(grid, empty_mass)
-            grid, shift, lost_inc = _expand_grid(grid, float(p), policy.n_max)
-            origin -= shift
-            lost += lost_inc
-        return _dist_from_grid(grid, origin, empty_mass, lost)
     dist = StateDist.point_mass(initial, exact=exact)
     for _ in range(horizon):
         dist = contraction_pushforward(dist, rule)
@@ -312,6 +462,9 @@ def evolve(
 
 def occupancy_bounds(dist: StateDist, site: int) -> OccupancyBounds:
     """lo = mass of spans containing ``site``; hi = lo + lost."""
+    if dist.grid is not None:
+        lo = dist._coverage(site)
+        return OccupancyBounds(site, lo, lo + dist.lost)
     zero: Mass = Fraction(0) if dist.exact else 0.0
     lo = zero
     for interval, weight in dist.weights.items():
@@ -323,7 +476,7 @@ def occupancy_bounds(dist: StateDist, site: int) -> OccupancyBounds:
 def occupancy_table(dist: StateDist, sites: Iterable[int]) -> list[OccupancyBounds]:
     """Occupancy brackets for many sites in one pass."""
     sites = list(sites)
-    if dist.exact or len(dist.weights) < 512:
+    if dist.grid is not None or dist.exact or len(dist.weights) < 512:
         return [occupancy_bounds(dist, x) for x in sites]
     lefts = np.array([iv.left for iv in dist.weights if iv is not None])
     rights = np.array([iv.right for iv in dist.weights if iv is not None])

@@ -130,6 +130,41 @@ def test_exact_rational_mode_and_dist_out(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+# `exact --p 0.5 --t 1 --n-max 2 --initial 0:1 --dist-out`, as written before
+# the float law moved onto its grid.  Every mass is dyadic, so the float and
+# rational runs must both write these bytes (csv rows end in CRLF).
+PINNED_DIST = """left,right,mass
+EMPTY,EMPTY,0.25
+-2,0,0.015625
+-2,1,0.0234375
+-2,2,0.01171875
+-2,3,0.00390625
+-1,0,0.03125
+-1,1,0.0625
+-1,2,0.03125
+-1,3,0.01171875
+0,0,0.0625
+0,1,0.125
+0,2,0.0625
+0,3,0.0234375
+1,1,0.0625
+1,2,0.03125
+1,3,0.015625
+"""
+
+
+def test_exact_dist_out_pinned(tmp_path):
+    for arithmetic in ("float", "rational"):
+        out = tmp_path / f"exact-{arithmetic}.csv"
+        dist_out = tmp_path / f"dist-{arithmetic}.csv"
+        assert main([
+            "exact", "--p", "0.5", "--t", "1", "--n-max", "2", "--initial", "0:1",
+            "--arithmetic", arithmetic, "--x-min", "-1", "--x-max", "1",
+            "--dist-out", str(dist_out), "--out", str(out),
+        ]) == 0
+        assert dist_out.read_bytes() == PINNED_DIST.replace("\n", "\r\n").encode()
+
+
 def test_exact_rejects_dimension_two(tmp_path):
     out = tmp_path / "exact.csv"
     assert main(["exact", "--dimension", "2", "--out", str(out)]) == 2

@@ -424,6 +424,39 @@ def test_cover_counts_match_per_site_counting():
         assert _SiteIndex(points, dim).cover_counts(empty, empty).tolist() == [0, 0]
 
 
+def brute_force_cover(points, lo, hi):
+    want = []
+    for point in points:
+        column = np.array(point)[:, None]
+        want.append(np.count_nonzero(np.all((lo <= column) & (column <= hi), axis=0)))
+    return want
+
+
+def test_cover_counts_scattered_points_sweep_in_blocks(monkeypatch):
+    from boxchain import montecarlo
+    from boxchain.montecarlo import _SiteIndex
+
+    rng = np.random.default_rng(8)
+    # 2000 scattered planar points: 2001 x 2001 grid cells, swept in blocks.
+    points = [tuple(p) for p in rng.integers(-10**4, 10**4, (2000, 2)).tolist()]
+    lo = rng.integers(-10**4, 10**4, (2, 300))
+    hi = lo + rng.integers(0, 6000, (2, 300))
+    index = _SiteIndex(points, 2)
+    assert len(index.blocks) > 1
+    assert max(stop - first + 1 for first, stop, _, _ in index.blocks) * 2001 <= 2 * montecarlo._SWEEP_CELLS
+    assert index.cover_counts(lo, hi).tolist() == brute_force_cover(points, lo, hi)
+    # Tiny blocks, down to one row each, in one to three dimensions.
+    for cells in (1, 7, 64):
+        monkeypatch.setattr(montecarlo, "_SWEEP_CELLS", cells)
+        for dim in (1, 2, 3):
+            lo = rng.integers(-6, 6, (dim, 500))
+            hi = lo + rng.geometric(0.3, (dim, 500)) - 1
+            points = [tuple(p) for p in rng.integers(-8, 8, (40, dim)).tolist()]
+            points += points[:5]  # duplicates
+            got = _SiteIndex(points, dim).cover_counts(lo, hi)
+            assert got.tolist() == brute_force_cover(points, lo, hi)
+
+
 def test_first_violation_names_a_broken_mirror_state():
     report = reflection_identity_check(30, 0.5, 3_000, seed=12, swap_expansion_draws=False)
     assert not report.passed

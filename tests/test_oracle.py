@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boxchain import (
     EMPTY,
     EndpointResampleContraction,
+    KillThenUniformContraction,
     Span,
     StateDist,
     TruncationPolicy,
@@ -198,6 +201,147 @@ def test_occupancy_table_matches_pointwise():
         direct = occupancy_bounds(dist, entry.site)
         assert entry.lo == pytest.approx(direct.lo, abs=1e-12)
         assert entry.hi == pytest.approx(direct.hi, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the float law on its grid
+
+
+def shifted_add_expansion(grid, p, n_max):
+    """Reference expansion: one shifted add per retained shift and side."""
+    kernel = (1.0 - p) * p ** np.arange(n_max + 1)
+    size = grid.shape[0]
+    tall = np.zeros((size + 2 * n_max, size))
+    for a in range(n_max + 1):
+        tall[n_max - a : n_max - a + size, :] += kernel[a] * grid
+    out = np.zeros((size + 2 * n_max, size + 2 * n_max))
+    for b in range(n_max + 1):
+        out[:, n_max + b : n_max + b + size] += kernel[b] * tall
+    return out
+
+
+def dict_from_grid(grid, origin, empty_mass):
+    """Reference conversion: nonzero cells, and EMPTY only if it has mass."""
+    weights = {EMPTY: empty_mass} if empty_mass > 0.0 else {}
+    for i, j in zip(*np.nonzero(grid)):
+        weights[Span(int(i) + origin, int(j) + origin)] = float(grid[i, j])
+    return weights
+
+
+def reference_uniform_evolve(p, n_max, t):
+    """The uniform law from Span(0, 0): the dominance-sum contraction with
+    a division per cell, then shifted adds."""
+    grid, origin, empty_mass = np.ones((1, 1)), 0, 0.0
+    for _ in range(t):
+        idx = np.arange(grid.shape[0])
+        lengths = idx[None, :] - idx[:, None] + 1
+        valid = lengths >= 1
+        shares = np.where(valid, grid / (np.where(valid, lengths * (lengths + 1) // 2, 0) + 1), 0.0)
+        empty_mass += float(shares.sum())
+        acc = np.cumsum(shares, axis=0)
+        acc = np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
+        grid = shifted_add_expansion(np.where(valid, acc, 0.0), p, n_max)
+        origin -= n_max
+    return grid, origin, empty_mass
+
+
+def test_doubling_expansion_matches_shifted_add():
+    from boxchain.oracle import _expand_grid
+
+    rng = np.random.default_rng(3)
+    for n_max in (0, 1, 2, 3, 7, 8, 120):
+        for p in (0.3, 0.8):
+            grid = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.5))
+            grid[0, 8] = 0.25  # the widest span
+            got, shift, lost_inc = _expand_grid(grid, p, n_max)
+            want = shifted_add_expansion(grid, p, n_max)
+            assert shift == n_max
+            assert got.shape == want.shape
+            assert np.array_equal(got != 0, want != 0)
+            assert (got >= 0).all()
+            live = want != 0
+            assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 1e-14
+            retained = ((1 - p) * p ** np.arange(n_max + 1)).sum()
+            assert lost_inc == pytest.approx(grid.sum() * (1 - retained**2), rel=1e-15)
+
+
+def test_grid_law_weights_match_reference_dict():
+    law = evolve(Span(0, 0), 3, p=0.5, policy=TruncationPolicy(20))
+    assert law.grid is not None
+    grid, origin, empty_mass = reference_uniform_evolve(0.5, 20, 3)
+    assert law.origin == origin
+    want = dict_from_grid(grid, origin, empty_mass)
+    assert set(law.weights) == set(want)
+    assert max(abs(law.weights[k] - w) for k, w in want.items()) <= 1e-15
+    # The view of the law's own grid is that grid, cell for cell.
+    assert law.weights == dict_from_grid(law.grid, law.origin, law.empty_mass)
+    # No death under the endpoint rule, so no EMPTY key.
+    assert EMPTY not in StateDist.on_grid(np.eye(2), 0, 0.0, 0.0).weights
+
+
+def test_grid_law_reads_match_dict_route():
+    sites = range(-70, 71)
+    for rule, t in ((UNIFORM, 3), (EndpointResampleContraction(), 2)):
+        law = evolve(Span(-1, 1), t, rule=rule, p=0.7, policy=TruncationPolicy(25))
+        as_dict = StateDist(dict(law.weights), law.lost)
+        assert as_dict.grid is None and len(as_dict.weights) >= 512
+        assert law.total() == pytest.approx(as_dict.total(), abs=1e-14)
+        for got, want in zip(occupancy_table(law, sites), occupancy_table(as_dict, sites)):
+            assert got.site == want.site
+            assert got.lo == pytest.approx(want.lo, abs=1e-14)
+            assert got.hi == got.lo + law.lost
+        for x in (-200, -3, 0, 2, 200):
+            assert occupancy_bounds(law, x).lo == pytest.approx(occupancy_bounds(as_dict, x).lo, abs=1e-14)
+        first = Span(*law.span_rows()[0][:2])  # a cell in the grid's first row
+        for key in (EMPTY, first, Span(-1, 1), Span(-30, 40), Span(500, 501), Span(-500, 500)):
+            assert law.mass_of(key) == as_dict.mass_of(key)
+        assert law.mass_of(first) > 0
+
+
+def test_span_rows_are_the_sorted_weights():
+    law = evolve(Span(0, 2), 2, p=0.4, policy=TruncationPolicy(6))
+    rows = law.span_rows()
+    assert rows == sorted((iv.left, iv.right, w) for iv, w in law.weights.items() if iv is not None)
+    assert StateDist(dict(law.weights), law.lost).span_rows() == rows
+
+
+def test_kill_rule_grid_matches_rational():
+    policy = TruncationPolicy(5)
+    rule = KillThenUniformContraction(lambda p, n: 0.1 + 0.8 / n, 0.5)
+    float_dist = evolve(Span(0, 1), 3, rule=rule, p=0.5, policy=policy)
+    exact_dist = evolve(Span(0, 1), 3, rule=rule, p=Fraction(1, 2), policy=policy, exact=True)
+    assert float_dist.grid is not None
+    assert set(float_dist.weights) == set(exact_dist.weights)
+    for key, value in exact_dist.weights.items():
+        assert float_dist.weights[key] == pytest.approx(float(value), abs=1e-12)
+    assert float_dist.lost == pytest.approx(float(exact_dist.lost), abs=1e-12)
+
+
+def test_kill_rule_rejects_bad_death_probability():
+    for death in (1.5, -0.1, float("nan")):
+        rule = KillThenUniformContraction(lambda p, n, d=death: d, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            evolve(Span(0, 0), 1, rule=rule)
+        with pytest.raises(ValueError, match="outside"):
+            contraction_pushforward(StateDist({Span(0, 1): 1.0}, 0.0), rule)
+
+
+def test_huge_grid_fails_closed_without_allocating():
+    far = StateDist({Span(0, 0): 0.5, Span(10**5, 10**5): 0.5}, 0.0)
+    tracemalloc.start()
+    try:
+        for push in (
+            lambda: contraction_pushforward(far, UNIFORM),
+            lambda: expansion_pushforward(far, 0.5, TruncationPolicy(3)),
+            lambda: evolve(Span(0, 10**5), 1),
+            lambda: evolve(Span(0, 0), 1, policy=TruncationPolicy(10**4)),
+        ):
+            with pytest.raises(ValueError, match="extent 100001|extent 20001"):
+                push()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_truncation_policy_validation():
