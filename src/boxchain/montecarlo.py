@@ -340,15 +340,15 @@ class _SiteIndex:
         # Each corner picks the start (0) or the stop (1) end on every axis;
         # corners with an odd number of stops subtract.
         self.corners = [(ends, sum(ends) % 2) for ends in itertools.product((0, 1), repeat=dim)]
-        # The sweep along axis 0 visits blocks of rows [first, stop), each
-        # with the points whose first coordinate falls there; the last row,
-        # past every coordinate, holds no point.
+        # The sweep along axis 0 visits blocks of rows, each with its slice
+        # of the axis-0 coordinates and the points whose first coordinate
+        # falls there; the last row, past every coordinate, holds no point.
         step = max(1, _SWEEP_CELLS // math.prod(self.shape[1:]))
         self.blocks = []
         for first in range(0, self.shape[0] - 1, step):
-            stop = min(first + step, self.shape[0] - 1)
-            mine = np.flatnonzero((order[0] >= first) & (order[0] < stop))
-            self.blocks.append((first, stop, mine, (order[0][mine] - first, *(o[mine] for o in order[1:]))))
+            rows = self.coords[0][first : first + step]
+            mine = np.flatnonzero((order[0] >= first) & (order[0] < first + rows.size))
+            self.blocks.append((rows, mine, (order[0][mine] - first, *(o[mine] for o in order[1:]))))
 
     def cover_counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """How many boxes [lo, hi] contain each site.
@@ -361,25 +361,26 @@ class _SiteIndex:
 
         The grid is swept along axis 0 one block of rows at a time, so at
         most about ``_SWEEP_CELLS`` cells are held however many points are
-        scattered.  A block's first row also takes every corner before it,
-        which makes it the running (d-1)-dimensional slab of the sweep; its
-        extra last row takes every corner after it and is never read.
+        scattered.  A block finds the axis-0 ends in its own slice of the
+        coordinates: an end before the block lands on its first row, which
+        makes that row the running (d-1)-dimensional slab of the sweep, and
+        an end after it lands on an extra last row that is never read.
         """
         if lo.ndim == 1:
             lo, hi = lo[None], hi[None]
-        ends = [
-            (np.searchsorted(coords, low, side="left"), np.searchsorted(coords, high, side="right"))
-            for coords, low, high in zip(self.coords, lo, hi)
-        ]
+
+        def cover_ends(coords: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+            return np.searchsorted(coords, lo[axis], side="left"), np.searchsorted(coords, hi[axis], side="right")
+
+        rest = [cover_ends(coords, axis) for axis, coords in enumerate(self.coords) if axis > 0]
         counts = np.empty(self.size, np.int64)
-        for first, stop, mine, cells in self.blocks:
-            shape = (stop - first + 1, *self.shape[1:])
+        for rows, mine, cells in self.blocks:
+            shape = (rows.size + 1, *self.shape[1:])
             size = math.prod(shape)
+            ends = [cover_ends(rows, 0), *rest]
             diff = np.zeros(size, np.int64)
             for corner, odd in self.corners:
                 flat = ends[0][corner[0]]
-                if len(self.blocks) > 1:
-                    flat = np.clip(flat, first, stop) - first
                 for axis in range(1, len(ends)):
                     flat = flat * shape[axis] + ends[axis][corner[axis]]
                 if odd:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,7 +65,9 @@ __all__ = [
 Mass = Union[float, Fraction]
 
 # A float grid of more cells than this (8 bytes each, 512 MiB) is refused
-# rather than allocated.
+# rather than allocated.  An expansion holds about three grids of its output
+# size at once (the output, its left-endpoint pass and one product
+# temporary), beside its input, so one at the limit peaks near 2 GiB.
 _GRID_CELL_LIMIT = 2**26
 
 
@@ -294,44 +296,32 @@ def _dominance(share: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
 
 
-# A contraction kernel gives, for the sizes 1..extent of the grid, three
-# factors per size n: the share of a source's mass that each of its
-# nonempty sub-intervals receives, the share that dies (None when none
-# does), and a factor on every outcome of size n.
+def _grid_factors(rule: ContractionRule, sizes: np.ndarray) -> Optional[tuple]:
+    """Per-size factors of a contraction on the grid; None for a rule that
+    has none.
+
+    For each size n in ``sizes``: the share of a source's mass that each of
+    its nonempty sub-intervals receives, the share that dies (None when none
+    does), and a factor on every outcome of size n.
+    """
+    if isinstance(rule, UniformContraction):
+        unit = 1.0 / (sizes * (sizes + 1) // 2 + 1)
+        return unit, unit, np.ones(len(sizes))
+    if isinstance(rule, KillThenUniformContraction):
+        death = np.array([float(rule.death_probability(rule.expansion_p, n)) for n in sizes.tolist()])
+        bad = np.flatnonzero(~((death >= 0) & (death <= 1)))
+        if bad.size:
+            raise ValueError(f"death probability {death[bad[0]]} outside [0, 1]")
+        return (1.0 - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes))
+    if isinstance(rule, EndpointResampleContraction):
+        # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
+        # comes from two ordered pairs of draws.
+        return 1.0 / (sizes * sizes), None, np.where(sizes == 1, 1.0, 2.0)
+    return None
 
 
-def _uniform_kernel(rule: UniformContraction, sizes: np.ndarray):
-    unit = 1.0 / (sizes * (sizes + 1) // 2 + 1)
-    return unit, unit, np.ones(len(sizes))
-
-
-def _kill_kernel(rule: KillThenUniformContraction, sizes: np.ndarray):
-    death = np.array([float(rule.death_probability(rule.expansion_p, n)) for n in sizes.tolist()])
-    bad = np.flatnonzero(~((death >= 0) & (death <= 1)))
-    if bad.size:
-        raise ValueError(f"death probability {death[bad[0]]} outside [0, 1]")
-    return (1.0 - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes))
-
-
-def _endpoint_kernel(rule: EndpointResampleContraction, sizes: np.ndarray):
-    # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
-    # comes from two ordered pairs of draws.
-    return 1.0 / (sizes * sizes), None, np.where(sizes == 1, 1.0, 2.0)
-
-
-_GRID_CONTRACT: dict[type, Callable] = {
-    UniformContraction: _uniform_kernel,
-    KillThenUniformContraction: _kill_kernel,
-    EndpointResampleContraction: _endpoint_kernel,
-}
-
-
-def _grid_kernel(rule: ContractionRule) -> Optional[Callable]:
-    return next((kernel for kind, kernel in _GRID_CONTRACT.items() if isinstance(rule, kind)), None)
-
-
-def _contract_grid(grid: np.ndarray, empty_mass: float, rule: ContractionRule, kernel: Callable) -> tuple[np.ndarray, float]:
-    share, death, outcome = kernel(rule, np.arange(1, len(grid) + 1))
+def _contract_grid(grid: np.ndarray, empty_mass: float, factors: tuple) -> tuple[np.ndarray, float]:
+    share, death, outcome = factors
     out = _dominance(grid * _by_size(share)) * _by_size(outcome)
     if death is not None:
         empty_mass += float(np.einsum("ij,ij->", grid, _by_size(death)))
@@ -384,14 +374,14 @@ def _expand_grid(grid: np.ndarray, p: float, n_max: int) -> tuple[np.ndarray, in
 
 def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist:
     """Exact mixture over all contraction outcomes of every source state."""
-    kernel = None if dist.exact else _grid_kernel(rule)
-    if kernel is None:
+    # A rational law, or a rule without grid factors, stays on the dict.
+    if dist.exact or _grid_factors(rule, np.arange(1, 1)) is None:
         return _contract_generic(dist, rule)
     packed = _grid_of(dist)
     if packed is None:
         return StateDist(dict(dist.weights), dist.lost, dist.exact)
     grid, origin, empty_mass = packed
-    grid, empty_mass = _contract_grid(grid, empty_mass, rule, kernel)
+    grid, empty_mass = _contract_grid(grid, empty_mass, _grid_factors(rule, np.arange(1, len(grid) + 1)))
     return StateDist.on_grid(grid, origin, empty_mass, float(dist.lost))
 
 

@@ -443,7 +443,7 @@ def test_cover_counts_scattered_points_sweep_in_blocks(monkeypatch):
     hi = lo + rng.integers(0, 6000, (2, 300))
     index = _SiteIndex(points, 2)
     assert len(index.blocks) > 1
-    assert max(stop - first + 1 for first, stop, _, _ in index.blocks) * 2001 <= 2 * montecarlo._SWEEP_CELLS
+    assert max(rows.size + 1 for rows, _, _ in index.blocks) * 2001 <= 2 * montecarlo._SWEEP_CELLS
     assert index.cover_counts(lo, hi).tolist() == brute_force_cover(points, lo, hi)
     # Tiny blocks, down to one row each, in one to three dimensions.
     for cells in (1, 7, 64):
