@@ -53,7 +53,13 @@ class UsageError(Exception):
     pass
 
 
-def _build_rule(args, p: float):
+def _rational(value: float) -> Fraction:
+    """A float flag as the rational the exact oracle computes with."""
+    return Fraction(value).limit_denominator(10**9)
+
+
+def _build_rule(args, p):
+    """The contraction rule of ``--variant``; rational when ``p`` is."""
     if args.variant == "uniform":
         return UNIFORM
     if args.variant == "kill-uniform":
@@ -61,6 +67,8 @@ def _build_rule(args, p: float):
             const = float(args.p_empty)
             if not 0 <= const <= 1:
                 raise UsageError(f"--p-empty must lie in [0, 1], got {const}")
+            if isinstance(p, Fraction):
+                const = _rational(const)
             return KillThenUniformContraction(lambda _p, _n: const, p)
         return KillThenUniformContraction(expansion_p=p)
     if args.variant == "endpoint-resample":
@@ -158,27 +166,31 @@ def cmd_exact(args) -> int:
     if args.dimension != 1:
         raise UsageError("the exact law is only propagated in one dimension")
     initial = _parse_initial_1d(args.initial or "0:0")
-    rule = _build_rule(args, args.p)
+    if args.x_min > args.x_max:
+        raise UsageError(f"no sites requested: --x-min {args.x_min} is above --x-max {args.x_max}")
     exact = args.arithmetic == "rational"
-    p = Fraction(args.p).limit_denominator(10**9) if exact else args.p
+    p = _rational(args.p) if exact else args.p
+    rule = _build_rule(args, p)
     dist = oracle.evolve(
         initial, args.t, rule, p, oracle.TruncationPolicy(args.n_max), exact=exact
     )
-    sites = range(args.x_min, args.x_max + 1)
-    table = oracle.occupancy_table(dist, sites)
+    table = oracle.occupancy_table(dist, range(args.x_min, args.x_max + 1))
     rows = [(b.site, repr(float(b.lo)), repr(float(b.hi))) for b in table]
     _write_csv(args.out, ["x", "lo", "hi"], rows)
     if args.dist_out:
         dist_rows = [("EMPTY", "EMPTY", repr(float(dist.mass_of(None))))]
         dist_rows += [(left, right, repr(float(w))) for left, right, w in dist.span_rows()]
         _write_csv(args.dist_out, ["left", "right", "mass"], dist_rows)
-    _write_meta(
-        args.out,
-        "exact",
-        args,
-        extra={"lost": repr(float(dist.lost)), "lost_exact": str(dist.lost)},
-        wall_time=time.perf_counter() - started,
-    )
+    spans, extent = dist.support()
+    law = {
+        "lost": repr(float(dist.lost)),
+        "lost_exact": str(dist.lost),
+        "support_spans": spans,
+        "grid_extent": extent,
+    }
+    if exact:
+        law["denominator_bits"] = dist.common_denominator().bit_length()
+    _write_meta(args.out, "exact", args, extra=law, wall_time=time.perf_counter() - started)
     return 0
 
 

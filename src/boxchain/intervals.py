@@ -9,6 +9,7 @@ contraction rules are supported; the expansion is always geometric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Union
 
@@ -86,8 +87,14 @@ def validate_expansion_param(p) -> None:
 # contraction rules
 
 
-def uniform_death_probability(p: float, n: int) -> float:
-    """Death weight that reproduces the uniform rule: one slot out of K+1."""
+def uniform_death_probability(p, n: int):
+    """Death weight that reproduces the uniform rule: one slot out of K+1.
+
+    A ``Fraction`` when ``p`` is one, so that the rational oracle, which
+    passes its expansion parameter as a ``Fraction``, stays exact.
+    """
+    if isinstance(p, Fraction):
+        return Fraction(1, n * (n + 1) // 2 + 1)
     return 1.0 / (n * (n + 1) // 2 + 1)
 
 
@@ -101,7 +108,9 @@ class SizeWeightedContraction:
     """Draw the new size k from ``size_pmf(k, n)``, then place it uniformly.
 
     ``size_pmf`` must be a pmf over k = 0..n for every n >= 1; k = 0 maps to
-    the empty set.
+    the empty set.  Its share depends on both the source and the outcome
+    size, so it has no per-size grid factors: it is the only rule the
+    oracle contracts by enumeration over a dict (``_contract_generic``).
     """
 
     size_pmf: Callable[[int, int], float]
@@ -112,8 +121,9 @@ class KillThenUniformContraction:
     """Die with probability ``death_probability(p, n)``, else uniform over
     the nonempty sub-intervals.
 
-    ``expansion_p`` is forwarded as the first argument of the callable; the
-    default callable ignores it and reproduces the uniform rule exactly.
+    ``expansion_p`` is forwarded as the first argument of the callable, as
+    a ``Fraction`` by the rational oracle; the default callable then
+    returns a ``Fraction`` and reproduces the uniform rule exactly.
     """
 
     death_probability: Callable[[float, int], float] = uniform_death_probability

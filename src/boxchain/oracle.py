@@ -7,16 +7,17 @@ unbounded geometric tails, so shifts beyond ``n_max`` per side are dropped
 and their probability is accumulated in ``lost``.  Every reported
 occupancy value then becomes a certified bracket [lo, lo + lost].
 
-Two arithmetic modes are supported: 64-bit floats for large sweeps, where
-the law lives on an upper-triangular grid of (left, right) endpoints, and
-exact rationals for small horizons, where mass conservation holds
-identically.
+Two arithmetic modes are supported, and both hold the law on an
+upper-triangular grid of (left, right) endpoints: 64-bit floats for large
+sweeps, and exact rationals, as integer numerators over one common
+denominator, where mass conservation holds identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -70,6 +71,15 @@ Mass = Union[float, Fraction]
 # temporary), beside its input, so one at the limit peaks near 2 GiB.
 _GRID_CELL_LIMIT = 2**26
 
+# A rational grid is refused past this many bytes, counted as a pointer and
+# a Python int of bits(D)/8 bytes plus its header per cell, D being the
+# common denominator that bounds every numerator.  That counts every cell as
+# nonzero: a law's upper-triangular grid holds about half of it, and an
+# expansion peaks at 1.3-2.2 times it (tracemalloc, extents 61-481), so one
+# at the limit peaks near 1 GiB.
+_OBJECT_GRID_BYTES = 2**29
+_INT_HEADER_BYTES = 28
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -99,7 +109,8 @@ class _WeightsView:
             raise AttributeError("weights")  # the field has no default
         if dist._weights is None:
             lefts, rights, masses = dist._cells()
-            weights: dict[Interval, Mass] = {EMPTY: dist.empty_mass} if dist.empty_mass > 0.0 else {}
+            empty = dist.mass_of(EMPTY)
+            weights: dict[Interval, Mass] = {EMPTY: empty} if empty > 0 else {}
             weights.update(zip(map(Span, lefts, rights), masses))
             dist._weights = weights
         return dist._weights
@@ -112,11 +123,14 @@ class _WeightsView:
 class StateDist:
     """Finitely supported distribution over intervals plus tracked lost mass.
 
-    A rational law, or a float law given as a dict, holds its ``weights``.
-    A float law computed by the oracle lives on an upper-triangular grid
-    instead (``on_grid``): ``grid[i, j]`` is the mass of
-    ``Span(origin + i, origin + j)`` and ``empty_mass`` that of the empty
-    state, and ``weights`` is a view built on first access.
+    A law given as a dict holds its ``weights``.  A law computed by the
+    oracle lives on an upper-triangular grid instead (``on_grid``):
+    ``grid[i, j]`` is the mass of ``Span(origin + i, origin + j)`` and
+    ``empty_mass`` that of the empty state, and ``weights`` is a view built
+    on first access.  On a rational grid law (``denom`` set) the grid is an
+    object array of Python ints and ``empty_mass`` an int, all numerators
+    over the common denominator ``denom``; ``lost`` and every mass read
+    through the API are ``Fraction``s.
     """
 
     weights: dict[Interval, Mass] = _WeightsView()
@@ -127,13 +141,19 @@ class StateDist:
     grid = None
     origin = None
     empty_mass = None
+    denom = None
+    _lost_units = None
     _cover = None
 
     @classmethod
-    def on_grid(cls, grid: np.ndarray, origin: int, empty_mass: float, lost: float) -> "StateDist":
-        """A float law held as its endpoint grid."""
-        dist = cls(None, lost)
-        dist.grid, dist.origin, dist.empty_mass = grid, origin, empty_mass
+    def on_grid(
+        cls, grid: np.ndarray, origin: int, empty_mass: Mass, lost: Mass, denom: Optional[int] = None
+    ) -> "StateDist":
+        """A law held as its endpoint grid: float masses, or with ``denom``
+        integer numerators (grid, empty mass and lost) over it."""
+        dist = cls(None, lost if denom is None else Fraction(lost, denom), denom is not None)
+        dist.grid, dist.origin, dist.empty_mass, dist.denom = grid, origin, empty_mass, denom
+        dist._lost_units = lost
         return dist
 
     @classmethod
@@ -142,11 +162,18 @@ class StateDist:
         zero: Mass = Fraction(0) if exact else 0.0
         return cls({interval: one}, zero, exact)
 
-    def _cells(self) -> tuple[list[int], list[int], list[float]]:
+    def _mass(self, units) -> Mass:
+        """A grid law's mass of ``units`` grid units."""
+        return float(units) if self.denom is None else Fraction(units, self.denom)
+
+    def _cells(self) -> tuple[list[int], list[int], list[Mass]]:
         """Left ends, right ends and masses of a grid law's nonzero cells,
         in row-major order, which is sorted by (left, right)."""
         rows, cols = np.nonzero(self.grid)
-        return (rows + self.origin).tolist(), (cols + self.origin).tolist(), self.grid[rows, cols].tolist()
+        masses = self.grid[rows, cols].tolist()
+        if self.denom is not None:
+            masses = [Fraction(m, self.denom) for m in masses]
+        return (rows + self.origin).tolist(), (cols + self.origin).tolist(), masses
 
     def span_rows(self) -> list[tuple[int, int, Mass]]:
         """``(left, right, mass)`` for every span of the support, sorted.
@@ -158,6 +185,8 @@ class StateDist:
         return list(zip(*self._cells()))
 
     def total(self) -> Mass:
+        if self.denom is not None:
+            return Fraction(self.grid.sum() + self.empty_mass + self._lost_units, self.denom)
         if self.grid is not None:
             return float(self.grid.sum()) + self.empty_mass + self.lost
         return sum(self.weights.values()) + self.lost
@@ -167,18 +196,39 @@ class StateDist:
             zero: Mass = Fraction(0) if self.exact else 0.0
             return self.weights.get(interval, zero)
         if interval is None:
-            return self.empty_mass
+            return self._mass(self.empty_mass)
         left, right = interval.left - self.origin, interval.right - self.origin
-        return float(self.grid[left, right]) if 0 <= left and right < len(self.grid) else 0.0
+        return self._mass(self.grid[left, right] if 0 <= left and right < len(self.grid) else 0)
 
-    def _coverage(self, site: int) -> float:
+    def support(self) -> tuple[int, int]:
+        """(number of spans with mass, sites from the leftmost left end to
+        the rightmost right end); a grid law reads them off its grid."""
+        if self.grid is None:
+            spans = [iv for iv in self.weights if iv is not None]
+            if not spans:
+                return 0, 0
+            return len(spans), max(iv.right for iv in spans) - min(iv.left for iv in spans) + 1
+        rows = np.flatnonzero(self.grid.any(axis=1))
+        if not len(rows):
+            return 0, 0
+        cols = np.flatnonzero(self.grid.any(axis=0))
+        return int(np.count_nonzero(self.grid)), int(cols[-1] - rows[0]) + 1
+
+    def common_denominator(self) -> int:
+        """The denominator a rational law's masses and ``lost`` share: the
+        grid's ``denom``, or the lcm of a dict law's denominators."""
+        if self.denom is not None:
+            return self.denom
+        return lcm(*(Fraction(w).denominator for w in (*self.weights.values(), self.lost)))
+
+    def _coverage(self, site: int) -> Mass:
         """Mass of the spans of a grid law that contain ``site``."""
         if self._cover is None:
             # The diagonal of the dominance sums: acc[k, k] sums the cells
             # with left <= k <= right.
             self._cover = np.diagonal(_dominance(self.grid)).copy()
         k = site - self.origin
-        return float(self._cover[k]) if 0 <= k < len(self._cover) else 0.0
+        return self._mass(self._cover[k] if 0 <= k < len(self._cover) else 0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +270,7 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
                 out[Span(left, left + k - 1)] = share
         return out
     if isinstance(rule, KillThenUniformContraction):
-        death = rule.death_probability(rule.expansion_p, n)
+        death = rule.death_probability(Fraction(rule.expansion_p) if exact else rule.expansion_p, n)
         if not 0 <= death <= 1:
             raise ValueError(f"death probability {death} outside [0, 1]")
         death_mass: Mass = Fraction(death) if exact else float(death)
@@ -242,6 +292,8 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
 
 
 def _contract_generic(dist: StateDist, rule: ContractionRule) -> StateDist:
+    """Contraction by enumeration over the dict, for a rule without grid
+    factors: only ``SizeWeightedContraction``."""
     zero: Mass = Fraction(0) if dist.exact else 0.0
     out: dict[Interval, Mass] = {}
     for interval, weight in dist.weights.items():
@@ -254,7 +306,7 @@ def _contract_generic(dist: StateDist, rule: ContractionRule) -> StateDist:
 
 
 # ---------------------------------------------------------------------------
-# the float grid
+# the grid
 
 
 def _zeros(extent: int) -> np.ndarray:
@@ -267,25 +319,49 @@ def _zeros(extent: int) -> np.ndarray:
     return np.zeros((extent, extent))
 
 
-def _grid_of(dist: StateDist) -> Optional[tuple[np.ndarray, int, float]]:
-    """(grid, origin, empty mass) of a float law; None if it holds no span."""
+def _check_object_grid(extent: int, bits: int) -> None:
+    """Refuse a rational grid whose numerators may reach ``bits`` bits
+    before anything of its size is allocated."""
+    cell_limit = _OBJECT_GRID_BYTES // (8 + _INT_HEADER_BYTES + bits // 8)
+    if extent * extent > cell_limit:
+        raise ValueError(
+            f"a rational law of extent {extent} with a {bits}-bit denominator needs a "
+            f"{extent}x{extent} grid, over the limit of {cell_limit} cells at that size"
+        )
+
+
+def _grid_of(dist: StateDist) -> Optional[tuple]:
+    """(grid, origin, empty, lost, denom) of a law in grid units: masses for
+    a float law (``denom`` None), numerators over ``denom`` for a rational
+    one.  None if the law holds no span."""
     if dist.grid is not None:
-        return dist.grid, dist.origin, dist.empty_mass
-    spans = [(iv.left, iv.right, float(w)) for iv, w in dist.weights.items() if iv is not None]
+        return dist.grid, dist.origin, dist.empty_mass, dist._lost_units, dist.denom
+    spans = [(iv.left, iv.right, w) for iv, w in dist.weights.items() if iv is not None]
     if not spans:
         return None
-    lefts, rights, masses = (np.array(column) for column in zip(*spans))
+    lefts, rights, masses = zip(*spans)
+    lefts, rights = np.array(lefts), np.array(rights)
     origin = int(lefts.min())
-    grid = _zeros(int(rights.max()) - origin + 1)
-    grid[lefts - origin, rights - origin] = masses
-    return grid, origin, float(dist.weights.get(EMPTY, 0.0))
+    extent = int(rights.max()) - origin + 1
+    empty = dist.weights.get(EMPTY, 0)
+    if not dist.exact:
+        grid = _zeros(extent)
+        grid[lefts - origin, rights - origin] = [float(m) for m in masses]
+        return grid, origin, float(empty), float(dist.lost), None
+    values = [Fraction(m) for m in (*masses, empty, dist.lost)]
+    denom = lcm(*(v.denominator for v in values))
+    _check_object_grid(extent, denom.bit_length())
+    grid = np.zeros((extent, extent), dtype=object)
+    *cells, empty, lost = (v.numerator * (denom // v.denominator) for v in values)
+    grid[lefts - origin, rights - origin] = cells
+    return grid, origin, empty, lost, denom
 
 
 def _by_size(factor: np.ndarray) -> np.ndarray:
     """A read-only grid view whose cell (i, j) is ``factor[j - i]``, the
     factor of spans of size j - i + 1, and 0 below the diagonal."""
     extent = len(factor)
-    line = np.concatenate([np.zeros(extent - 1), factor])
+    line = np.concatenate([np.zeros(extent - 1, dtype=factor.dtype), factor])
     return sliding_window_view(line, extent)[::-1]
 
 
@@ -296,39 +372,65 @@ def _dominance(share: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
 
 
-def _grid_factors(rule: ContractionRule, sizes: np.ndarray) -> Optional[tuple]:
+def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False) -> Optional[tuple]:
     """Per-size factors of a contraction on the grid; None for a rule that
     has none.
 
     For each size n in ``sizes``: the share of a source's mass that each of
     its nonempty sub-intervals receives, the share that dies (None when none
-    does), and a factor on every outcome of size n.
+    does), and an integer factor on every outcome of size n.  Floats, or
+    ``Fraction``s in object arrays when ``exact``.
     """
+    dtype, one = float, 1.0
+    if exact:
+        sizes = sizes.astype(object)
+        dtype, one = object, Fraction(1)
     if isinstance(rule, UniformContraction):
-        unit = 1.0 / (sizes * (sizes + 1) // 2 + 1)
-        return unit, unit, np.ones(len(sizes))
+        unit = one / (sizes * (sizes + 1) // 2 + 1)
+        return unit, unit, np.ones(len(sizes), dtype)
     if isinstance(rule, KillThenUniformContraction):
-        death = np.array([float(rule.death_probability(rule.expansion_p, n)) for n in sizes.tolist()])
-        bad = np.flatnonzero(~((death >= 0) & (death <= 1)))
-        if bad.size:
-            raise ValueError(f"death probability {death[bad[0]]} outside [0, 1]")
-        return (1.0 - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes))
+        p = Fraction(rule.expansion_p) if exact else rule.expansion_p
+        death = [rule.death_probability(p, n) for n in sizes.tolist()]
+        bad = [d for d in death if not 0 <= d <= 1]
+        if bad:
+            raise ValueError(f"death probability {bad[0]} outside [0, 1]")
+        death = np.array([Fraction(d) for d in death] if exact else death, dtype)
+        return (one - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes), dtype)
     if isinstance(rule, EndpointResampleContraction):
         # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
         # comes from two ordered pairs of draws.
-        return 1.0 / (sizes * sizes), None, np.where(sizes == 1, 1.0, 2.0)
+        return one / (sizes * sizes), None, np.where(sizes == 1, 1, 2).astype(dtype)
     return None
 
 
-def _contract_grid(grid: np.ndarray, empty_mass: float, factors: tuple) -> tuple[np.ndarray, float]:
+def _contract_grid(grid: np.ndarray, empty: Mass, factors: tuple) -> tuple[np.ndarray, Mass]:
     share, death, outcome = factors
     out = _dominance(grid * _by_size(share)) * _by_size(outcome)
     if death is not None:
-        empty_mass += float(np.einsum("ij,ij->", grid, _by_size(death)))
-    return out, empty_mass
+        empty += np.einsum("ij,ij->", grid, _by_size(death))
+    return out, empty
 
 
-def _geometric_sum(s: np.ndarray, x: np.ndarray, p: float, terms: int, axis: int) -> None:
+def _contract_exact(grid: np.ndarray, empty: int, lost: int, denom: int, factors: tuple) -> tuple:
+    """``_contract_grid`` on numerators: the rational factors are scaled to
+    integers by the lcm L of their denominators, and every numerator and
+    the common denominator gain the factor L."""
+    share, death, outcome = factors
+    scale = lcm(*(f.denominator for factor in (share, death) if factor is not None for f in factor))
+
+    def integers(factor):
+        if factor is None:
+            return None
+        return np.array([f.numerator * (scale // f.denominator) for f in factor], dtype=object)
+
+    _check_object_grid(len(grid), (denom * scale).bit_length())
+    out, empty = _contract_grid(grid, empty * scale, (integers(share), integers(death), outcome))
+    return out, empty, lost * scale, denom * scale
+
+
+def _geometric_sum(
+    s: np.ndarray, x: np.ndarray, p, terms: int, axis: int, den: Optional[int] = None
+) -> None:
     """Fill ``s`` with the sum over a < terms of p**a times ``x`` moved a
     cells toward higher indices along ``axis``.
 
@@ -337,6 +439,11 @@ def _geometric_sum(s: np.ndarray, x: np.ndarray, p: float, terms: int, axis: int
     all adding positive terms, so a cell no term reaches stays exactly 0.
     ``s`` is all zero and has room for x.shape[axis] + terms - 1 cells
     along ``axis``.
+
+    With ``den``, the integer ``p`` is the numerator of p/den and the sum
+    is taken in homogeneous form, p**a den**(terms - 1 - a) times ``x``
+    moved a cells: S_c is scaled by den**c before the doubling add and by
+    den before the single one.
     """
 
     def cut(start: int, stop: int) -> tuple[slice, ...]:
@@ -346,9 +453,15 @@ def _geometric_sum(s: np.ndarray, x: np.ndarray, p: float, terms: int, axis: int
     s[cut(0, n)] = x
     c = 1
     for bit in bin(terms)[3:]:
-        s[cut(c, n + 2 * c - 1)] += p**c * s[cut(0, n + c - 1)]
+        shifted = p**c * s[cut(0, n + c - 1)]
+        if den is not None:
+            s[cut(0, n + c - 1)] *= den**c
+        s[cut(c, n + 2 * c - 1)] += shifted
+        del shifted  # before the next, twice larger, temporary
         c *= 2
         if bit == "1":
+            if den is not None:
+                s[cut(0, n + c - 1)] *= den
             s[cut(c, n + c)] += p**c * x
             c += 1
 
@@ -372,52 +485,56 @@ def _expand_grid(grid: np.ndarray, p: float, n_max: int) -> tuple[np.ndarray, in
     return out, n_max, live * (1.0 - retained * retained)
 
 
+def _expand_exact(grid: np.ndarray, p: Fraction, n_max: int, denom: int) -> tuple:
+    """``_expand_grid`` on numerators over ``denom``, for p = num/den.
+
+    The kernel is (den - num) num**a den**(n_max - a) over den**(n_max + 1),
+    summed by ``_geometric_sum`` in homogeneous form; the common
+    denominator gains the factor den**(2 (n_max + 1)).  Returns (expanded
+    grid, origin shift, that factor, lost increment over the new
+    denominator).
+    """
+    num, den = p.numerator, p.denominator
+    terms = n_max + 1
+    size = len(grid)
+    _check_object_grid(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
+    out = np.zeros((size + 2 * n_max, size + 2 * n_max), dtype=object)
+    left = out[: size + n_max, n_max : n_max + size]
+    _geometric_sum(left[::-1], (den - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
+    _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=den)
+    scale = den ** (2 * terms)
+    retained = den**terms - num**terms
+    return out, n_max, scale, grid.sum() * (scale - retained * retained)
+
+
 def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist:
     """Exact mixture over all contraction outcomes of every source state."""
-    # A rational law, or a rule without grid factors, stays on the dict.
-    if dist.exact or _grid_factors(rule, np.arange(1, 1)) is None:
+    if _grid_factors(rule, np.arange(1, 1)) is None:
         return _contract_generic(dist, rule)
     packed = _grid_of(dist)
     if packed is None:
         return StateDist(dict(dist.weights), dist.lost, dist.exact)
-    grid, origin, empty_mass = packed
-    grid, empty_mass = _contract_grid(grid, empty_mass, _grid_factors(rule, np.arange(1, len(grid) + 1)))
-    return StateDist.on_grid(grid, origin, empty_mass, float(dist.lost))
+    grid, origin, empty, lost, denom = packed
+    factors = _grid_factors(rule, np.arange(1, len(grid) + 1), dist.exact)
+    if denom is None:
+        grid, empty = _contract_grid(grid, empty, factors)
+        return StateDist.on_grid(grid, origin, float(empty), lost)
+    grid, empty, lost, denom = _contract_exact(grid, empty, lost, denom, factors)
+    return StateDist.on_grid(grid, origin, empty, lost, denom)
 
 
 def expansion_pushforward(dist: StateDist, p, policy: TruncationPolicy) -> StateDist:
     """Convolve every span with two truncated geometrics; track the tails."""
     validate_expansion_param(p)
-    n_max = policy.n_max
-    if not dist.exact:
-        packed = _grid_of(dist)
-        if packed is None:
-            return StateDist(dict(dist.weights), dist.lost, dist.exact)
-        grid, origin, empty_mass = packed
-        grid, shift, lost_inc = _expand_grid(grid, float(p), n_max)
-        return StateDist.on_grid(grid, origin - shift, empty_mass, float(dist.lost) + lost_inc)
-    p = Fraction(p)
-    kernel = [(1 - p) * p**a for a in range(n_max + 1)]
-    retained_sq = (1 - p ** (n_max + 1)) ** 2
-    zero = Fraction(0)
-    out: dict[Interval, Mass] = {}
-    lost = dist.lost
-    # One side at a time: the left endpoint moves into (left, right) pairs,
-    # then the right endpoint of each pair moves.
-    moved: dict[tuple[int, int], Mass] = {}
-    for interval, weight in dist.weights.items():
-        if interval is None:
-            out[EMPTY] = out.get(EMPTY, zero) + weight
-            continue
-        lost += weight * (1 - retained_sq)
-        for a, qa in enumerate(kernel):
-            key = (interval.left - a, interval.right)
-            moved[key] = moved.get(key, zero) + weight * qa
-    for (left, right), weight in moved.items():
-        for b, qb in enumerate(kernel):
-            span = Span(left, right + b)
-            out[span] = out.get(span, zero) + weight * qb
-    return StateDist(out, lost, exact=True)
+    packed = _grid_of(dist)
+    if packed is None:
+        return StateDist(dict(dist.weights), dist.lost, dist.exact)
+    grid, origin, empty, lost, denom = packed
+    if denom is None:
+        grid, shift, lost_inc = _expand_grid(grid, float(p), policy.n_max)
+        return StateDist.on_grid(grid, origin - shift, empty, lost + lost_inc)
+    grid, shift, scale, lost_inc = _expand_exact(grid, Fraction(p), policy.n_max, denom)
+    return StateDist.on_grid(grid, origin - shift, empty * scale, lost * scale + lost_inc, denom * scale)
 
 
 def evolve(
@@ -431,8 +548,8 @@ def evolve(
     """Law of the process after ``horizon`` steps from a point mass.
 
     ``lost`` is nondecreasing in the horizon and bounds the bracket width
-    of every occupancy value.  A float law under a rule with a grid kernel
-    moves onto the grid at the first step and stays there.
+    of every occupancy value.  The law moves onto the grid at the first
+    step and stays there, unless the rule has no grid factors.
     """
     validate_expansion_param(p)
     if horizon < 0:

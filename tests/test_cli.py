@@ -108,6 +108,8 @@ def test_exact_brackets_closed_form(tmp_path):
         assert lo <= truth + 1e-15 <= hi + 1e-15
     meta = read_meta(out)
     assert float(meta["lost"]) < 1e-12
+    assert (meta["support_spans"], meta["grid_extent"]) == (41 * 41, 81)
+    assert "denominator_bits" not in meta
 
 
 def test_exact_rational_mode_and_dist_out(tmp_path):
@@ -128,6 +130,43 @@ def test_exact_rational_mode_and_dist_out(tmp_path):
     assert float(dist_rows[1][2]) == pytest.approx(0.5)
     total = sum(float(r[2]) for r in dist_rows[1:]) + lost
     assert total == pytest.approx(1.0, abs=1e-12)
+    # One contraction (the common denominator gains 2) and one expansion
+    # (it gains 2**42): the law is held over 2**43.
+    assert (meta["support_spans"], meta["grid_extent"]) == (len(dist_rows) - 2, 41)
+    assert meta["denominator_bits"] == 44
+
+
+def test_exact_rational_kill_rule_is_exact(tmp_path):
+    common = [
+        "exact", "--t", "2", "--n-max", "6", "--arithmetic", "rational", "--x-min", "-3", "--x-max", "3",
+    ]
+    uniform, kill = tmp_path / "uniform.csv", tmp_path / "kill.csv"
+    assert main(common + ["--out", str(uniform)]) == 0
+    assert main(common + ["--variant", "kill-uniform", "--out", str(kill)]) == 0
+    assert kill.read_bytes() == uniform.read_bytes()
+    assert read_meta(kill)["lost_exact"] == read_meta(uniform)["lost_exact"]
+    # A constant death probability 3/10: lost = (7/10)(1 - (7/8)**2) = 21/128.
+    const = tmp_path / "const.csv"
+    assert main([
+        "exact", "--t", "1", "--n-max", "2", "--arithmetic", "rational", "--variant", "kill-uniform",
+        "--p-empty", "0.3", "--out", str(const),
+    ]) == 0
+    assert read_meta(const)["lost_exact"] == "21/128"
+
+
+def test_exact_rejects_empty_site_range(tmp_path, capsys):
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--x-min", "5", "--x-max", "-5", "--out", str(out)]) == 2
+    assert "no sites requested: --x-min 5 is above --x-max -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_rational_grid_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "exact.csv"
+    assert main([
+        "exact", "--arithmetic", "rational", "--t", "1", "--n-max", "10000", "--out", str(out),
+    ]) == 2
+    assert "rational law of extent 20001" in capsys.readouterr().err
 
 
 # `exact --p 0.5 --t 1 --n-max 2 --initial 0:1 --dist-out`, as written before

@@ -207,14 +207,18 @@ def test_occupancy_table_matches_pointwise():
 # the float law on its grid
 
 
-def shifted_add_expansion(grid, p, n_max):
+def geometric_kernel(p, n_max):
+    return (1.0 - p) * p ** np.arange(n_max + 1)
+
+
+def shifted_add_expansion(grid, kernel):
     """Reference expansion: one shifted add per retained shift and side."""
-    kernel = (1.0 - p) * p ** np.arange(n_max + 1)
+    n_max = len(kernel) - 1
     size = grid.shape[0]
-    tall = np.zeros((size + 2 * n_max, size))
+    tall = np.zeros((size + 2 * n_max, size), grid.dtype)
     for a in range(n_max + 1):
         tall[n_max - a : n_max - a + size, :] += kernel[a] * grid
-    out = np.zeros((size + 2 * n_max, size + 2 * n_max))
+    out = np.zeros((size + 2 * n_max, size + 2 * n_max), grid.dtype)
     for b in range(n_max + 1):
         out[:, n_max + b : n_max + b + size] += kernel[b] * tall
     return out
@@ -240,7 +244,7 @@ def reference_uniform_evolve(p, n_max, t):
         empty_mass += float(shares.sum())
         acc = np.cumsum(shares, axis=0)
         acc = np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
-        grid = shifted_add_expansion(np.where(valid, acc, 0.0), p, n_max)
+        grid = shifted_add_expansion(np.where(valid, acc, 0.0), geometric_kernel(p, n_max))
         origin -= n_max
     return grid, origin, empty_mass
 
@@ -254,7 +258,7 @@ def test_doubling_expansion_matches_shifted_add():
             grid = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.5))
             grid[0, 8] = 0.25  # the widest span
             got, shift, lost_inc = _expand_grid(grid, p, n_max)
-            want = shifted_add_expansion(grid, p, n_max)
+            want = shifted_add_expansion(grid, geometric_kernel(p, n_max))
             assert shift == n_max
             assert got.shape == want.shape
             assert np.array_equal(got != 0, want != 0)
@@ -263,6 +267,22 @@ def test_doubling_expansion_matches_shifted_add():
             assert np.max(np.abs(got[live] - want[live]) / want[live]) <= 1e-14
             retained = ((1 - p) * p ** np.arange(n_max + 1)).sum()
             assert lost_inc == pytest.approx(grid.sum() * (1 - retained**2), rel=1e-15)
+
+
+def test_exact_doubling_expansion_matches_shifted_add():
+    from boxchain.oracle import _expand_exact
+
+    rng = np.random.default_rng(5)
+    for n_max in (0, 1, 2, 3, 7, 8, 20):
+        for p in (Fraction(1, 2), Fraction(2, 7)):
+            num, den, terms = p.numerator, p.denominator, n_max + 1
+            grid = np.triu(rng.integers(1, 50, (9, 9)) * (rng.random((9, 9)) < 0.5)).astype(object)
+            grid[0, 8] = 7  # the widest span
+            got, shift, scale, lost_inc = _expand_exact(grid, p, n_max, 1000)
+            kernel = [(den - num) * num**a * den ** (n_max - a) for a in range(terms)]
+            assert (shift, scale) == (n_max, den ** (2 * terms))
+            assert np.array_equal(got, shifted_add_expansion(grid, kernel))
+            assert lost_inc == grid.sum() * (scale - (den**terms - num**terms) ** 2)
 
 
 def test_grid_law_weights_match_reference_dict():
@@ -342,6 +362,58 @@ def test_huge_grid_fails_closed_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_huge_rational_grid_fails_closed_without_allocating():
+    half = Fraction(1, 2)
+    far = StateDist({Span(0, 0): half, Span(10**5, 10**5): half}, Fraction(0), exact=True)
+    tracemalloc.start()
+    try:
+        for push, extent in (
+            (lambda: contraction_pushforward(far, UNIFORM), 100001),
+            (lambda: expansion_pushforward(far, half, TruncationPolicy(3)), 100001),
+            (lambda: evolve(Span(0, 0), 1, policy=TruncationPolicy(10**4), exact=True), 20001),
+            # A float grid of extent 201 is small, but this one's numerators
+            # need 2 * 101 * 3170 bits each.
+            (lambda: evolve(Span(0, 0), 1, p=Fraction(1, 3**2000), policy=TruncationPolicy(100),
+                            exact=True), 201),
+        ):
+            with pytest.raises(ValueError, match=f"rational law of extent {extent} "):
+                push()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_rational_kill_rule_reproduces_uniform_exactly():
+    rule = KillThenUniformContraction()
+    law = evolve(Span(0, 2), 1, rule, Fraction(1, 2), TruncationPolicy(4), exact=True)
+    assert law.mass_of(EMPTY) == Fraction(1, 7)
+    kill = evolve(Span(0, 0), 2, rule, Fraction(1, 2), TruncationPolicy(6), exact=True)
+    uniform = evolve(Span(0, 0), 2, UNIFORM, Fraction(1, 2), TruncationPolicy(6), exact=True)
+    assert kill.weights == uniform.weights
+    assert kill.lost == uniform.lost
+    # The float path and the samplers still get a float.
+    assert rule.death_probability(0.5, 2) == 0.25 and isinstance(rule.death_probability(0.5, 2), float)
+
+
+@pytest.mark.parametrize("t", [4, 5, 6])
+def test_float_grid_holds_to_rational_grid_cell_by_cell(t):
+    policy = TruncationPolicy(12)
+    exact = evolve(Span(0, 0), t, p=Fraction(1, 2), policy=policy, exact=True)
+    law = evolve(Span(0, 0), t, p=0.5, policy=policy)
+    total = exact.total()
+    assert type(total) is Fraction and total == 1
+    assert (law.origin, law.grid.shape) == (exact.origin, exact.grid.shape)
+    live = law.grid != 0
+    assert np.array_equal(live, exact.grid != 0)
+    want = np.array([float(Fraction(m, exact.denom)) for m in exact.grid[live]])
+    assert np.max(np.abs(law.grid[live] - want) / want) <= 1e-12
+    sites = range(-(3 * 12), 3 * 12 + 1)
+    for got, bracket in zip(occupancy_table(law, sites), occupancy_table(exact, sites)):
+        assert type(bracket.lo) is Fraction and bracket.hi - bracket.lo == exact.lost
+        assert float(bracket.lo) - 1e-12 <= got.lo <= got.hi <= float(bracket.hi) + 1e-12
 
 
 def test_truncation_policy_validation():
