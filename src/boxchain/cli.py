@@ -443,6 +443,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError(f"--trials must be >= 1, got {args.trials}")
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

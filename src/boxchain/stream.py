@@ -119,7 +119,9 @@ class Stream:
 
     def geometric_array(self, p: float, size: int) -> np.ndarray:
         """Vector of failure counts before first success, pmf (1-p) * p**n."""
-        return self._gen.geometric(1.0 - p, size=size).astype(np.int64) - 1
+        runs = self._gen.geometric(1.0 - p, size=size)  # already int64
+        runs -= 1
+        return runs
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(seed={self.seed}, path={self._spawn_key})"

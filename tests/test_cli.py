@@ -234,6 +234,15 @@ def test_mc_jobs_invariant(tmp_path):
     assert out_serial.read_bytes() == out_threaded.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["mc", "verify"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, command, capsys):
+    out = tmp_path / "r.csv"
+    assert main([command, "--t", "3", "--trials", "1000", "--jobs", "-3", "--out", str(out)]) == 2
+    assert "--jobs must be >= 1, got -3" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "r.csv.meta.json").exists()
+
+
 def test_mc_2d_schema(tmp_path):
     out = tmp_path / "mc2.csv"
     assert main([

@@ -95,8 +95,40 @@ def test_estimate_validation():
         estimate_occupancy_2d(Box((Span(0, 0),)), 1, [(0, 0)], 10)
     with pytest.raises(ValueError):
         estimate_occupancy_2d(unit_box(2), -1, [(0, 0)], 10)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         estimate_occupancy(Span(0, 0), 1, [0], 10, method="bogus")
+
+
+def test_estimator_arguments_fail_closed():
+    # A fractional site used to be truncated to an integer and reported
+    # under the wrong label; an unknown method used to raise a bare KeyError.
+    with pytest.raises(ValueError, match="0.7"):
+        estimate_occupancy(Span(0, 0), 2, [0.7], 100)
+    with pytest.raises(ValueError, match="1.5"):
+        estimate_occupancy_2d(unit_box(2), 2, [(0, 0), (0, 1.5)], 100)
+    with pytest.raises(ValueError, match="nan"):
+        estimate_occupancy(Span(0, 0), 2, [float("nan")], 100)
+    with pytest.raises(ValueError, match="'normal'.*hoeffding"):
+        estimate_occupancy(Span(0, 0), 2, [0], 100, method="normal")
+    with pytest.raises(ValueError, match="'normal'.*wilson"):
+        estimate_occupancy_2d(unit_box(2), 2, [(0, 0)], 100, method="normal")
+    # Integral values of other types still name the same site.
+    assert [e.site for e in estimate_occupancy(Span(0, 0), 1, [2.0, np.int64(-1)], 100)] == [2, -1]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_fail_closed(jobs):
+    calls = [
+        lambda: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=jobs),
+        lambda: estimate_occupancy_2d(unit_box(2), 1, [(0, 0)], 100, jobs=jobs),
+        lambda: check_even(1, 0.5, 2, 100, jobs=jobs),
+        lambda: check_monotone_1d(1, 0.5, 2, 100, jobs=jobs),
+        lambda: check_monotone_l1(2, 1, 0.5, 1, 100, jobs=jobs),
+        lambda: coupling_marginal_test(1, 0.5, 100, jobs=jobs),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            call()
 
 
 def test_check_even_passes_and_detects_bias():
@@ -226,6 +258,27 @@ def test_vector_unrank_matches_scalar():
         for j in range(200):
             span = unrank_subinterval(Span(0, n - 1), int(ranks[j]) + 1)
             assert (int(a[j]), int(b[j])) == (span.left, span.right)
+
+
+def test_vector_unrank_at_the_int64_limit():
+    # Near the rank limit 8r + 1 is not exact in float64, and the float root
+    # overshoots at the first rank of a block, where r = T(k+1) - 1; the last
+    # rank, where r = T(k), is where an undershoot would show.
+    from boxchain.montecarlo import _unrank_offsets_vec
+
+    rng = np.random.default_rng(11)
+    for n in (1_518_500_249, 2**30):
+        total = n * (n + 1) // 2
+        ranks = []
+        lefts = [0, 1, n // 2, n - 2, n - 1, *rng.integers(0, n, 50).tolist()]
+        for left in lefts:
+            first = left * n - left * (left - 1) // 2
+            ranks += [first, first + (n - left) - 1]
+        ranks += rng.integers(0, total, 200).tolist()
+        a, b = _unrank_offsets_vec(np.full(len(ranks), n, np.int64), np.array(ranks, np.int64))
+        for j, rank in enumerate(ranks):
+            span = unrank_subinterval(Span(0, n - 1), rank + 1)
+            assert (int(a[j]), int(b[j])) == (span.left, span.right), (n, rank)
 
 
 def test_uniform_contraction_marginal_four_sigma():
@@ -533,6 +586,39 @@ def test_fixed_seed_hits_are_pinned():
     assert hits(
         estimate_occupancy_2d(wide, 2, [(0, 0), (3, -1), (-2, 1)], 20_000, seed=4, jobs=2)
     ) == [8709, 3544, 3383]
+
+
+def test_sampler_paths_are_pinned():
+    # Recorded before the chunk sampler dropped dead rows instead of masking
+    # them: the size-weighted rule, chunks in which every row dies before t
+    # (all of them by t = 40), and the per-time counts of the coupling check.
+    from boxchain.intervals import KillThenUniformContraction, SizeWeightedContraction
+
+    def hits(estimates):
+        return [e.hits for e in estimates]
+
+    weighted = SizeWeightedContraction(lambda k, n: (k + 1) / ((n + 1) * (n + 2) / 2))
+    assert hits(
+        estimate_occupancy(Span(0, 2), 3, [-2, 0, 1, 3, 5], 20_000, seed=5, rule=weighted)
+    ) == [6234, 10894, 11765, 8665, 4171]
+    kill = KillThenUniformContraction(expansion_p=0.1)
+    sites = [-1, 0, 1, 2]
+    expected = {
+        (None, 14): [5, 2, 3, 2],
+        (None, 16): [0, 0, 0, 1],
+        (None, 40): [0, 0, 0, 0],
+        (kill, 18): [2, 2, 1, 1],
+        (kill, 40): [0, 0, 0, 0],
+    }
+    for (rule, t), pinned in expected.items():
+        rules = {} if rule is None else {"rule": rule}
+        assert hits(estimate_occupancy(Span(0, 0), t, sites, 40_000, seed=6, p=0.1, **rules)) == pinned
+    assert coupling_marginal_test(2, 0.5, 4000, seed=9).as_row() == (
+        "coupling-marginals",
+        "p=0.5;seed=9;significance=0.001;t=2;trials=4000;x_window=8",
+        "-0.03279120956487866",
+        "pass",
+    )
 
 
 def test_int64_rank_limit_raises_before_wrapping():
