@@ -60,6 +60,8 @@ def _rational(value: float) -> Fraction:
 
 def _build_rule(args, p):
     """The contraction rule of ``--variant``; rational when ``p`` is."""
+    if args.p_empty is not None and args.variant != "kill-uniform":
+        raise UsageError(f"--p-empty applies only with --variant kill-uniform, not --variant {args.variant}")
     if args.variant == "uniform":
         return UNIFORM
     if args.variant == "kill-uniform":
@@ -327,8 +329,17 @@ def cmd_verify(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--p", type=float, default=0.5, help="expansion parameter in (0,1)")
     sub.add_argument("--t", type=int, default=3, help="horizon (number of steps)")
+    sub.add_argument("--out", type=str, default=None, help="output CSV path (required)")
+
+
+def _add_sampling(sub, jobs: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base seed")
     sub.add_argument("--trials", type=int, default=100_000, help="number of Monte Carlo trials")
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=1, help="worker threads for chunked trials")
+
+
+def _add_process(sub) -> None:
     sub.add_argument("--dimension", type=int, default=1, help="spatial dimension (1 or 2)")
     sub.add_argument(
         "--variant",
@@ -340,8 +351,6 @@ def _add_common(sub) -> None:
                      help="constant death probability for --variant kill-uniform")
     sub.add_argument("--initial", type=str, default=None,
                      help="initial state, LEFT:RIGHT or L0:R0,L1:R1")
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads for chunked trials")
-    sub.add_argument("--out", type=str, default=None, help="output CSV path (required)")
 
 
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
@@ -355,10 +364,13 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="sample trajectories to CSV")
     _add_common(sim)
+    _add_sampling(sim, jobs=False)
+    _add_process(sim)
     sim.set_defaults(func=cmd_simulate, trials=1)
 
     exact = commands.add_parser("exact", help="certified occupancy brackets (1-D)")
     _add_common(exact)
+    _add_process(exact)
     exact.add_argument("--n-max", type=int, default=40, help="geometric truncation per side per step")
     exact.add_argument("--arithmetic", choices=("float", "rational"), default="float")
     exact.add_argument("--x-min", type=int, default=-10)
@@ -369,6 +381,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     mc = commands.add_parser("mc", help="Monte Carlo occupancy estimates")
     _add_common(mc)
+    _add_sampling(mc)
+    _add_process(mc)
     mc.add_argument("--sites", type=str, default=None, help="comma-separated 1-D sites")
     mc.add_argument("--x-min", type=int, default=-10)
     mc.add_argument("--x-max", type=int, default=10)
@@ -383,6 +397,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         description="Run verification suites. Exit 0 only if every selected suite passes.",
     )
     _add_common(verify)
+    _add_sampling(verify)
     verify.add_argument("--suites", type=str, default=None,
                         help=f"comma-separated subset of: {', '.join(_SUITES)} (default all)")
     verify.add_argument("--radius", type=int, default=4)
@@ -439,12 +454,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError(f"--p must lie in (0, 1), got {args.p}")
         if args.t < 0:
             raise UsageError(f"--t must be >= 0, got {args.t}")
-        if args.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {args.trials}")
-        if args.seed < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        for flag, least in (("trials", 1), ("seed", 0), ("jobs", 1)):
+            value = vars(args).get(flag)  # None where the subcommand has no such flag
+            if value is not None and value < least:
+                raise UsageError(f"--{flag} must be >= {least}, got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

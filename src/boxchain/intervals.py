@@ -110,7 +110,9 @@ class SizeWeightedContraction:
     ``size_pmf`` must be a pmf over k = 0..n for every n >= 1; k = 0 maps to
     the empty set.  Its share depends on both the source and the outcome
     size, so it has no per-size grid factors: it is the only rule the
-    oracle contracts by enumeration over a dict (``_contract_generic``).
+    oracle contracts by enumeration over the law's ``weights``
+    (``_contract_generic``).  The dict law that returns is packed onto the
+    grid by the expansion that follows, like any law given as a dict.
     """
 
     size_pmf: Callable[[int, int], float]

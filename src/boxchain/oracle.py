@@ -41,7 +41,6 @@ from .intervals import (
     Span,
     UNIFORM,
     UniformContraction,
-    contains,
     count_nonempty_subintervals,
     size_pmf_weights,
     unrank_subinterval,
@@ -99,9 +98,10 @@ class TruncationPolicy:
 class _WeightsView:
     """The ``weights`` field of ``StateDist``.
 
-    A law given a dict keeps it.  A grid law builds the dict from its grid
-    on first access: the nonzero cells, and ``EMPTY`` only if its mass is
-    positive.  Edits to that dict do not reach the grid.
+    A law given a dict returns that dict.  A law computed by the oracle
+    builds the dict from its grid on first access: the nonzero cells, and
+    ``EMPTY`` only if its mass is positive.  Edits to either dict do not
+    reach the grid once it exists.
     """
 
     def __get__(self, dist: Optional["StateDist"], owner: type) -> dict[Interval, Mass]:
@@ -123,11 +123,14 @@ class _WeightsView:
 class StateDist:
     """Finitely supported distribution over intervals plus tracked lost mass.
 
-    A law given as a dict holds its ``weights``.  A law computed by the
-    oracle lives on an upper-triangular grid instead (``on_grid``):
+    Every read and push sees the law on an upper-triangular grid:
     ``grid[i, j]`` is the mass of ``Span(origin + i, origin + j)`` and
-    ``empty_mass`` that of the empty state, and ``weights`` is a view built
-    on first access.  On a rational grid law (``denom`` set) the grid is an
+    ``empty_mass`` that of the empty state.  A law the oracle computes is
+    made on its grid (``on_grid``) and builds ``weights`` only on first
+    access.  A law given as a dict keeps it as ``weights`` and is packed
+    onto the grid at its first read or push; a law with no span packs to a
+    0x0 grid, and one whose grid would pass the size limits raises
+    ``ValueError`` there.  On a rational law (``denom`` set) the grid is an
     object array of Python ints and ``empty_mass`` an int, all numerators
     over the common denominator ``denom``; ``lost`` and every mass read
     through the API are ``Fraction``s.
@@ -137,7 +140,7 @@ class StateDist:
     lost: Mass
     exact: bool = False
 
-    # Set only on a grid law.
+    # Set by ``on_grid``, or by ``_packed`` on a law given as a dict.
     grid = None
     origin = None
     empty_mass = None
@@ -162,71 +165,81 @@ class StateDist:
         zero: Mass = Fraction(0) if exact else 0.0
         return cls({interval: one}, zero, exact)
 
+    def _packed(self) -> tuple:
+        """(grid, origin, empty, lost, denom) in grid units: masses for a
+        float law (``denom`` None), numerators over ``denom`` for a rational
+        one.  A law given as a dict is packed onto its grid on the first
+        call, from the dict as it is then."""
+        if self.grid is None:
+            spans = [(iv.left, iv.right, w) for iv, w in self.weights.items() if iv is not None]
+            lefts, rights, masses = zip(*spans) if spans else ((), (), ())
+            lefts, rights = np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
+            origin, extent = (int(lefts.min()), int(rights.max() - lefts.min()) + 1) if spans else (0, 0)
+            empty = self.weights.get(EMPTY, 0)
+            if self.exact:
+                values = [Fraction(m) for m in (*masses, empty, self.lost)]
+                denom = lcm(*(v.denominator for v in values))
+                _check_object_grid(extent, denom.bit_length())
+                grid = np.zeros((extent, extent), dtype=object)
+                *masses, empty, lost = (v.numerator * (denom // v.denominator) for v in values)
+            else:
+                grid, denom = _zeros(extent), None
+                masses, empty, lost = [float(m) for m in masses], float(empty), float(self.lost)
+            grid[lefts - origin, rights - origin] = masses
+            self.grid, self.origin, self.empty_mass, self._lost_units, self.denom = grid, origin, empty, lost, denom
+        return self.grid, self.origin, self.empty_mass, self._lost_units, self.denom
+
     def _mass(self, units) -> Mass:
-        """A grid law's mass of ``units`` grid units."""
+        """The mass of ``units`` grid units."""
         return float(units) if self.denom is None else Fraction(units, self.denom)
 
     def _cells(self) -> tuple[list[int], list[int], list[Mass]]:
-        """Left ends, right ends and masses of a grid law's nonzero cells,
-        in row-major order, which is sorted by (left, right)."""
-        rows, cols = np.nonzero(self.grid)
-        masses = self.grid[rows, cols].tolist()
-        if self.denom is not None:
-            masses = [Fraction(m, self.denom) for m in masses]
-        return (rows + self.origin).tolist(), (cols + self.origin).tolist(), masses
+        """Left ends, right ends and masses of the nonzero cells, in
+        row-major order, which is sorted by (left, right)."""
+        grid, origin, _, _, denom = self._packed()
+        rows, cols = np.nonzero(grid)
+        masses = grid[rows, cols].tolist()
+        if denom is not None:
+            masses = [Fraction(m, denom) for m in masses]
+        return (rows + origin).tolist(), (cols + origin).tolist(), masses
 
     def span_rows(self) -> list[tuple[int, int, Mass]]:
-        """``(left, right, mass)`` for every span of the support, sorted.
-
-        A grid law reads them off the grid without building ``weights``.
-        """
-        if self.grid is None:
-            return sorted((iv.left, iv.right, w) for iv, w in self.weights.items() if iv is not None)
+        """``(left, right, mass)`` for every span with mass, sorted, read
+        off the grid without building ``weights``."""
         return list(zip(*self._cells()))
 
     def total(self) -> Mass:
-        if self.denom is not None:
-            return Fraction(self.grid.sum() + self.empty_mass + self._lost_units, self.denom)
-        if self.grid is not None:
-            return float(self.grid.sum()) + self.empty_mass + self.lost
-        return sum(self.weights.values()) + self.lost
+        grid, _, empty, lost, _ = self._packed()
+        return self._mass(grid.sum() + empty + lost)
 
     def mass_of(self, interval: Interval) -> Mass:
-        if self.grid is None:
-            zero: Mass = Fraction(0) if self.exact else 0.0
-            return self.weights.get(interval, zero)
+        grid, origin, empty, _, _ = self._packed()
         if interval is None:
-            return self._mass(self.empty_mass)
-        left, right = interval.left - self.origin, interval.right - self.origin
-        return self._mass(self.grid[left, right] if 0 <= left and right < len(self.grid) else 0)
+            return self._mass(empty)
+        left, right = interval.left - origin, interval.right - origin
+        return self._mass(grid[left, right] if 0 <= left and right < len(grid) else 0)
 
     def support(self) -> tuple[int, int]:
         """(number of spans with mass, sites from the leftmost left end to
-        the rightmost right end); a grid law reads them off its grid."""
-        if self.grid is None:
-            spans = [iv for iv in self.weights if iv is not None]
-            if not spans:
-                return 0, 0
-            return len(spans), max(iv.right for iv in spans) - min(iv.left for iv in spans) + 1
-        rows = np.flatnonzero(self.grid.any(axis=1))
+        the rightmost right end), read off the grid."""
+        grid = self._packed()[0]
+        rows = np.flatnonzero(grid.any(axis=1))
         if not len(rows):
             return 0, 0
-        cols = np.flatnonzero(self.grid.any(axis=0))
-        return int(np.count_nonzero(self.grid)), int(cols[-1] - rows[0]) + 1
+        cols = np.flatnonzero(grid.any(axis=0))
+        return int(np.count_nonzero(grid)), int(cols[-1] - rows[0]) + 1
 
-    def common_denominator(self) -> int:
-        """The denominator a rational law's masses and ``lost`` share: the
-        grid's ``denom``, or the lcm of a dict law's denominators."""
-        if self.denom is not None:
-            return self.denom
-        return lcm(*(Fraction(w).denominator for w in (*self.weights.values(), self.lost)))
+    def common_denominator(self) -> Optional[int]:
+        """The denominator a rational law's masses and ``lost`` share; None
+        for a float law."""
+        return self._packed()[4]
 
     def _coverage(self, site: int) -> Mass:
-        """Mass of the spans of a grid law that contain ``site``."""
+        """Mass of the spans that contain ``site``."""
         if self._cover is None:
             # The diagonal of the dominance sums: acc[k, k] sums the cells
             # with left <= k <= right.
-            self._cover = np.diagonal(_dominance(self.grid)).copy()
+            self._cover = np.diagonal(_dominance(self._packed()[0])).copy()
         k = site - self.origin
         return self._mass(self._cover[k] if 0 <= k < len(self._cover) else 0)
 
@@ -292,8 +305,9 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
 
 
 def _contract_generic(dist: StateDist, rule: ContractionRule) -> StateDist:
-    """Contraction by enumeration over the dict, for a rule without grid
-    factors: only ``SizeWeightedContraction``."""
+    """Contraction by enumeration over ``weights``, for the one rule without
+    grid factors, ``SizeWeightedContraction``.  The dict law it returns is
+    packed onto its grid at its next read or push."""
     zero: Mass = Fraction(0) if dist.exact else 0.0
     out: dict[Interval, Mass] = {}
     for interval, weight in dist.weights.items():
@@ -330,39 +344,12 @@ def _check_object_grid(extent: int, bits: int) -> None:
         )
 
 
-def _grid_of(dist: StateDist) -> Optional[tuple]:
-    """(grid, origin, empty, lost, denom) of a law in grid units: masses for
-    a float law (``denom`` None), numerators over ``denom`` for a rational
-    one.  None if the law holds no span."""
-    if dist.grid is not None:
-        return dist.grid, dist.origin, dist.empty_mass, dist._lost_units, dist.denom
-    spans = [(iv.left, iv.right, w) for iv, w in dist.weights.items() if iv is not None]
-    if not spans:
-        return None
-    lefts, rights, masses = zip(*spans)
-    lefts, rights = np.array(lefts), np.array(rights)
-    origin = int(lefts.min())
-    extent = int(rights.max()) - origin + 1
-    empty = dist.weights.get(EMPTY, 0)
-    if not dist.exact:
-        grid = _zeros(extent)
-        grid[lefts - origin, rights - origin] = [float(m) for m in masses]
-        return grid, origin, float(empty), float(dist.lost), None
-    values = [Fraction(m) for m in (*masses, empty, dist.lost)]
-    denom = lcm(*(v.denominator for v in values))
-    _check_object_grid(extent, denom.bit_length())
-    grid = np.zeros((extent, extent), dtype=object)
-    *cells, empty, lost = (v.numerator * (denom // v.denominator) for v in values)
-    grid[lefts - origin, rights - origin] = cells
-    return grid, origin, empty, lost, denom
-
-
 def _by_size(factor: np.ndarray) -> np.ndarray:
     """A read-only grid view whose cell (i, j) is ``factor[j - i]``, the
     factor of spans of size j - i + 1, and 0 below the diagonal."""
     extent = len(factor)
-    line = np.concatenate([np.zeros(extent - 1, dtype=factor.dtype), factor])
-    return sliding_window_view(line, extent)[::-1]
+    line = np.concatenate([np.zeros(extent, dtype=factor.dtype), factor])
+    return sliding_window_view(line, extent)[:0:-1]
 
 
 def _dominance(share: np.ndarray) -> np.ndarray:
@@ -511,10 +498,7 @@ def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist
     """Exact mixture over all contraction outcomes of every source state."""
     if _grid_factors(rule, np.arange(1, 1)) is None:
         return _contract_generic(dist, rule)
-    packed = _grid_of(dist)
-    if packed is None:
-        return StateDist(dict(dist.weights), dist.lost, dist.exact)
-    grid, origin, empty, lost, denom = packed
+    grid, origin, empty, lost, denom = dist._packed()
     factors = _grid_factors(rule, np.arange(1, len(grid) + 1), dist.exact)
     if denom is None:
         grid, empty = _contract_grid(grid, empty, factors)
@@ -526,10 +510,7 @@ def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist
 def expansion_pushforward(dist: StateDist, p, policy: TruncationPolicy) -> StateDist:
     """Convolve every span with two truncated geometrics; track the tails."""
     validate_expansion_param(p)
-    packed = _grid_of(dist)
-    if packed is None:
-        return StateDist(dict(dist.weights), dist.lost, dist.exact)
-    grid, origin, empty, lost, denom = packed
+    grid, origin, empty, lost, denom = dist._packed()
     if denom is None:
         grid, shift, lost_inc = _expand_grid(grid, float(p), policy.n_max)
         return StateDist.on_grid(grid, origin - shift, empty, lost + lost_inc)
@@ -548,8 +529,8 @@ def evolve(
     """Law of the process after ``horizon`` steps from a point mass.
 
     ``lost`` is nondecreasing in the horizon and bounds the bracket width
-    of every occupancy value.  The law moves onto the grid at the first
-    step and stays there, unless the rule has no grid factors.
+    of every occupancy value.  Every step ends with an expansion, so the
+    law of every horizon from 1 on is a grid law.
     """
     validate_expansion_param(p)
     if horizon < 0:
@@ -569,30 +550,14 @@ def evolve(
 
 def occupancy_bounds(dist: StateDist, site: int) -> OccupancyBounds:
     """lo = mass of spans containing ``site``; hi = lo + lost."""
-    if dist.grid is not None:
-        lo = dist._coverage(site)
-        return OccupancyBounds(site, lo, lo + dist.lost)
-    zero: Mass = Fraction(0) if dist.exact else 0.0
-    lo = zero
-    for interval, weight in dist.weights.items():
-        if contains(interval, site):
-            lo += weight
+    lo = dist._coverage(site)
     return OccupancyBounds(site, lo, lo + dist.lost)
 
 
 def occupancy_table(dist: StateDist, sites: Iterable[int]) -> list[OccupancyBounds]:
-    """Occupancy brackets for many sites in one pass."""
-    sites = list(sites)
-    if dist.grid is not None or dist.exact or len(dist.weights) < 512:
-        return [occupancy_bounds(dist, x) for x in sites]
-    lefts = np.array([iv.left for iv in dist.weights if iv is not None])
-    rights = np.array([iv.right for iv in dist.weights if iv is not None])
-    masses = np.array([w for iv, w in dist.weights.items() if iv is not None])
-    out = []
-    for x in sites:
-        lo = float(masses[(lefts <= x) & (x <= rights)].sum())
-        out.append(OccupancyBounds(x, lo, lo + float(dist.lost)))
-    return out
+    """Occupancy brackets for many sites; the law's coverage of every site
+    is one dominance sum over its grid, taken at the first read."""
+    return [occupancy_bounds(dist, x) for x in sites]
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,61 @@ def test_exact_dist_out_pinned(tmp_path):
         assert dist_out.read_bytes() == PINNED_DIST.replace("\n", "\r\n").encode()
 
 
+def test_exact_t0_pinned(tmp_path):
+    # The point mass as given, read without a push: values of the law as
+    # written before dict laws were packed onto their grid.
+    want_rows = [[str(x), "1.0" if -2 <= x <= 3 else "0.0", "1.0" if -2 <= x <= 3 else "0.0"]
+                 for x in range(-10, 11)]
+    for arithmetic, lost_exact in (("float", "0.0"), ("rational", "0")):
+        out = tmp_path / f"exact-{arithmetic}.csv"
+        dist_out = tmp_path / f"dist-{arithmetic}.csv"
+        assert main([
+            "exact", "--t", "0", "--initial=-2:3", "--arithmetic", arithmetic,
+            "--dist-out", str(dist_out), "--out", str(out),
+        ]) == 0
+        assert read_csv(out) == [["x", "lo", "hi"], *want_rows]
+        assert dist_out.read_bytes() == b"left,right,mass\r\nEMPTY,EMPTY,0.0\r\n-2,3,1.0\r\n"
+        meta = read_meta(out)
+        assert (meta["support_spans"], meta["grid_extent"]) == (1, 6)
+        assert (meta["lost"], meta["lost_exact"]) == ("0.0", lost_exact)
+        assert meta.get("denominator_bits") == (1 if arithmetic == "rational" else None)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--variant=kill-uniform"),
+    ("verify", "--p-empty=0.9"),
+    ("verify", "--initial=0:0"),
+    ("verify", "--dimension=1"),
+    ("exact", "--seed=1"),
+    ("exact", "--trials=5"),
+    ("exact", "--jobs=2"),
+    ("simulate", "--jobs=2"),
+])
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, command, flag):
+    out = tmp_path / "r.csv"
+    assert main([command, flag, "--t", "1", "--trials", "100", "--out", str(out)]
+                if command == "verify" else [command, flag, "--t", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_exact_meta_records_only_the_flags_it_reads(tmp_path):
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--t", "1", "--out", str(out)]) == 0
+    recorded = read_meta(out)["config"]
+    assert not {"seed", "trials", "jobs"} & set(recorded)
+    assert {"p", "t", "n_max", "variant", "initial"} <= set(recorded)
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate", "exact"])
+def test_p_empty_without_the_kill_rule_is_a_usage_error(tmp_path, command, capsys):
+    out = tmp_path / "r.csv"
+    assert main([command, "--t", "1", "--p-empty", "0.9", "--out", str(out)]
+                + (["--trials", "2000"] if command == "mc" else [])) == 2
+    err = capsys.readouterr().err
+    assert "--p-empty" in err and "--variant kill-uniform" in err
+    assert not out.exists()
+
+
 def test_exact_rejects_dimension_two(tmp_path):
     out = tmp_path / "exact.csv"
     assert main(["exact", "--dimension", "2", "--out", str(out)]) == 2

@@ -8,6 +8,7 @@ from boxchain import (
     EMPTY,
     EndpointResampleContraction,
     KillThenUniformContraction,
+    SizeWeightedContraction,
     Span,
     StateDist,
     TruncationPolicy,
@@ -83,6 +84,10 @@ def test_expansion_weight_formula():
 def test_expansion_keeps_empty():
     dist = StateDist({EMPTY: 1.0}, 0.0)
     out = expansion_pushforward(dist, 0.5, TruncationPolicy(10))
+    assert out.weights == {EMPTY: 1.0}
+    assert out.lost == 0.0
+    # A law with no span packs to a 0x0 grid, which contracts to itself.
+    out = contraction_pushforward(StateDist({EMPTY: 1.0}, 0.0), UNIFORM)
     assert out.weights == {EMPTY: 1.0}
     assert out.lost == 0.0
 
@@ -353,6 +358,10 @@ def test_huge_grid_fails_closed_without_allocating():
         for push in (
             lambda: contraction_pushforward(far, UNIFORM),
             lambda: expansion_pushforward(far, 0.5, TruncationPolicy(3)),
+            # A read packs the law onto the same grid, so it is refused too.
+            far.total,
+            far.support,
+            lambda: occupancy_bounds(far, 0),
             lambda: evolve(Span(0, 10**5), 1),
             lambda: evolve(Span(0, 0), 1, policy=TruncationPolicy(10**4)),
         ):
@@ -414,6 +423,31 @@ def test_float_grid_holds_to_rational_grid_cell_by_cell(t):
     for got, bracket in zip(occupancy_table(law, sites), occupancy_table(exact, sites)):
         assert type(bracket.lo) is Fraction and bracket.hi - bracket.lo == exact.lost
         assert float(bracket.lo) - 1e-12 <= got.lo <= got.hi <= float(bracket.hi) + 1e-12
+
+
+def uniform_by_size(k, n):
+    """The size pmf under which the size-weighted rule is the uniform one
+    (as in test_intervals)."""
+    total = n * (n + 1) // 2 + 1
+    return (1 if k == 0 else n - k + 1) / total
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_size_weighted_rule_matches_uniform_through_the_oracle(exact):
+    # The size-weighted rule contracts by enumeration over the dict; the
+    # expansion that follows packs that dict onto the grid.
+    p = Fraction(1, 2) if exact else 0.5
+    policy = TruncationPolicy(8)
+    law = evolve(Span(0, 0), 3, SizeWeightedContraction(uniform_by_size), p, policy, exact=exact)
+    want = evolve(Span(0, 0), 3, UNIFORM, p, policy, exact=exact)
+    assert law.grid is not None and law.exact is exact
+    assert law.support() == want.support()
+    assert [row[:2] for row in law.span_rows()] == [row[:2] for row in want.span_rows()]
+    assert float(law.lost) == pytest.approx(float(want.lost), abs=1e-12)
+    sites = range(-30, 31)
+    for got, bracket in zip(occupancy_table(law, sites), occupancy_table(want, sites)):
+        assert float(got.lo) == pytest.approx(float(bracket.lo), abs=1e-12)
+        assert float(got.hi) == pytest.approx(float(bracket.hi), abs=1e-12)
 
 
 def test_truncation_policy_validation():
