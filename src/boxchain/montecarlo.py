@@ -36,10 +36,8 @@ from .coupling import (  # noqa: F401
     reflection_coupled_step,
 )
 from .intervals import (
-    EMPTY,
     ContractionRule,
     EndpointResampleContraction,
-    Interval,
     KillThenUniformContraction,
     SizeWeightedContraction,
     Span,
@@ -92,6 +90,13 @@ def _validate_counts(hits: int, trials: int) -> None:
         raise ValueError("trials must be >= 1")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must lie in [0, {trials}], got {hits!r}")
+
+
+def _at_least(what: str, value: int, least: int) -> None:
+    """Refuse ``value`` below ``least``, where a check would pass vacuously
+    over no runs, no steps or no comparisons."""
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value!r}")
 
 
 def _worst_margin(gaps) -> float:
@@ -542,7 +547,7 @@ def _occupancy_check(
     two-sided comparisons; the check passes when every gap over the
     estimates, keyed by site, is <= 0 (a NaN gap fails)."""
     _validate_confidence(confidence)
-    per_site = 1.0 - (1.0 - confidence) / (2.0 * max(comparisons, 1))
+    per_site = 1.0 - (1.0 - confidence) / (2.0 * comparisons)
     estimates = {e.site: e for e in estimate(per_site)}
     worst = _worst_margin(gaps(estimates))
     return CheckReport(claim=claim, passed=worst <= 0, worst_margin=worst, params=params)
@@ -560,6 +565,7 @@ def check_even(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy symmetry: estimates at x and -x must agree within CIs."""
+    _at_least("x_range", x_range, 1)
     return _occupancy_check(
         "occupancy-even-1d",
         {"t": t, "p": p, "x_range": x_range, "trials": trials, "seed": seed},
@@ -585,6 +591,7 @@ def check_monotone_1d(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy decrease away from the origin on the right half line."""
+    _at_least("x_max", x_max, 1)
     return _occupancy_check(
         "occupancy-monotone-1d",
         {"t": t, "p": p, "x_max": x_max, "trials": trials, "seed": seed},
@@ -620,6 +627,7 @@ def check_monotone_l1(
     """
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
+    _at_least("radius", radius, 1)
     points = [
         (x, y)
         for x in range(-radius, radius + 1)
@@ -649,61 +657,69 @@ def check_monotone_l1(
 
 
 class _PairBatch:
-    """A chunk of coupled pairs as int64 endpoint arrays.
+    """A chunk of live coupled pairs, in the chunk sampler's layout.
 
-    Row i holds a first state [ml, mr] and a second state [pl, pr]: the
-    minus and plus sides of the antithetic coupling, or zeta and its mirror
-    eta in the reflection coupling.  Both sides of a pair die together, so
-    one ``dead`` mask marks the empty pair, whose endpoints are then stale.
-    ``coalesced`` marks pairs that run on shared draws; a coalesced pair
-    that dies stays coalesced, as in :func:`coupled_step`.
+    ``lo, hi`` are int64 endpoint arrays of shape (2, rows): side 0 holds
+    the first state, side 1 the second; the minus and plus sides of the
+    antithetic coupling, or zeta and its mirror eta in the reflection
+    coupling.  Only live pairs are held, in run order: ``run`` is each
+    row's run index within its chunk, and ``coalesced`` marks the pairs
+    that run on shared draws.  Both sides of a pair die together, and a
+    step drops the pairs that die; :meth:`keep` drops any others a driver
+    is done with.
 
     The steps take their draws as arguments, so tests can feed them fixed
     ranks and run lengths; :meth:`draws` makes them from a stream.
     """
 
     def __init__(self, size: int, first: Span, second: Span) -> None:
-        self.ml = np.full(size, first.left, np.int64)
-        self.mr = np.full(size, first.right, np.int64)
-        self.pl = np.full(size, second.left, np.int64)
-        self.pr = np.full(size, second.right, np.int64)
-        self.dead = np.zeros(size, bool)
+        self.lo = np.repeat(np.array([[first.left], [second.left]], np.int64), size, axis=1)
+        self.hi = np.repeat(np.array([[first.right], [second.right]], np.int64), size, axis=1)
         self.coalesced = np.zeros(size, bool)
+        self.run = np.arange(size)
 
-    def draws(self, rows: np.ndarray, p: float, stream: Stream):
-        """One step's draws for ``rows``: a uniform contraction rank of each
-        first host (0 is death, as in :func:`unrank_subinterval`), then the
-        right and the left geometric run lengths."""
-        n = self.mr[rows] - self.ml[rows] + 1
+    def __len__(self) -> int:
+        return self.run.size
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only ``rows``, in their order."""
+        self.lo = self.lo.take(rows, axis=1)
+        self.hi = self.hi.take(rows, axis=1)
+        self.coalesced = self.coalesced.take(rows)
+        self.run = self.run.take(rows)
+
+    def draws(self, p: float, stream: Stream):
+        """One step's draws: a uniform contraction rank of each first host
+        (0 is death, as in :func:`unrank_subinterval`), then the right and
+        the left geometric run lengths, one of each per pair."""
+        n = self.hi[0] - self.lo[0] + 1
         return (
             stream.integers_upto(n * (n + 1) // 2),
-            stream.geometric_array(p, rows.size),
-            stream.geometric_array(p, rows.size),
+            stream.geometric_array(p, n.size),
+            stream.geometric_array(p, n.size),
         )
 
-    def _contract(self, rows: np.ndarray, rank: np.ndarray):
-        """Kill the rows that drew rank 0; contract the first host of the rest.
+    def _contract(self, rank: np.ndarray, right_run: np.ndarray, left_run: np.ndarray):
+        """Drop the pairs that drew rank 0; contract the first host of the rest.
 
-        Returns the surviving rows, their mask within ``rows`` and the
-        contracted first sides [a, b].  Endpoints are not written yet.
+        Returns the contracted first sides [a, b] of the surviving pairs and
+        their run lengths.  Endpoints still hold the hosts.
         """
-        keep = rank > 0
-        self.dead[rows[~keep]] = True
-        rows = rows[keep]
-        base = self.ml[rows]
-        a, b = _unrank_offsets_vec(self.mr[rows] - base + 1, rank[keep] - 1)
-        return rows, keep, base + a, base + b
+        keep = np.flatnonzero(rank)
+        self.keep(keep)
+        base = self.lo[0]
+        a, b = _unrank_offsets_vec(self.hi[0] - base + 1, rank[keep] - 1)
+        return base + a, base + b, right_run[keep], left_run[keep]
 
     def antithetic_step(
         self,
-        rows: np.ndarray,
         rank: np.ndarray,
         right_run: np.ndarray,
         left_run: np.ndarray,
         *,
         skip_antithetic_map: bool = False,
     ) -> None:
-        """:func:`coupled_step` on live antithetic or coalesced ``rows``.
+        """:func:`coupled_step` on every antithetic or coalesced pair.
 
         The minus side contracts to [a, b] and expands to
         [a - left_run, b + right_run].  The plus contraction is
@@ -712,99 +728,74 @@ class _PairBatch:
         of :func:`coupled_expansion_amounts` applies: the pair coalesces
         when the right run reaches the right-endpoint offset (0 for a
         shared contraction), and otherwise the plus side expands with the
-        two runs swapped.  Coalesced rows take the minus step as their
+        two runs swapped.  Coalesced pairs take the minus step as their
         shared step.  ``skip_antithetic_map`` copies the contraction, the
         fault injection of :func:`coupled_step`.
         """
-        rows, keep, a, b = self._contract(rows, rank)
-        right_run, left_run = right_run[keep], left_run[keep]
+        a, b, right_run, left_run = self._contract(rank, right_run, left_run)
         if skip_antithetic_map:
             tl, tr = a, b
         else:
-            inside = a >= -1 - self.mr[rows]
+            inside = a >= -1 - self.hi[0]
             tl = np.where(inside, a, -1 - b)
             tr = np.where(inside, b, -1 - a)
-        shared = self.coalesced[rows] | (right_run >= tr - b)
-        ml = a - left_run
-        mr = b + right_run
-        self.ml[rows] = ml
-        self.mr[rows] = mr
-        self.pl[rows] = np.where(shared, ml, tl - right_run)
-        self.pr[rows] = np.where(shared, mr, tr + left_run)
-        self.coalesced[rows] = shared
+        shared = self.coalesced | (right_run >= tr - b)
+        self.lo[0] = a - left_run
+        self.hi[0] = b + right_run
+        self.lo[1] = np.where(shared, self.lo[0], tl - right_run)
+        self.hi[1] = np.where(shared, self.hi[0], tr + left_run)
+        self.coalesced = shared
 
     def reflection_step(
         self,
-        rows: np.ndarray,
         rank: np.ndarray,
         right_run: np.ndarray,
         left_run: np.ndarray,
         *,
         swap_expansion_draws: bool = True,
     ) -> None:
-        """:func:`reflection_coupled_step` on live ``rows``.
+        """:func:`reflection_coupled_step` on every pair.
 
         zeta contracts to [a, b] and expands to [a - left_run, b + right_run];
         eta contracts to the reflection [-b, -a] and expands with the two
         runs swapped, or reused unswapped as fault injection.
         """
-        rows, keep, a, b = self._contract(rows, rank)
-        right_run, left_run = right_run[keep], left_run[keep]
-        self.ml[rows] = a - left_run
-        self.mr[rows] = b + right_run
+        a, b, right_run, left_run = self._contract(rank, right_run, left_run)
+        self.lo[0] = a - left_run
+        self.hi[0] = b + right_run
         if swap_expansion_draws:
             right_run, left_run = left_run, right_run
-        self.pl[rows] = -b - left_run
-        self.pr[rows] = -a + right_run
+        self.lo[1] = -b - left_run
+        self.hi[1] = -a + right_run
 
-    def classes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Identical and antithetic masks of ``rows``, as :func:`classify_pair`
-        decides them; dead rows are both-empty, and rows in neither mask
-        nor dead are unrelated."""
-        live = ~self.dead[rows]
-        ml, mr, pl, pr = self.ml[rows], self.mr[rows], self.pl[rows], self.pr[rows]
-        identical = live & (ml == pl) & (mr == pr)
-        antithetic = (
-            live
-            & ~identical
-            & (pl == -1 - mr)
-            & (pr == -1 - ml)
-            & (ml <= -1)
-            & (mr + 1 <= -ml)
-        )
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Identical and antithetic masks, as :func:`classify_pair` decides
+        them; pairs in neither are unrelated."""
+        (ml, pl), (mr, pr) = self.lo, self.hi
+        identical = (ml == pl) & (mr == pr)
+        antithetic = ~identical & (pl == -1 - mr) & (pr == -1 - ml) & (ml <= -1) & (mr + 1 <= -ml)
         return identical, antithetic
 
-    def dominates(self, rows: np.ndarray) -> np.ndarray:
-        """:func:`dominates_nonnegative` of each of ``rows``."""
-        ml, mr = self.ml[rows], self.mr[rows]
-        holds = (self.pl[rows] <= np.maximum(ml, 0)) & (self.pr[rows] >= mr)
-        return self.dead[rows] | (mr < 0) | holds
+    def dominates(self) -> np.ndarray:
+        """:func:`dominates_nonnegative` of each pair."""
+        (ml, pl), (mr, pr) = self.lo, self.hi
+        return (mr < 0) | ((pl <= np.maximum(ml, 0)) & (pr >= mr))
 
-    def invariants_hold(self, rows: np.ndarray) -> np.ndarray:
-        """The antithetic coupling's pathwise invariants, per row: the pair is
-        empty, antithetic or coalesced-identical; a coalesced pair is
-        identical; plus holds the nonnegative sites of minus."""
-        identical, antithetic = self.classes(rows)
-        dead, coalesced = self.dead[rows], self.coalesced[rows]
-        return (
-            (dead | antithetic | (identical & coalesced))
-            & (dead | identical | ~coalesced)
-            & self.dominates(rows)
-        )
+    def invariants_hold(self) -> np.ndarray:
+        """The antithetic coupling's pathwise invariants, per pair: a
+        coalesced pair is identical and any other antithetic; plus holds
+        the nonnegative sites of minus."""
+        identical, antithetic = self.classes()
+        return np.where(self.coalesced, identical, antithetic) & self.dominates()
 
-    def mirrored(self, rows: np.ndarray) -> np.ndarray:
+    def mirrored(self) -> np.ndarray:
         """Is the second side the reflection about the origin of the first?"""
-        reflected = (self.pl[rows] == -self.mr[rows]) & (self.pr[rows] == -self.ml[rows])
-        return self.dead[rows] | reflected
+        return (self.lo[1] == -self.hi[0]) & (self.hi[1] == -self.lo[0])
 
-    def states(self, row: int) -> tuple[Interval, Interval]:
+    def states(self, row: int) -> tuple[Span, Span]:
         """The two states of one row."""
-        if self.dead[row]:
-            return EMPTY, EMPTY
-        return (
-            Span(int(self.ml[row]), int(self.mr[row])),
-            Span(int(self.pl[row]), int(self.pr[row])),
-        )
+        lo, hi = self.lo[:, row].tolist(), self.hi[:, row].tolist()
+        return Span(lo[0], hi[0]), Span(lo[1], hi[1])
 
 
 def _pair_chunks(
@@ -824,31 +815,37 @@ def _pathwise_run(
     seed: int,
     initial: tuple[Span, Span],
     step: Callable[..., None],
-    holds: Callable[[_PairBatch, np.ndarray], np.ndarray],
+    holds: Callable[[_PairBatch], np.ndarray],
 ) -> tuple[int, tuple | None, int]:
     """Step every run up to ``horizon`` times; a run stops when it dies or
     ``holds`` fails on it.
 
     Returns the number of violating runs, the first violation
     ``(run, step, first, second)`` of the lowest violating run (or None),
-    and the number of runs that ended coalesced.
+    and the number of runs that ended coalesced: a run keeps the flag it
+    had when it died or stopped.
     """
+    _at_least("horizon", horizon, 1)
+    _at_least("trials", trials, 1)
     violations = 0
     coalesced_runs = 0
     first_violation = None
     for start, stream, pairs in _pair_chunks(label, trials, seed, *initial):
-        running = np.ones(pairs.dead.size, bool)
         for time in range(1, horizon + 1):
-            rows = np.flatnonzero(running & ~pairs.dead)
-            if rows.size == 0:
+            if not len(pairs):
                 break
-            step(pairs, rows, *pairs.draws(rows, p, stream))
-            bad = rows[~holds(pairs, rows)]
+            rank, right_run, left_run = pairs.draws(p, stream)
+            coalesced_runs += int(np.count_nonzero(pairs.coalesced[rank == 0]))
+            step(pairs, rank, right_run, left_run)
+            ok = holds(pairs)
+            bad = np.flatnonzero(~ok)
             if bad.size:
                 violations += bad.size
-                running[bad] = False
-                if first_violation is None or start + bad[0] < first_violation[0]:
-                    first_violation = (start + int(bad[0]), time, *pairs.states(bad[0]))
+                coalesced_runs += int(np.count_nonzero(pairs.coalesced[bad]))
+                run = start + int(pairs.run[bad[0]])
+                if first_violation is None or run < first_violation[0]:
+                    first_violation = (run, time, *pairs.states(bad[0]))
+                pairs.keep(np.flatnonzero(ok))
         coalesced_runs += int(np.count_nonzero(pairs.coalesced))
     return violations, first_violation, coalesced_runs
 
@@ -877,15 +874,11 @@ def _coupled_occupancy_counts(
         pairs = _PairBatch(count, Span(-1, -1), Span(0, 0))
         counts = np.zeros((2, t, index.size), np.int64)
         for time in range(t):
-            rows = np.flatnonzero(~pairs.dead)
-            if rows.size == 0:
+            if not len(pairs):
                 break
-            pairs.antithetic_step(
-                rows, *pairs.draws(rows, p, stream), skip_antithetic_map=skip_antithetic_map
-            )
-            live = ~pairs.dead
-            counts[0, time] = index.cover_counts(pairs.ml[live], pairs.mr[live])
-            counts[1, time] = index.cover_counts(pairs.pl[live], pairs.pr[live])
+            pairs.antithetic_step(*pairs.draws(p, stream), skip_antithetic_map=skip_antithetic_map)
+            for side in range(2):
+                counts[side, time] = index.cover_counts(pairs.lo[side], pairs.hi[side])
         return counts
 
     return _run_chunks(trials, worker, jobs)
@@ -923,6 +916,10 @@ def coupling_marginal_test(
     if t < 1:
         raise ValueError("t must be >= 1")
     validate_expansion_param(p)
+    _at_least("trials", trials, 1)
+    _at_least("x_window", x_window, 0)
+    if not 0 < significance < 1:
+        raise ValueError(f"significance must lie in (0, 1), got {significance!r}")
     sites = list(range(-x_window, x_window + 1))
     index = _SiteIndex(sites)
     counts_minus, counts_plus = _coupled_occupancy_counts(
@@ -1077,18 +1074,24 @@ def coalescence_stats(
     made about finiteness of the coupling time.
     """
     validate_expansion_param(p)
-    first_times = np.zeros(max(horizon, 0) + 1, np.int64)
+    _at_least("horizon", horizon, 0)
+    _at_least("trials", trials, 1)
+    first_times = np.zeros(horizon + 1, np.int64)
     coalesced = 0
-    absorbed = 0
+    censored = 0
     for _, stream, pairs in _pair_chunks("coalescence", trials, seed, Span(-1, -1), Span(0, 0)):
+        # The batch holds the runs still coupled and alive; a step drops the
+        # ones absorbed, and the ones that coalesce are dropped after it.
         for time in range(1, horizon + 1):
-            rows = np.flatnonzero(~pairs.dead & ~pairs.coalesced)
-            if rows.size == 0:
+            if not len(pairs):
                 break
-            pairs.antithetic_step(rows, *pairs.draws(rows, p, stream))
-            first_times[time] += np.count_nonzero(pairs.dead[rows] | pairs.coalesced[rows])
-        coalesced += int(np.count_nonzero(pairs.coalesced))
-        absorbed += int(np.count_nonzero(pairs.dead & ~pairs.coalesced))
+            before = len(pairs)
+            pairs.antithetic_step(*pairs.draws(p, stream))
+            joined = int(np.count_nonzero(pairs.coalesced))
+            first_times[time] += before - len(pairs) + joined
+            coalesced += joined
+            pairs.keep(np.flatnonzero(~pairs.coalesced))
+        censored += len(pairs)
     return CoalescenceSummary(
         p=p,
         horizon=horizon,
@@ -1096,6 +1099,6 @@ def coalescence_stats(
         seed=seed,
         first_event_times={time: int(n) for time, n in enumerate(first_times) if n},
         coalesced=coalesced,
-        absorbed=absorbed,
-        censored=trials - coalesced - absorbed,
+        absorbed=trials - coalesced - censored,
+        censored=censored,
     )

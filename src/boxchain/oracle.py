@@ -511,6 +511,10 @@ def expansion_pushforward(dist: StateDist, p, policy: TruncationPolicy) -> State
     """Convolve every span with two truncated geometrics; track the tails."""
     validate_expansion_param(p)
     grid, origin, empty, lost, denom = dist._packed()
+    if not grid.any():
+        # No span has mass: nothing moves and nothing is lost, so the law
+        # keeps its denominator and no zero grid is grown.
+        return StateDist.on_grid(grid[:0, :0], origin, empty, lost, denom)
     if denom is None:
         grid, shift, lost_inc = _expand_grid(grid, float(p), policy.n_max)
         return StateDist.on_grid(grid, origin - shift, empty, lost + lost_inc)

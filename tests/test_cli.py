@@ -369,6 +369,21 @@ def test_verify_mutant_fails(tmp_path):
     assert rows[1][3] == "fail"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--suites", "reflection", "--mutant", "unmirrored-reflection", "--horizon", "0"],
+    ["--suites", "reflection", "--horizon", "-4"],
+    ["--suites", "coupling-invariants", "--horizon", "0"],
+    ["--suites", "monotone-l1", "--radius", "0"],
+])
+def test_verify_empty_check_is_a_usage_error(tmp_path, flags, capsys):
+    # These used to exit 0: a mutant passed over no steps, and the L1 check
+    # passed over no comparisons with margin -inf.
+    out = tmp_path / "report.csv"
+    assert main(["verify", *flags, "--trials", "100", "--out", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suites", "bogus", "--out", str(tmp_path / "r.csv")]) == 2
 

@@ -3,6 +3,7 @@ import pytest
 
 from boxchain import (
     CoupledState,
+    EMPTY,
     PairClass,
     Span,
     Stream,
@@ -114,6 +115,48 @@ def test_estimator_arguments_fail_closed():
         estimate_occupancy_2d(unit_box(2), 2, [(0, 0)], 100, method="normal")
     # Integral values of other types still name the same site.
     assert [e.site for e in estimate_occupancy(Span(0, 0), 1, [2.0, np.int64(-1)], 100)] == [2, -1]
+
+
+def test_empty_check_inputs_fail_closed():
+    import math
+
+    # Each of these used to pass over no runs, no steps or no comparisons
+    # (a margin of -inf), or died with an IndexError or ZeroDivisionError.
+    refused = {
+        "horizon must be >= 1, got 0": [
+            lambda: coupling_invariant_check(0, 0.5, 10),
+            lambda: reflection_identity_check(0, 0.5, 10, swap_expansion_draws=False),
+        ],
+        "horizon must be >= 1, got -4": [lambda: reflection_identity_check(-4, 0.5, 10)],
+        "horizon must be >= 0, got -2": [lambda: coalescence_stats(0.5, -2, 100)],
+        "trials must be >= 1, got 0": [
+            lambda: coupling_invariant_check(10, 0.5, 0),
+            lambda: reflection_identity_check(10, 0.5, 0),
+            lambda: coalescence_stats(0.5, 10, 0),
+            lambda: coupling_marginal_test(2, 0.5, 0),
+        ],
+        "x_window must be >= 0, got -1": [lambda: coupling_marginal_test(2, 0.5, 100, x_window=-1)],
+        "x_range must be >= 1, got 0": [
+            lambda: check_even(2, 0.5, 0, 100),
+            lambda: check_even(2, 0.5, 0, 100, one_sided_expansion=True),
+        ],
+        "x_max must be >= 1, got 0": [
+            lambda: check_monotone_1d(2, 0.5, 0, 100),
+            lambda: check_monotone_1d(2, 0.5, 0, 100, one_sided_expansion=True),
+        ],
+        "radius must be >= 1, got 0": [lambda: check_monotone_l1(2, 1, 0.5, 0, 100)],
+    }
+    for message, calls in refused.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+    for significance in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="significance must lie in"):
+            coupling_marginal_test(2, 0.5, 100, significance=significance)
+    # The least inputs that still compare something run.
+    assert coalescence_stats(0.5, 0, 10).censored == 10
+    assert coupling_marginal_test(1, 0.5, 100, x_window=0).params["x_window"] == 0
+    assert check_monotone_1d(1, 0.5, 1, 100).worst_margin > -math.inf
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -318,11 +361,16 @@ def _batch_of(cases, second_of, coalesced=False):
     pairs = _PairBatch(len(cases), Span(0, 0), Span(0, 0))
     for i, (host, _, _, _) in enumerate(cases):
         second = second_of(host)
-        pairs.ml[i], pairs.mr[i] = host.left, host.right
-        pairs.pl[i], pairs.pr[i] = second.left, second.right
+        pairs.lo[:, i] = host.left, second.left
+        pairs.hi[:, i] = host.right, second.right
     pairs.coalesced[:] = coalesced
     columns = [np.array([case[k] for case in cases], np.int64) for k in (1, 2, 3)]
-    return pairs, np.arange(len(cases)), columns
+    return pairs, columns
+
+
+def _rows_by_case(pairs):
+    """The row of each pair still in the batch, keyed by its case index."""
+    return {int(run): row for row, run in enumerate(pairs.run)}
 
 
 def _surface_stream(rank, right, left):
@@ -341,8 +389,9 @@ def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
     hosts = [h for h in spans if classify_pair(h, antithetic_mirror(h)) is PairClass.ANTITHETIC]
     cases = _fixed_draw_cases(hosts)
     for skip in (False, True):
-        pairs, rows, draws = _batch_of(cases, antithetic_mirror)
-        pairs.antithetic_step(rows, *draws, skip_antithetic_map=skip)
+        pairs, draws = _batch_of(cases, antithetic_mirror)
+        pairs.antithetic_step(*draws, skip_antithetic_map=skip)
+        rows = _rows_by_case(pairs)
         for i, (host, rank, right, left) in enumerate(cases):
             want = coupled_step(
                 CoupledState(host, antithetic_mirror(host), False),
@@ -350,6 +399,10 @@ def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
                 _surface_stream(rank, right, left),
                 skip_antithetic_map=skip,
             )
+            if rank == 0:
+                assert i not in rows and (want.minus, want.plus) == (EMPTY, EMPTY)
+                continue
+            i = rows[i]
             assert (*pairs.states(i), bool(pairs.coalesced[i])) == (
                 want.minus, want.plus, want.coalesced
             ), (host, rank, right, left, skip)
@@ -369,12 +422,17 @@ def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
 def test_batched_coalesced_step_matches_scalar_on_fixed_draws():
     hosts = [Span(left, left + size - 1) for left in range(-4, 3) for size in range(1, 7)]
     cases = _fixed_draw_cases(hosts)
-    pairs, rows, draws = _batch_of(cases, lambda host: host, coalesced=True)
-    pairs.antithetic_step(rows, *draws)
+    pairs, draws = _batch_of(cases, lambda host: host, coalesced=True)
+    pairs.antithetic_step(*draws)
+    rows = _rows_by_case(pairs)
     for i, (host, rank, right, left) in enumerate(cases):
         want = coupled_step(CoupledState(host, host, True), 0.5, _surface_stream(rank, right, left))
+        assert (i in rows) == (rank != 0)
+        if rank == 0:
+            assert (want.minus, want.plus) == (EMPTY, EMPTY)
+            continue
+        i = rows[i]
         assert (*pairs.states(i), bool(pairs.coalesced[i])) == (want.minus, want.plus, True)
-        assert bool(pairs.dead[i]) == (rank == 0)
 
 
 def test_batched_reflection_step_matches_scalar_on_fixed_draws():
@@ -383,15 +441,21 @@ def test_batched_reflection_step_matches_scalar_on_fixed_draws():
     hosts = [Span(left, left + size - 1) for left in range(-4, 3) for size in range(1, 7)]
     cases = _fixed_draw_cases(hosts)
     for swap in (True, False):
-        pairs, rows, draws = _batch_of(cases, reflect_origin)
-        pairs.reflection_step(rows, *draws, swap_expansion_draws=swap)
+        pairs, draws = _batch_of(cases, reflect_origin)
+        pairs.reflection_step(*draws, swap_expansion_draws=swap)
+        rows = _rows_by_case(pairs)
+        mirrored = pairs.mirrored()
         for i, (host, rank, right, left) in enumerate(cases):
             stream = StubStream(randbelow=[rank], geometric=[left, right])
             want = reflection_coupled_step(
                 host, reflect_origin(host), 0.5, stream, swap_expansion_draws=swap
             )
+            if rank == 0:
+                assert i not in rows and want == (EMPTY, EMPTY)
+                continue
+            i = rows[i]
             assert pairs.states(i) == want, (host, rank, right, left, swap)
-            assert bool(pairs.mirrored(np.array([i]))[0]) == (want[1] == reflect_origin(want[0]))
+            assert bool(mirrored[i]) == (want[1] == reflect_origin(want[0]))
 
 
 def test_batched_pair_predicates_match_scalar():
@@ -400,47 +464,43 @@ def test_batched_pair_predicates_match_scalar():
     rng = np.random.default_rng(3)
     size = 4000
     pairs = _PairBatch(size, Span(0, 0), Span(0, 0))
-    pairs.ml[:] = rng.integers(-6, 4, size)
-    pairs.mr[:] = pairs.ml + rng.integers(0, 6, size)
+    (ml, pl), (mr, pr) = pairs.lo, pairs.hi
+    ml[:] = rng.integers(-6, 4, size)
+    mr[:] = ml + rng.integers(0, 6, size)
     kind = rng.integers(0, 4, size)
     mirror = kind == 0
-    pairs.pl[:] = np.where(mirror, -1 - pairs.mr, pairs.ml)
-    pairs.pr[:] = np.where(mirror, -1 - pairs.ml, pairs.mr)
+    pl[:] = np.where(mirror, -1 - mr, ml)
+    pr[:] = np.where(mirror, -1 - ml, mr)
     other = kind == 1
-    pairs.pl[other] = rng.integers(-6, 4, other.sum())
-    pairs.pr[other] = pairs.pl[other] + rng.integers(0, 6, other.sum())
+    pl[other] = rng.integers(-6, 4, other.sum())
+    pr[other] = pl[other] + rng.integers(0, 6, other.sum())
     reflected = kind == 2
-    pairs.pl[reflected] = -pairs.mr[reflected]
-    pairs.pr[reflected] = -pairs.ml[reflected]
-    pairs.dead[:] = rng.random(size) < 0.1
+    pl[reflected] = -mr[reflected]
+    pr[reflected] = -ml[reflected]
     pairs.coalesced[:] = rng.random(size) < 0.5
-    rows = np.arange(size)
-    identical, antithetic = pairs.classes(rows)
-    dominates = pairs.dominates(rows)
-    mirrored = pairs.mirrored(rows)
-    invariants = pairs.invariants_hold(rows)
+    identical, antithetic = pairs.classes()
+    dominates = pairs.dominates()
+    mirrored = pairs.mirrored()
+    invariants = pairs.invariants_hold()
     seen = set()
-    for i in rows:
+    for i in range(size):
         minus, plus = pairs.states(i)
         want = classify_pair(minus, plus)
         seen.add(want)
         got = {
-            (False, False): PairClass.BOTH_EMPTY if pairs.dead[i] else PairClass.UNRELATED,
+            (False, False): PairClass.UNRELATED,
             (True, False): PairClass.IDENTICAL,
             (False, True): PairClass.ANTITHETIC,
         }[bool(identical[i]), bool(antithetic[i])]
         assert got is want, (minus, plus)
         assert bool(dominates[i]) == dominates_nonnegative(minus, plus), (minus, plus)
         assert bool(mirrored[i]) == (plus == reflect_origin(minus)), (minus, plus)
-        # A dead coalesced pair is (EMPTY, EMPTY): still coalesced, no identity break.
-        assert bool(identical[i] | pairs.dead[i]) == (minus == plus)
+        assert bool(identical[i]) == (minus == plus)
         coalesced = bool(pairs.coalesced[i])
-        ok = want in (PairClass.BOTH_EMPTY, PairClass.ANTITHETIC) or (
-            want is PairClass.IDENTICAL and coalesced
-        )
+        ok = want is PairClass.ANTITHETIC or (want is PairClass.IDENTICAL and coalesced)
         ok = ok and not (coalesced and minus != plus) and dominates_nonnegative(minus, plus)
         assert bool(invariants[i]) == ok, (minus, plus, coalesced)
-    assert seen == set(PairClass)
+    assert seen == set(PairClass) - {PairClass.BOTH_EMPTY}
 
 
 def test_cover_counts_match_per_site_counting():
@@ -619,6 +679,70 @@ def test_sampler_paths_are_pinned():
         "-0.03279120956487866",
         "pass",
     )
+
+
+def test_pair_engine_draws_are_pinned():
+    # Recorded before the coupled-pair engine dropped dead pairs instead of
+    # masking them.  9000 trials make a second, partial chunk.  By the
+    # horizon every chunk at p = 0.5 has died out, and so has every chunk
+    # of the reflection mutant, which stops each run at its violation.
+    horizon, trials = 200, 9000
+    pinned = {
+        # (p, seed): coalesced runs of the invariants check and of its
+        # skip-map mutant, the reflection mutant's margin and first
+        # violation, and coalescence_stats' (coalesced, absorbed,
+        # censored, sum of t n, sum of t^2 n) over its first event times.
+        (0.5, 1): (3067, 4470, 3713, (0, 1, Span(0, 1), Span(0, 1)), (3077, 5923, 0, 14582, 56986)),
+        (0.5, 2): (3102, 4453, 3754, (0, 1, Span(-1, 0), Span(-1, 0)), (3105, 5895, 0, 14934, 59900)),
+        (0.8, 1): (4185, 4470, 4357, (0, 1, Span(-8, 3), Span(-8, 3)), (4170, 4830, 0, 13027, 106001)),
+        (0.8, 2): (4169, 4453, 4429, (0, 1, Span(-11, 3), Span(-11, 3)), (4257, 4743, 0, 13284, 135586)),
+    }
+    for (p, seed), (runs, mutant_runs, broken, first, summary) in pinned.items():
+        common = f"horizon={horizon};p={p};seed={seed};trials={trials}"
+        for skip, coalesced in ((False, runs), (True, mutant_runs)):
+            report = coupling_invariant_check(horizon, p, trials, seed, skip_antithetic_map=skip)
+            assert report.as_row() == (
+                "coupling-invariants", f"coalesced_runs={coalesced};{common}", "0.0", "pass"
+            )
+        assert reflection_identity_check(horizon, p, trials, seed).as_row() == (
+            "reflection-identity", common, "0.0", "pass"
+        )
+        mutant = reflection_identity_check(horizon, p, trials, seed, swap_expansion_draws=False)
+        assert mutant.as_row() == (
+            "reflection-identity", f"first_violation={first};{common}", f"{broken}.0", "fail"
+        )
+        stats = coalescence_stats(p, horizon, trials, seed)
+        times = stats.first_event_times
+        assert (
+            stats.coalesced, stats.absorbed, stats.censored,
+            sum(t * n for t, n in times.items()), sum(t * t * n for t, n in times.items()),
+        ) == summary
+        assert sum(times.values()) == trials
+    assert coalescence_stats(0.5, horizon, trials, 1).first_event_times == {
+        1: 6774, 2: 1221, 3: 429, 4: 180, 5: 110, 6: 74, 7: 51, 8: 37, 9: 18, 10: 26,
+        11: 18, 12: 7, 13: 12, 14: 7, 15: 7, 16: 2, 17: 4, 18: 4, 19: 4, 20: 4, 21: 2,
+        23: 1, 25: 2, 26: 1, 28: 1, 29: 1, 37: 1, 38: 1, 48: 1,
+    }
+    # Runs 0 and 1 die at the first step, so the first violation's run is
+    # not its row in the batch.
+    assert reflection_identity_check(3, 0.3, 100, 0, swap_expansion_draws=False).as_row() == (
+        "reflection-identity",
+        "first_violation=(2, 1, Span(0, 1), Span(0, 1));horizon=3;p=0.3;seed=0;trials=100",
+        "29.0",
+        "fail",
+    )
+
+
+def test_runs_stopped_coalesced_are_counted_coalesced():
+    from boxchain.montecarlo import _PairBatch, _pathwise_run
+
+    # Stopping every run as it coalesces leaves no coalesced pair in the
+    # batch, yet each stopped run ended coalesced.
+    violations, _, coalesced_runs = _pathwise_run(
+        "coupled-invariants", 30, 0.5, 3_000, 11, (Span(-1, -1), Span(0, 0)),
+        _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced,
+    )
+    assert coalesced_runs == violations > 0
 
 
 def test_int64_rank_limit_raises_before_wrapping():

@@ -92,6 +92,33 @@ def test_expansion_keeps_empty():
     assert out.lost == 0.0
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_dead_law_grid_does_not_grow(exact):
+    # A law with no live span used to grow its zero grid by 2 n_max a step:
+    # 600x600 zeros after three steps at n_max = 100, and in rational mode
+    # a denominator gaining 2 (n_max + 1) bits a step.
+    one, zero, p = (Fraction(1), Fraction(0), Fraction(1, 2)) if exact else (1.0, 0.0, 0.5)
+    policy = TruncationPolicy(100)
+    dist = StateDist({EMPTY: one}, zero, exact)
+    for _ in range(3):
+        dist = expansion_pushforward(contraction_pushforward(dist, UNIFORM), p, policy)
+        assert dist.grid.shape == (0, 0)
+        assert dist.support() == (0, 0)
+        assert dist.total() == one and dist.lost == zero
+        assert dist.mass_of(EMPTY) == one
+    if exact:
+        assert dist.common_denominator() == 1
+    # A law the kill rule empties at the first step stops growing there.
+    kill = KillThenUniformContraction(lambda p, n: 1, p)
+    dist = evolve(Span(0, 2), 3, kill, p, policy, exact=exact)
+    assert dist.grid.shape == (0, 0)
+    assert dist.support() == (0, 0)
+    assert dist.total() == one and dist.mass_of(EMPTY) == one and dist.lost == zero
+    assert occupancy_bounds(dist, 0).hi == zero
+    if exact:
+        assert dist.common_denominator() == 1
+
+
 def test_evolve_horizon_zero():
     dist = evolve(Span(0, 0), 0)
     assert dist.weights == {Span(0, 0): 1.0}
