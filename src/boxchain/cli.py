@@ -49,6 +49,16 @@ _SUITES = (
 )
 
 
+# The horizons at which each suite that reads --t can run, as (least,
+# most); None is no upper limit.  The pathwise suites run to --horizon.
+_SUITE_T = {
+    "even": (1, None),
+    "monotone-1d": (1, None),
+    "monotone-l1": (1, 3),
+    "coupling-marginals": (1, 3),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -265,21 +275,19 @@ def _run_suite(name: str, args) -> montecarlo.CheckReport:
     p, t, trials, seed, jobs = args.p, args.t, args.trials, args.seed, args.jobs
     if name == "even":
         return montecarlo.check_even(
-            max(t, 1), p, 10, trials, seed, jobs=jobs,
+            t, p, 10, trials, seed, jobs=jobs,
             one_sided_expansion=(mutant == "one-sided-expansion"),
         )
     if name == "monotone-1d":
         return montecarlo.check_monotone_1d(
-            max(t, 1), p, 10, trials, seed, jobs=jobs,
+            t, p, 10, trials, seed, jobs=jobs,
             one_sided_expansion=(mutant == "one-sided-expansion"),
         )
     if name == "monotone-l1":
-        return montecarlo.check_monotone_l1(
-            2, min(max(t, 1), 3), p, args.radius, trials, seed, jobs=jobs
-        )
+        return montecarlo.check_monotone_l1(2, t, p, args.radius, trials, seed, jobs=jobs)
     if name == "coupling-marginals":
         return montecarlo.coupling_marginal_test(
-            min(max(t, 1), 3), p, trials, seed, jobs=jobs,
+            t, p, trials, seed, jobs=jobs,
             skip_antithetic_map=(mutant == "skip-antithetic-map"),
         )
     if name == "coupling-invariants":
@@ -306,6 +314,13 @@ def cmd_verify(args) -> int:
             names.append(chunk)
     else:
         names = list(_SUITES)
+    for name in names:
+        if name not in _SUITE_T:
+            continue
+        least, most = _SUITE_T[name]
+        if args.t < least or (most is not None and args.t > most):
+            allowed = f">= {least}" if most is None else f"{least}..{most}"
+            raise UsageError(f"suite {name!r} runs at --t {allowed}, got --t {args.t}")
     reports = [_run_suite(name, args) for name in names]
     rows = [report.as_row() for report in reports]
     _write_csv(args.out, ["claim", "params", "margin", "pass"], rows)

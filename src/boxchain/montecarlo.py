@@ -303,14 +303,18 @@ def _expand_chunk(
 ) -> None:
     """Push the faces of every box out by geometric(p) run lengths in place,
     axis by axis, low face then high face (``one_sided`` keeps the low faces).
-    A chunk with no rows makes no draws."""
-    rows = lo.shape[1]
+
+    The step's runs are one draw of faces * d * rows values in that face
+    order, so they are the values one draw per face would give.  A chunk
+    with no rows makes no draws."""
+    d, rows = lo.shape
     if rows == 0:
         return
-    for low, high in zip(lo, hi):
-        if not one_sided:
-            low -= stream.geometric_array(p, rows)
-        high += stream.geometric_array(p, rows)
+    faces = 1 if one_sided else 2
+    runs = stream.geometric_array(p, faces * d * rows).reshape(d, faces, rows)
+    if not one_sided:
+        lo -= runs[:, 0]
+    hi += runs[:, -1]
 
 
 class _SiteIndex:
@@ -691,13 +695,12 @@ class _PairBatch:
     def draws(self, p: float, stream: Stream):
         """One step's draws: a uniform contraction rank of each first host
         (0 is death, as in :func:`unrank_subinterval`), then the right and
-        the left geometric run lengths, one of each per pair."""
+        the left geometric run lengths, one of each per pair.  The runs are
+        one draw of 2 * rows values, the right runs first."""
         n = self.hi[0] - self.lo[0] + 1
-        return (
-            stream.integers_upto(n * (n + 1) // 2),
-            stream.geometric_array(p, n.size),
-            stream.geometric_array(p, n.size),
-        )
+        rank = stream.integers_upto(n * (n + 1) // 2)
+        right_run, left_run = stream.geometric_array(p, 2 * n.size).reshape(2, n.size)
+        return rank, right_run, left_run
 
     def _contract(self, rank: np.ndarray, right_run: np.ndarray, left_run: np.ndarray):
         """Drop the pairs that drew rank 0; contract the first host of the rest.

@@ -17,6 +17,40 @@ def _label_entropy(label: object) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
+def _runs_at_half(u: np.ndarray) -> np.ndarray:
+    """Geometric(1/2) failure counts from uniforms ``u`` in [0, 1), exactly as
+    numpy draws them; ``u`` is overwritten and its buffer returned as int64.
+
+    At success probability 1/2 numpy's ``random_geometric_search`` takes
+    one ``next_double`` U, the same double ``Generator.random`` returns
+    for the same generator state, and returns X = 1 + #{k >= 1 : U > S_k},
+    where S_k = 1/2 + 1/4 + ... + 2**-k is accumulated in binary64.  Each
+    S_k = 1 - 2**-k is exact for k <= 53, and S_54 rounds to 1.0, which no
+    U reaches.  U is a multiple of 2**-53, so 1 - U is exact too, and
+    U > S_k reads 1 - U < 2**-k.  Write 1 - U = f * 2**e with f in
+    [1/2, 1), the binary exponent that ``np.frexp`` returns.  Then
+    2**(e-1) <= 1 - U < 2**e, so 1 - U < 2**-k holds exactly for
+    k <= -e, and the run X - 1 is -e when 1 - U < 1.  When U = 0, 1 - U
+    is 1 = (1/2) * 2**1 and the run is 0, not -1.
+
+    The exponent is read from the bit pattern: a double in (0, 1] with
+    biased exponent field E has e = E - 1022, so the run is
+    max(1022 - E, 0), which :data:`_RUN_BY_EXPONENT` tabulates.
+    """
+    np.subtract(1.0, u, out=u)
+    runs = u.view(np.int64)
+    runs >>= 52
+    # In place, as a fresh array per pass costs twice the time on large
+    # draws: ``take`` reads each exponent before it writes that slot, and
+    # mode "clip" (every exponent is in range) skips the copy "raise" makes.
+    return _RUN_BY_EXPONENT.take(runs, out=runs, mode="clip")
+
+
+# The geometric(1/2) run of a uniform U, by the biased exponent field E of
+# 1 - U; E = 1023 is U = 0, whose run is 0.
+_RUN_BY_EXPONENT = np.maximum(1022 - np.arange(1024, dtype=np.int64), 0)
+
+
 class Stream:
     """A seeded PCG64 stream with reproducible labeled substreams.
 
@@ -118,7 +152,18 @@ class Stream:
         return self._gen.integers(0, highs, size=size, endpoint=True)
 
     def geometric_array(self, p: float, size: int) -> np.ndarray:
-        """Vector of failure counts before first success, pmf (1-p) * p**n."""
+        """Vector of failure counts before first success, pmf (1-p) * p**n.
+
+        The values, and the generator's state after the call, are exactly
+        those of numpy's ``geometric(1 - p, size) - 1``.  At p = 1/2 they
+        come in closed form from the uniforms numpy's search loop would
+        consume (:func:`_runs_at_half`), a few array passes in place of a
+        loop per value.  Every other p is numpy's own draw: past 2/3 numpy
+        inverts an exponential drawn by ziggurat, which no single uniform
+        reproduces.
+        """
+        if p == 0.5:
+            return _runs_at_half(self._gen.random(size))
         runs = self._gen.geometric(1.0 - p, size=size)  # already int64
         runs -= 1
         return runs

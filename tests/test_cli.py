@@ -418,6 +418,31 @@ def test_verify_report_bytes_stable(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("flags, refused", [
+    (["--suites", "coupling-marginals,even", "--t", "7"], "'coupling-marginals' runs at --t 1..3"),
+    (["--suites", "even", "--t", "0"], "'even' runs at --t >= 1"),
+])
+def test_verify_refuses_a_horizon_a_suite_cannot_run(tmp_path, flags, refused, capsys):
+    # These used to run at a clamped t (3 and 1) while .meta.json recorded
+    # the t given.
+    out = tmp_path / "report.csv"
+    assert main(["verify", *flags, "--trials", "2000", "--out", str(out)]) == 2
+    assert refused in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_runs_at_the_horizon_given(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suites", "even", "--t", "7", "--trials", "2000",
+                 "--out", str(out)]) == 0
+    params = read_csv(out)[1][1].split(";")
+    assert "t=7" in params
+    assert read_meta(out)["config"]["t"] == 7
+    # The pathwise suites run to --horizon and do not refuse --t.
+    assert main(["verify", "--suites", "reflection", "--t", "0", "--trials", "200",
+                 "--out", str(out)]) == 0
+
+
 def test_config_file_defaults_and_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"t": 4, "seed": 11, "trials": 2}))

@@ -646,6 +646,18 @@ def test_fixed_seed_hits_are_pinned():
     assert hits(
         estimate_occupancy_2d(wide, 2, [(0, 0), (3, -1), (-2, 1)], 20_000, seed=4, jobs=2)
     ) == [8709, 3544, 3383]
+    # Recorded before each step's runs became one draw: planar and
+    # one-sided runs at p != 1/2, which numpy draws itself.
+    assert hits(estimate_occupancy_2d(unit_box(2), 3, points, 20_000, seed=1, p=0.8)) == [
+        4122, 4039, 4245, 4190, 4122
+    ]
+    assert hits(
+        estimate_occupancy_2d(wide, 2, [(0, 0), (3, -1), (-2, 1)], 20_000, seed=4, p=0.3, jobs=2)
+    ) == [7433, 1215, 1109]
+    assert hits(
+        estimate_occupancy(Span(0, 0), 2, [-1, 0, 2, 4], 20_000, seed=3, p=0.8,
+                           one_sided_expansion=True)
+    ) == [0, 3665, 5538, 4960]
 
 
 def test_sampler_paths_are_pinned():

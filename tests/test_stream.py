@@ -76,3 +76,46 @@ def test_vector_draws_shapes_and_ranges():
     geo = stream.geometric_array(0.5, 1000)
     assert (geo >= 0).all()
     assert abs(geo.mean() - 1.0) < 0.2  # mean p/(1-p) = 1
+
+
+def _numpy_generator(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.8])
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_geometric_array_is_numpys_draw(seed, p):
+    # Every value, and the state the call leaves behind, is numpy's.
+    stream = Stream(seed)
+    gen = _numpy_generator(seed)
+    for size in (0, 1, 7, 8192, 100003):
+        runs = stream.geometric_array(p, size)
+        assert runs.dtype == np.int64 and runs.shape == (size,)
+        assert np.array_equal(runs, gen.geometric(1.0 - p, size) - 1)
+        assert np.array_equal(stream.random_array(3), gen.random(3))
+
+
+def _numpy_search_at_half(u):
+    # numpy's random_geometric_search at success probability 1/2, which
+    # returns the trial count; the run is one less.
+    x, total, prod = 1, 0.5, 0.5
+    while u > total:
+        prod *= 0.5
+        total += prod
+        x += 1
+    return x - 1
+
+
+def test_runs_at_half_follow_numpys_search_loop():
+    from boxchain.stream import _runs_at_half
+
+    ulp = 2.0**-53  # the spacing of Generator.random's doubles
+    crafted = [0.0, ulp, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
+    for k in range(1, 54):
+        edge = 1.0 - 2.0**-k
+        crafted += [edge - ulp, edge, edge + ulp]
+    crafted += list(_numpy_generator(11).random(2000))
+    u = np.array([v for v in crafted if 0.0 <= v < 1.0])
+    expected = [_numpy_search_at_half(float(v)) for v in u]
+    assert _runs_at_half(u.copy()).tolist() == expected
+    assert expected[:5] == [0, 0, 0, 1, 52]
