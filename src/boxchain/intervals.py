@@ -109,10 +109,10 @@ class SizeWeightedContraction:
 
     ``size_pmf`` must be a pmf over k = 0..n for every n >= 1; k = 0 maps to
     the empty set.  Its share depends on both the source and the outcome
-    size, so it has no per-size grid factors: it is the only rule the
-    oracle contracts by enumeration over the law's ``weights``
-    (``_contract_generic``).  The dict law that returns is packed onto the
-    grid by the expansion that follows, like any law given as a dict.
+    size, so the oracle contracts it on the grid as a sum of one term per
+    outcome size k, each with the share ``pmf(k, n) / (n - k + 1)`` per
+    source size n; the oracle evaluates the pmf at every size up to its
+    grid's extent.
     """
 
     size_pmf: Callable[[int, int], float]
@@ -225,8 +225,9 @@ def rank_subinterval(host: Span, interval: Interval) -> int:
 def size_pmf_weights(size_pmf: Callable[[int, int], float], n: int) -> list[float]:
     """Evaluate and validate a size pmf over k = 0..n."""
     weights = [float(size_pmf(k, n)) for k in range(n + 1)]
-    if any(w < 0 for w in weights):
-        raise ValueError(f"size pmf has negative weights for n={n}")
+    # ``not w >= 0`` also catches NaN, which fails every comparison.
+    if any(not w >= 0 for w in weights):
+        raise ValueError(f"size pmf has negative or NaN weights for n={n}")
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"size pmf sums to {total} over k=0..{n}, expected 1")

@@ -220,7 +220,7 @@ def _rank_counts(sizes: Sequence[np.ndarray]) -> list[np.ndarray]:
     The largest size on each axis settles the common case; only when those
     do not fit are the rows checked one by one.
     """
-    if not _ranks_fit([int(n.max()) for n in sizes]):
+    if not _ranks_fit([int(n.max(initial=0)) for n in sizes]):
         for row in zip(*(n.tolist() for n in sizes)):
             if not _ranks_fit(row):
                 raise ValueError(
@@ -696,10 +696,11 @@ class _PairBatch:
         """One step's draws: a uniform contraction rank of each first host
         (0 is death, as in :func:`unrank_subinterval`), then the right and
         the left geometric run lengths, one of each per pair.  The runs are
-        one draw of 2 * rows values, the right runs first."""
-        n = self.hi[0] - self.lo[0] + 1
-        rank = stream.integers_upto(n * (n + 1) // 2)
-        right_run, left_run = stream.geometric_array(p, 2 * n.size).reshape(2, n.size)
+        one draw of 2 * rows values, the right runs first.  A host past the
+        int64 rank limit raises ``ValueError``, as in the chunk sampler."""
+        (ranks,) = _rank_counts([self.hi[0] - self.lo[0] + 1])
+        rank = stream.integers_upto(ranks)
+        right_run, left_run = stream.geometric_array(p, 2 * rank.size).reshape(2, rank.size)
         return rank, right_run, left_run
 
     def _contract(self, rank: np.ndarray, right_run: np.ndarray, left_run: np.ndarray):

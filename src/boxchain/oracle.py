@@ -304,21 +304,6 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
     raise TypeError(f"unknown contraction rule {rule!r}")
 
 
-def _contract_generic(dist: StateDist, rule: ContractionRule) -> StateDist:
-    """Contraction by enumeration over ``weights``, for the one rule without
-    grid factors, ``SizeWeightedContraction``.  The dict law it returns is
-    packed onto its grid at its next read or push."""
-    zero: Mass = Fraction(0) if dist.exact else 0.0
-    out: dict[Interval, Mass] = {}
-    for interval, weight in dist.weights.items():
-        if interval is None:
-            out[EMPTY] = out.get(EMPTY, zero) + weight
-            continue
-        for outcome, prob in contraction_outcome_pmf(interval, rule, dist.exact).items():
-            out[outcome] = out.get(outcome, zero) + weight * prob
-    return StateDist(out, dist.lost, dist.exact)
-
-
 # ---------------------------------------------------------------------------
 # the grid
 
@@ -359,14 +344,14 @@ def _dominance(share: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
 
 
-def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False) -> Optional[tuple]:
-    """Per-size factors of a contraction on the grid; None for a rule that
-    has none.
+def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False) -> list[tuple]:
+    """The terms whose sum is a contraction on the grid: one for every rule
+    but the size-weighted one, which has one per outcome size.
 
-    For each size n in ``sizes``: the share of a source's mass that each of
-    its nonempty sub-intervals receives, the share that dies (None when none
-    does), and an integer factor on every outcome of size n.  Floats, or
-    ``Fraction``s in object arrays when ``exact``.
+    Each term holds, for each size n in ``sizes``: the share of a source's
+    mass that each of its nonempty sub-intervals receives, the share that
+    dies (None when none does), and an integer factor on every outcome of
+    size n.  Floats, or ``Fraction``s in object arrays when ``exact``.
     """
     dtype, one = float, 1.0
     if exact:
@@ -374,7 +359,19 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
         dtype, one = object, Fraction(1)
     if isinstance(rule, UniformContraction):
         unit = one / (sizes * (sizes + 1) // 2 + 1)
-        return unit, unit, np.ones(len(sizes), dtype)
+        return [(unit, unit, np.ones(len(sizes), dtype))]
+    if isinstance(rule, SizeWeightedContraction):
+        # An outcome of size k takes pmf(k, n) / (n - k + 1) of a source of
+        # size n >= k: one term per k, whose outcome factor keeps size k
+        # only.  The deaths, pmf(0, n), ride on the first term.
+        ns = sizes.tolist()
+        probs = [[Fraction(w) if exact else w for w in size_pmf_weights(rule.size_pmf, n)] for n in ns]
+        terms = []
+        for k in ns:
+            share = np.array([w[k] / (n - k + 1) if n >= k else 0 for n, w in zip(ns, probs)], dtype)
+            death = None if terms else np.array([w[0] for w in probs], dtype)
+            terms.append((share, death, np.where(sizes == k, 1, 0).astype(dtype)))
+        return terms
     if isinstance(rule, KillThenUniformContraction):
         p = Fraction(rule.expansion_p) if exact else rule.expansion_p
         death = [rule.death_probability(p, n) for n in sizes.tolist()]
@@ -382,28 +379,29 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
         if bad:
             raise ValueError(f"death probability {bad[0]} outside [0, 1]")
         death = np.array([Fraction(d) for d in death] if exact else death, dtype)
-        return (one - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes), dtype)
+        return [((one - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes), dtype))]
     if isinstance(rule, EndpointResampleContraction):
         # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
         # comes from two ordered pairs of draws.
-        return one / (sizes * sizes), None, np.where(sizes == 1, 1, 2).astype(dtype)
-    return None
+        return [(one / (sizes * sizes), None, np.where(sizes == 1, 1, 2).astype(dtype))]
+    raise TypeError(f"unknown contraction rule {rule!r}")
 
 
-def _contract_grid(grid: np.ndarray, empty: Mass, factors: tuple) -> tuple[np.ndarray, Mass]:
-    share, death, outcome = factors
-    out = _dominance(grid * _by_size(share)) * _by_size(outcome)
-    if death is not None:
-        empty += np.einsum("ij,ij->", grid, _by_size(death))
-    return out, empty
+def _contract_grid(grid: np.ndarray, empty: Mass, terms: list[tuple]) -> tuple[np.ndarray, Mass]:
+    out = None  # the first term's grid itself, so that one term costs no sum
+    for share, death, outcome in terms:
+        part = _dominance(grid * _by_size(share)) * _by_size(outcome)
+        out = part if out is None else out + part
+        if death is not None:
+            empty += np.einsum("ij,ij->", grid, _by_size(death))
+    return (np.zeros_like(grid) if out is None else out), empty
 
 
-def _contract_exact(grid: np.ndarray, empty: int, lost: int, denom: int, factors: tuple) -> tuple:
-    """``_contract_grid`` on numerators: the rational factors are scaled to
-    integers by the lcm L of their denominators, and every numerator and
-    the common denominator gain the factor L."""
-    share, death, outcome = factors
-    scale = lcm(*(f.denominator for factor in (share, death) if factor is not None for f in factor))
+def _contract_exact(grid: np.ndarray, empty: int, lost: int, denom: int, terms: list[tuple]) -> tuple:
+    """``_contract_grid`` on numerators: the rational factors of every term
+    are scaled to integers by the lcm L of their denominators, and every
+    numerator and the common denominator gain the factor L."""
+    scale = lcm(*(f.denominator for term in terms for factor in term[:2] if factor is not None for f in factor))
 
     def integers(factor):
         if factor is None:
@@ -411,7 +409,8 @@ def _contract_exact(grid: np.ndarray, empty: int, lost: int, denom: int, factors
         return np.array([f.numerator * (scale // f.denominator) for f in factor], dtype=object)
 
     _check_object_grid(len(grid), (denom * scale).bit_length())
-    out, empty = _contract_grid(grid, empty * scale, (integers(share), integers(death), outcome))
+    terms = [(integers(share), integers(death), outcome) for share, death, outcome in terms]
+    out, empty = _contract_grid(grid, empty * scale, terms)
     return out, empty, lost * scale, denom * scale
 
 
@@ -496,14 +495,12 @@ def _expand_exact(grid: np.ndarray, p: Fraction, n_max: int, denom: int) -> tupl
 
 def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist:
     """Exact mixture over all contraction outcomes of every source state."""
-    if _grid_factors(rule, np.arange(1, 1)) is None:
-        return _contract_generic(dist, rule)
     grid, origin, empty, lost, denom = dist._packed()
-    factors = _grid_factors(rule, np.arange(1, len(grid) + 1), dist.exact)
+    terms = _grid_factors(rule, np.arange(1, len(grid) + 1), dist.exact)
     if denom is None:
-        grid, empty = _contract_grid(grid, empty, factors)
+        grid, empty = _contract_grid(grid, empty, terms)
         return StateDist.on_grid(grid, origin, float(empty), lost)
-    grid, empty, lost, denom = _contract_exact(grid, empty, lost, denom, factors)
+    grid, empty, lost, denom = _contract_exact(grid, empty, lost, denom, terms)
     return StateDist.on_grid(grid, origin, empty, lost, denom)
 
 

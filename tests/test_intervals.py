@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,20 @@ def test_size_weighted_bad_pmf_rejected():
     rule = SizeWeightedContraction(lambda k, n: 0.4)
     with pytest.raises(ValueError):
         contract(Span(0, 3), rule, Stream(0))
+
+
+def test_size_weighted_nan_pmf_rejected():
+    # NaN fails both the sign and the sum comparison, so it must be caught
+    # as a weight that is not >= 0.
+    from boxchain import estimate_occupancy, evolve
+
+    rule = SizeWeightedContraction(lambda k, n: math.nan if k == 1 else float(k == 0))
+    with pytest.raises(ValueError, match="NaN"):
+        contract(Span(0, 3), rule, Stream(0))
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_occupancy(Span(0, 3), 1, [0], 100, rule=rule)
+    with pytest.raises(ValueError, match="NaN"):
+        evolve(Span(0, 3), 1, rule)
 
 
 def test_kill_then_uniform_default_matches_uniform():

@@ -785,6 +785,16 @@ def test_rank_limit_checks_each_row():
         _rank_counts([np.array([big, 1]), np.array([10, big])])
 
 
+def test_pair_engine_rank_count_is_guarded():
+    from boxchain.montecarlo import _PairBatch
+
+    # A host of 2**32 sites has 2**63 + 2**31 nonempty sub-intervals, past
+    # int64: the count must raise, not wrap to a small rank range.
+    pairs = _PairBatch(4, Span(-(2**32), -1), Span(0, 2**32 - 1))
+    with pytest.raises(ValueError, match="int64 rank limit"):
+        pairs.draws(0.5, Stream(3))
+
+
 def test_nan_margin_counts_as_failure():
     import math
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from boxchain import (
     StateDist,
     TruncationPolicy,
     UNIFORM,
+    contraction_outcome_pmf,
     contraction_pushforward,
     coupling_transition_check,
     evolve,
@@ -206,10 +208,21 @@ def test_evolve_supports_other_rules():
     assert dist.total() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_generic_float_path_matches_rational():
-    # Non-uniform rules take the dict-based route in both modes.
+def binomial_sizes(k, n):
+    """Size pmf Binomial(n, 1/2): every size has mass, and every mass is
+    dyadic, so the rational law reads it exactly."""
+    return comb(n, k) / 2**n
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [EndpointResampleContraction(), SizeWeightedContraction(binomial_sizes)],
+    ids=["endpoint-resample", "size-weighted"],
+)
+def test_generic_float_path_matches_rational(rule):
+    # Non-uniform rules contract on the grid in both modes, by the same
+    # terms: floats in one, integer numerators in the other.
     policy = TruncationPolicy(5)
-    rule = EndpointResampleContraction()
     float_dist = evolve(Span(0, 1), 2, rule=rule, p=0.5, policy=policy)
     exact_dist = evolve(Span(0, 1), 2, rule=rule, p=Fraction(1, 2), policy=policy, exact=True)
     assert set(float_dist.weights) == set(exact_dist.weights)
@@ -461,8 +474,8 @@ def uniform_by_size(k, n):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_size_weighted_rule_matches_uniform_through_the_oracle(exact):
-    # The size-weighted rule contracts by enumeration over the dict; the
-    # expansion that follows packs that dict onto the grid.
+    # The size-weighted rule contracts on the grid as one term per outcome
+    # size; their sum is the uniform rule's single term.
     p = Fraction(1, 2) if exact else 0.5
     policy = TruncationPolicy(8)
     law = evolve(Span(0, 0), 3, SizeWeightedContraction(uniform_by_size), p, policy, exact=exact)
@@ -475,6 +488,56 @@ def test_size_weighted_rule_matches_uniform_through_the_oracle(exact):
     for got, bracket in zip(occupancy_table(law, sites), occupancy_table(want, sites)):
         assert float(got.lo) == pytest.approx(float(bracket.lo), abs=1e-12)
         assert float(got.hi) == pytest.approx(float(bracket.hi), abs=1e-12)
+
+
+def triangular_sizes(k, n):
+    """Size pmf proportional to k + 1; most of its masses are not dyadic."""
+    return (k + 1) / ((n + 1) * (n + 2) / 2)
+
+
+def contract_by_enumeration(dist, rule):
+    """The contraction law as a dict: every span's outcome pmf, weighted by
+    its mass and summed, the empty mass carried over."""
+    zero = Fraction(0) if dist.exact else 0.0
+    out = {EMPTY: dist.mass_of(EMPTY)}
+    for left, right, mass in dist.span_rows():
+        for outcome, prob in contraction_outcome_pmf(Span(left, right), rule, dist.exact).items():
+            out[outcome] = out.get(outcome, zero) + mass * prob
+    return StateDist(out, dist.lost, dist.exact)
+
+
+def assert_same_law(got, want):
+    """Cell by cell: equal on rational laws, within 1e-12 relative on float
+    ones; the empty mass and ``lost`` too."""
+    got_rows, want_rows = got.span_rows(), want.span_rows()
+    assert [row[:2] for row in got_rows] == [row[:2] for row in want_rows]
+    pairs = [(g[2], w[2]) for g, w in zip(got_rows, want_rows)]
+    pairs += [(got.mass_of(EMPTY), want.mass_of(EMPTY)), (got.lost, want.lost)]
+    for a, b in pairs:
+        if want.exact:
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("start", [Span(0, 0), Span(-2, 3)])
+@pytest.mark.parametrize("size_pmf", [binomial_sizes, triangular_sizes])
+def test_size_weighted_grid_law_matches_enumeration(size_pmf, start, exact):
+    rule = SizeWeightedContraction(size_pmf)
+    p = Fraction(1, 2) if exact else 0.5
+    policy = TruncationPolicy(5)
+    want = StateDist.point_mass(start, exact)
+    for t in (1, 2, 3):
+        want = expansion_pushforward(contract_by_enumeration(want, rule), p, policy)
+        got = evolve(start, t, rule, p, policy, exact=exact)
+        assert got.exact is exact
+        assert_same_law(got, want)
+    # One contraction of a law given as a dict, with mass on the empty state.
+    one = Fraction(1) if exact else 1.0
+    masses = {EMPTY: one / 4, Span(0, 2): one / 2, Span(1, 1): one / 8, Span(-3, 1): one / 8}
+    dist = StateDist(masses, one * 0, exact)
+    assert_same_law(contraction_pushforward(dist, rule), contract_by_enumeration(dist, rule))
 
 
 def test_truncation_policy_validation():
