@@ -39,23 +39,34 @@ from .stream import Stream
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
-_SUITES = (
-    "even",
-    "monotone-1d",
-    "monotone-l1",
-    "coupling-marginals",
-    "coupling-invariants",
-    "reflection",
-)
-
-
-# The horizons at which each suite that reads --t can run, as (least,
-# most); None is no upper limit.  The pathwise suites run to --horizon.
-_SUITE_T = {
-    "even": (1, None),
-    "monotone-1d": (1, None),
-    "monotone-l1": (1, 3),
-    "coupling-marginals": (1, 3),
+# Each suite: its run, given the args and whether to inject its mutant;
+# the (least, most) --t it runs at, most None for no upper limit, or None
+# for the pathwise suites, which run to --horizon; and the mutant it injects.
+_SUITES = {
+    "even": (
+        lambda a, m: montecarlo.check_even(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
+        (1, None), "one-sided-expansion",
+    ),
+    "monotone-1d": (
+        lambda a, m: montecarlo.check_monotone_1d(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
+        (1, None), "one-sided-expansion",
+    ),
+    "monotone-l1": (
+        lambda a, _: montecarlo.check_monotone_l1(2, a.t, a.p, a.radius, a.trials, a.seed, jobs=a.jobs),
+        (1, 3), None,
+    ),
+    "coupling-marginals": (
+        lambda a, m: montecarlo.coupling_marginal_test(a.t, a.p, a.trials, a.seed, jobs=a.jobs, skip_antithetic_map=m),
+        (1, 3), "skip-antithetic-map",
+    ),
+    "coupling-invariants": (
+        lambda a, m: montecarlo.coupling_invariant_check(a.horizon, a.p, a.trials, a.seed, skip_antithetic_map=m),
+        None, "skip-antithetic-map",
+    ),
+    "reflection": (
+        lambda a, m: montecarlo.reflection_identity_check(a.horizon, a.p, a.trials, a.seed, swap_expansion_draws=not m),
+        None, "unmirrored-reflection",
+    ),
 }
 
 
@@ -270,39 +281,6 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _run_suite(name: str, args) -> montecarlo.CheckReport:
-    mutant = args.mutant
-    p, t, trials, seed, jobs = args.p, args.t, args.trials, args.seed, args.jobs
-    if name == "even":
-        return montecarlo.check_even(
-            t, p, 10, trials, seed, jobs=jobs,
-            one_sided_expansion=(mutant == "one-sided-expansion"),
-        )
-    if name == "monotone-1d":
-        return montecarlo.check_monotone_1d(
-            t, p, 10, trials, seed, jobs=jobs,
-            one_sided_expansion=(mutant == "one-sided-expansion"),
-        )
-    if name == "monotone-l1":
-        return montecarlo.check_monotone_l1(2, t, p, args.radius, trials, seed, jobs=jobs)
-    if name == "coupling-marginals":
-        return montecarlo.coupling_marginal_test(
-            t, p, trials, seed, jobs=jobs,
-            skip_antithetic_map=(mutant == "skip-antithetic-map"),
-        )
-    if name == "coupling-invariants":
-        return montecarlo.coupling_invariant_check(
-            args.horizon, p, trials, seed,
-            skip_antithetic_map=(mutant == "skip-antithetic-map"),
-        )
-    if name == "reflection":
-        return montecarlo.reflection_identity_check(
-            args.horizon, p, trials, seed,
-            swap_expansion_draws=(mutant != "unmirrored-reflection"),
-        )
-    raise UsageError(f"unknown suite {name!r}")
-
-
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     if args.suites:
@@ -315,13 +293,18 @@ def cmd_verify(args) -> int:
     else:
         names = list(_SUITES)
     for name in names:
-        if name not in _SUITE_T:
+        _, t_range, _ = _SUITES[name]
+        if t_range is None:
             continue
-        least, most = _SUITE_T[name]
+        least, most = t_range
         if args.t < least or (most is not None and args.t > most):
             allowed = f">= {least}" if most is None else f"{least}..{most}"
             raise UsageError(f"suite {name!r} runs at --t {allowed}, got --t {args.t}")
-    reports = [_run_suite(name, args) for name in names]
+    mutated = {name: args.mutant is not None and _SUITES[name][2] == args.mutant for name in names}
+    if args.mutant is not None and not any(mutated.values()):
+        hosts = ", ".join(name for name, (_, _, mutant) in _SUITES.items() if mutant == args.mutant)
+        raise UsageError(f"no selected suite injects --mutant {args.mutant}; it is injected by {hosts}")
+    reports = [_SUITES[name][0](args, mutated[name]) for name in names]
     rows = [report.as_row() for report in reports]
     _write_csv(args.out, ["claim", "params", "margin", "pass"], rows)
     _write_meta(
@@ -366,6 +349,24 @@ def _add_process(sub) -> None:
                      help="constant death probability for --variant kill-uniform")
     sub.add_argument("--initial", type=str, default=None,
                      help="initial state, LEFT:RIGHT or L0:R0,L1:R1")
+
+
+def _config_value(action: argparse.Action, value):
+    """A config file's value for ``action``'s flag, checked as the command
+    line checks it: its string form goes through the flag's type, then its
+    choices.  Anything else is a usage error that names the flag."""
+    flag = action.option_strings[0]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config value {json.dumps(value)} for {flag} is not a string or a number")
+    try:
+        parsed = str(value) if action.type is None else action.type(str(value))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"config value {json.dumps(value)} for {flag} is not a valid {action.type.__name__}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise UsageError(
+            f"config value {json.dumps(value)} for {flag} is not one of: {', '.join(action.choices)}"
+        )
+    return parsed
 
 
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
@@ -428,14 +429,14 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         # there; explicit flags still win.
         parsers = [parser, *commands.choices.values()]
         flags = [
-            {a.dest for a in each._actions if a.default is not argparse.SUPPRESS}
+            {a.dest: a for a in each._actions if a.default is not argparse.SUPPRESS}
             for each in parsers
         ]
         unknown = sorted(set(defaults).difference(*flags))
         if unknown:
             raise UsageError(f"config keys name no flag: {', '.join(unknown)}")
-        for each, names in zip(parsers, flags):
-            each.set_defaults(**{k: v for k, v in defaults.items() if k in names})
+        for each, actions in zip(parsers, flags):
+            each.set_defaults(**{k: _config_value(actions[k], v) for k, v in defaults.items() if k in actions})
     return parser
 
 

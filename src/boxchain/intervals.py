@@ -112,7 +112,10 @@ class SizeWeightedContraction:
     size, so the oracle contracts it on the grid as a sum of one term per
     outcome size k, each with the share ``pmf(k, n) / (n - k + 1)`` per
     source size n; the oracle evaluates the pmf at every size up to its
-    grid's extent.
+    grid's extent.  The rational oracle reads each value as the
+    ``Fraction`` it is: a pmf of ``Fraction``s is certified as given and
+    conserves mass exactly, and a float pmf is certified for its float
+    values.
     """
 
     size_pmf: Callable[[int, int], float]

@@ -1,11 +1,14 @@
 """Sampling-based occupancy estimation and statistical verification.
 
-Estimators simulate trials in fixed-size vectorized chunks, each chunk on
-its own labeled substream, so results are reproducible and independent of
-how chunks are scheduled across workers.  All sites of one check are
-counted from the same trial paths (common random numbers), which shrinks
-the variance of the differences the checks look at; the confidence
-intervals used as margins are therefore conservative.
+Every estimator and check simulates its trials in vectorized chunks of
+at most ``_CHUNK`` runs through one driver, :func:`_run_chunks`, which
+gives chunk ``i`` the labeled substream ``(label, i)``; so results are
+reproducible and independent of how chunks are scheduled across
+workers.  The pathwise checks and :func:`coalescence_stats` step their
+coupled pairs through one loop, :func:`_pathwise_run`.  All sites of one
+check are counted from the same trial paths (common random numbers),
+which shrinks the variance of the differences the checks look at; the
+confidence intervals used as margins are therefore conservative.
 
 Each check can also run against a deliberately corrupted variant of the
 dynamics (fault injection), which the faithful checks must detect.
@@ -19,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -412,26 +415,30 @@ def _chunk_counts(
     return np.stack(rows)
 
 
-def _chunk_layout(trials: int) -> list[tuple[int, int]]:
-    """(chunk index, rows) for trials split into chunks of at most _CHUNK rows."""
-    return [
-        (i, min(_CHUNK, trials - i * _CHUNK)) for i in range((trials + _CHUNK - 1) // _CHUNK)
-    ]
+def _run_chunks(
+    label: str, trials: int, seed: int, work: Callable[[int, Stream, int], object], jobs: int = 1
+) -> list:
+    """``work(start, stream, count)`` of each chunk of ``trials`` runs, in
+    chunk order.
 
-
-def _run_chunks(trials: int, worker: Callable[[int, int], np.ndarray], jobs: int) -> np.ndarray:
+    Chunk ``i`` holds the ``count`` runs from ``start = i * _CHUNK``, at
+    most ``_CHUNK`` of them, and draws from the substream ``(label, i)``
+    of ``seed``; so the results do not depend on ``jobs``, the number of
+    threads the chunks run on.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    layout = _chunk_layout(trials)
+    root = Stream(seed)
+
+    def chunk(i: int):
+        start = i * _CHUNK
+        return work(start, root.substream(label, i), min(_CHUNK, trials - start))
+
+    chunks = range((trials + _CHUNK - 1) // _CHUNK)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda ic: worker(*ic), layout))
-    else:
-        parts = [worker(i, c) for i, c in layout]
-    out = parts[0]
-    for part in parts[1:]:
-        out = out + part
-    return out
+            return list(pool.map(chunk, chunks))
+    return [chunk(i) for i in chunks]
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +472,11 @@ def _estimate(
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(_CI_METHODS)}")
     ci = _CI_METHODS[method]
     index = _SiteIndex(sites, len(initial))
-    root = Stream(seed)
-
-    def worker(chunk: int, count: int) -> np.ndarray:
-        return _chunk_counts(
-            root.substream(label, chunk), count, initial, t, rule, p, index, one_sided, False
-        )
-
-    counts = _run_chunks(trials, worker, jobs)[0]
+    counts = sum(_run_chunks(
+        label, trials, seed,
+        lambda _, stream, count: _chunk_counts(stream, count, initial, t, rule, p, index, one_sided, False),
+        jobs,
+    ))[0]
     out = []
     for site, hits in zip(sites, counts.tolist()):
         lo, hi = ci(hits, trials, confidence)
@@ -802,15 +806,6 @@ class _PairBatch:
         return Span(lo[0], hi[0]), Span(lo[1], hi[1])
 
 
-def _pair_chunks(
-    label: str, trials: int, seed: int, first: Span, second: Span
-) -> Iterator[tuple[int, Stream, _PairBatch]]:
-    """(first run index, substream, fresh pairs) for each chunk of trials."""
-    root = Stream(seed)
-    for index, size in _chunk_layout(trials):
-        yield index * _CHUNK, root.substream(label, index), _PairBatch(size, first, second)
-
-
 def _pathwise_run(
     label: str,
     horizon: int,
@@ -820,72 +815,63 @@ def _pathwise_run(
     initial: tuple[Span, Span],
     step: Callable[..., None],
     holds: Callable[[_PairBatch], np.ndarray],
-) -> tuple[int, tuple | None, int]:
+) -> tuple[np.ndarray, tuple | None, int]:
     """Step every run up to ``horizon`` times; a run stops when it dies or
     ``holds`` fails on it.
 
-    Returns the number of violating runs, the first violation
-    ``(run, step, first, second)`` of the lowest violating run (or None),
-    and the number of runs that ended coalesced: a run keeps the flag it
-    had when it died or stopped.
+    Returns the stops, shape (2, horizon): at column ``step - 1``, the
+    runs that died at that step and the runs that failed ``holds`` there.
+    Then the first violation ``(run, step, first, second)`` of the lowest
+    violating run (or None), and the number of runs that ended coalesced:
+    a run keeps the flag it had when it died or stopped.
     """
-    _at_least("horizon", horizon, 1)
     _at_least("trials", trials, 1)
-    violations = 0
-    coalesced_runs = 0
-    first_violation = None
-    for start, stream, pairs in _pair_chunks(label, trials, seed, *initial):
+
+    def work(start: int, stream: Stream, count: int):
+        pairs = _PairBatch(count, *initial)
+        died, failed = [0] * horizon, [0] * horizon
+        coalesced_runs = 0
+        first_violation = None
         for time in range(1, horizon + 1):
             if not len(pairs):
                 break
+            before = len(pairs)
             rank, right_run, left_run = pairs.draws(p, stream)
             coalesced_runs += int(np.count_nonzero(pairs.coalesced[rank == 0]))
             step(pairs, rank, right_run, left_run)
             ok = holds(pairs)
             bad = np.flatnonzero(~ok)
+            died[time - 1], failed[time - 1] = before - len(pairs), bad.size
             if bad.size:
-                violations += bad.size
                 coalesced_runs += int(np.count_nonzero(pairs.coalesced[bad]))
                 run = start + int(pairs.run[bad[0]])
                 if first_violation is None or run < first_violation[0]:
                     first_violation = (run, time, *pairs.states(bad[0]))
                 pairs.keep(np.flatnonzero(ok))
         coalesced_runs += int(np.count_nonzero(pairs.coalesced))
-    return violations, first_violation, coalesced_runs
+        return np.array([died, failed], np.int64), first_violation, coalesced_runs
+
+    parts = _run_chunks(label, trials, seed, work)
+    # Chunks come in run order, so the first chunk with a violation holds
+    # the lowest violating run.
+    first_violation = next((first for _, first, _ in parts if first is not None), None)
+    return sum(stops for stops, _, _ in parts), first_violation, sum(runs for _, _, runs in parts)
+
+
+def _pathwise_report(
+    claim: str, params: dict, stops: np.ndarray, first_violation: tuple | None
+) -> CheckReport:
+    """A pathwise check's report: it passes when no run failed, its margin
+    is the number of runs that did, and ``params`` gain the first
+    violation when there is one."""
+    violations = int(stops[1].sum())
+    if first_violation is not None:
+        params["first_violation"] = first_violation
+    return CheckReport(claim=claim, passed=violations == 0, worst_margin=float(violations), params=params)
 
 
 # ---------------------------------------------------------------------------
 # coupling checks
-
-
-def _coupled_occupancy_counts(
-    t: int,
-    p: float,
-    trials: int,
-    seed: int,
-    index: _SiteIndex,
-    skip_antithetic_map: bool,
-    jobs: int = 1,
-) -> np.ndarray:
-    """Occupancy counts of the minus and plus marginals at times 1..t.
-
-    Shape (2, t, sites): index 0 is the minus side, 1 the plus side.
-    """
-    root = Stream(seed)
-
-    def worker(chunk: int, count: int) -> np.ndarray:
-        stream = root.substream("coupled-marginal", chunk)
-        pairs = _PairBatch(count, Span(-1, -1), Span(0, 0))
-        counts = np.zeros((2, t, index.size), np.int64)
-        for time in range(t):
-            if not len(pairs):
-                break
-            pairs.antithetic_step(*pairs.draws(p, stream), skip_antithetic_map=skip_antithetic_map)
-            for side in range(2):
-                counts[side, time] = index.cover_counts(pairs.lo[side], pairs.hi[side])
-        return counts
-
-    return _run_chunks(trials, worker, jobs)
 
 
 def _two_sample_pvalue(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
@@ -926,18 +912,28 @@ def coupling_marginal_test(
         raise ValueError(f"significance must lie in (0, 1), got {significance!r}")
     sites = list(range(-x_window, x_window + 1))
     index = _SiteIndex(sites)
-    counts_minus, counts_plus = _coupled_occupancy_counts(
-        t, p, trials, seed, index, skip_antithetic_map, jobs
-    )
-    root = Stream(seed)
+
+    def coupled(_, stream: Stream, count: int) -> np.ndarray:
+        """Occupancy counts of the minus and plus marginals at times 1..t,
+        shape (2, t, sites): index 0 is the minus side, 1 the plus side."""
+        pairs = _PairBatch(count, Span(-1, -1), Span(0, 0))
+        counts = np.zeros((2, t, index.size), np.int64)
+        for time in range(t):
+            if not len(pairs):
+                break
+            pairs.antithetic_step(*pairs.draws(p, stream), skip_antithetic_map=skip_antithetic_map)
+            for side in range(2):
+                counts[side, time] = index.cover_counts(pairs.lo[side], pairs.hi[side])
+        return counts
 
     def standalone(label: str, initial: Span) -> np.ndarray:
-        def worker(chunk: int, count: int) -> np.ndarray:
-            return _chunk_counts(
-                root.substream(label, chunk), count, (initial,), t, UNIFORM, p, index, False, True
-            )
+        return sum(_run_chunks(
+            label, trials, seed,
+            lambda _, stream, count: _chunk_counts(stream, count, (initial,), t, UNIFORM, p, index, False, True),
+            jobs,
+        ))
 
-        return _run_chunks(trials, worker, jobs)
+    counts_minus, counts_plus = sum(_run_chunks("coupled-marginal", trials, seed, coupled, jobs))
 
     alone_minus = standalone("standalone-minus", Span(-1, -1))
     alone_plus = standalone("standalone-plus", Span(0, 0))
@@ -984,7 +980,8 @@ def coupling_invariant_check(
     from 1.
     """
     validate_expansion_param(p)
-    violations, first_violation, coalesced_runs = _pathwise_run(
+    _at_least("horizon", horizon, 1)
+    stops, first_violation, coalesced_runs = _pathwise_run(
         "coupled-invariants",
         horizon,
         p,
@@ -994,21 +991,8 @@ def coupling_invariant_check(
         partial(_PairBatch.antithetic_step, skip_antithetic_map=skip_antithetic_map),
         _PairBatch.invariants_hold,
     )
-    params = {
-        "horizon": horizon,
-        "p": p,
-        "trials": trials,
-        "seed": seed,
-        "coalesced_runs": coalesced_runs,
-    }
-    if first_violation is not None:
-        params["first_violation"] = first_violation
-    return CheckReport(
-        claim="coupling-invariants",
-        passed=violations == 0,
-        worst_margin=float(violations),
-        params=params,
-    )
+    params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed, "coalesced_runs": coalesced_runs}
+    return _pathwise_report("coupling-invariants", params, stops, first_violation)
 
 
 def reflection_identity_check(
@@ -1027,7 +1011,8 @@ def reflection_identity_check(
     (run, step, zeta, eta)``, steps counted from 1.
     """
     validate_expansion_param(p)
-    violations, first_violation, _ = _pathwise_run(
+    _at_least("horizon", horizon, 1)
+    stops, first_violation, _ = _pathwise_run(
         "reflection",
         horizon,
         p,
@@ -1038,14 +1023,7 @@ def reflection_identity_check(
         _PairBatch.mirrored,
     )
     params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed}
-    if first_violation is not None:
-        params["first_violation"] = first_violation
-    return CheckReport(
-        claim="reflection-identity",
-        passed=violations == 0,
-        worst_margin=float(violations),
-        params=params,
-    )
+    return _pathwise_report("reflection-identity", params, stops, first_violation)
 
 
 @dataclass(frozen=True)
@@ -1079,30 +1057,19 @@ def coalescence_stats(
     """
     validate_expansion_param(p)
     _at_least("horizon", horizon, 0)
-    _at_least("trials", trials, 1)
-    first_times = np.zeros(horizon + 1, np.int64)
-    coalesced = 0
-    censored = 0
-    for _, stream, pairs in _pair_chunks("coalescence", trials, seed, Span(-1, -1), Span(0, 0)):
-        # The batch holds the runs still coupled and alive; a step drops the
-        # ones absorbed, and the ones that coalesce are dropped after it.
-        for time in range(1, horizon + 1):
-            if not len(pairs):
-                break
-            before = len(pairs)
-            pairs.antithetic_step(*pairs.draws(p, stream))
-            joined = int(np.count_nonzero(pairs.coalesced))
-            first_times[time] += before - len(pairs) + joined
-            coalesced += joined
-            pairs.keep(np.flatnonzero(~pairs.coalesced))
-        censored += len(pairs)
+    # A run stops at absorption (it dies) or at coalescence (it fails the
+    # predicate); the runs still coupled and alive at the horizon are censored.
+    (absorbed, coalesced), _, _ = _pathwise_run(
+        "coalescence", horizon, p, trials, seed, (Span(-1, -1), Span(0, 0)),
+        _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced,
+    )
     return CoalescenceSummary(
         p=p,
         horizon=horizon,
         trials=trials,
         seed=seed,
-        first_event_times={time: int(n) for time, n in enumerate(first_times) if n},
-        coalesced=coalesced,
-        absorbed=trials - coalesced - censored,
-        censored=censored,
+        first_event_times={time: int(n) for time, n in enumerate((absorbed + coalesced).tolist(), 1) if n},
+        coalesced=int(coalesced.sum()),
+        absorbed=int(absorbed.sum()),
+        censored=trials - int(absorbed.sum() + coalesced.sum()),
     )

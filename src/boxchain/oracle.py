@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -273,8 +274,7 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
                 out[Span(left, right)] = unit
         return out
     if isinstance(rule, SizeWeightedContraction):
-        weights = size_pmf_weights(rule.size_pmf, n)
-        probs = [Fraction(w) if exact else w for w in weights]
+        probs = _size_pmf(rule, n, exact)
         out[EMPTY] = probs[0]
         for k in range(1, n + 1):
             slots = n - k + 1
@@ -302,6 +302,17 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
                 out[Span(left, right)] = Fraction(count, denom) if exact else count / denom
         return out
     raise TypeError(f"unknown contraction rule {rule!r}")
+
+
+def _size_pmf(rule: SizeWeightedContraction, n: int, exact: bool) -> list[Mass]:
+    """The size pmf over k = 0..n, validated; when ``exact``, each value is
+    the ``Fraction`` it is, so a rational pmf conserves mass exactly and
+    a float one reads as its float value."""
+    weights = size_pmf_weights(rule.size_pmf, n)
+    if not exact:
+        return weights
+    values = [rule.size_pmf(k, n) for k in range(n + 1)]
+    return [Fraction(v) if isinstance(v, Rational) else Fraction(float(v)) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +376,7 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
         # size n >= k: one term per k, whose outcome factor keeps size k
         # only.  The deaths, pmf(0, n), ride on the first term.
         ns = sizes.tolist()
-        probs = [[Fraction(w) if exact else w for w in size_pmf_weights(rule.size_pmf, n)] for n in ns]
+        probs = [_size_pmf(rule, n, exact) for n in ns]
         terms = []
         for k in ns:
             share = np.array([w[k] / (n - k + 1) if n >= k else 0 for n, w in zip(ns, probs)], dtype)

@@ -384,6 +384,15 @@ def test_verify_empty_check_is_a_usage_error(tmp_path, flags, capsys):
     assert not out.exists()
 
 
+def test_verify_mutant_no_selected_suite_injects_is_a_usage_error(tmp_path, capsys):
+    # This used to run the faithful checks and exit 0 with both rows "pass".
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suites", "even,monotone-1d", "--mutant", "skip-antithetic-map",
+                 "--trials", "2000", "--out", str(out)]) == 2
+    assert "no selected suite injects --mutant skip-antithetic-map" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suites", "bogus", "--out", str(tmp_path / "r.csv")]) == 2
 
@@ -501,6 +510,23 @@ def test_config_key_of_no_flag_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     assert main(["--config", str(config), "simulate", "--out", str(out)]) == 2
     assert "n_maximum" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, command, flag", [
+    ({"t": 2.5}, ["simulate"], "--t"),
+    ({"mutant": "bogus"}, ["verify", "--suites", "reflection"], "--mutant"),
+    ({"arithmetic": "decimal"}, ["exact"], "--arithmetic"),
+    ({"trials": True}, ["simulate"], "--trials"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, config, command, flag, capsys):
+    # These used to die with a TypeError, run the faithful suite, compute
+    # the float law, and run one trial.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), *command, "--out", str(out)]) == 2
+    assert f"for {flag} " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -75,6 +75,14 @@ def test_estimates_reproducible_and_schedule_independent():
     assert other_seed != one
 
 
+def test_coupling_marginals_schedule_independent():
+    # 20000 trials make three chunks; the coupled and both standalone
+    # halves draw from per-chunk substreams, whatever the threads.
+    one = coupling_marginal_test(2, 0.5, 20_000, seed=9)
+    threaded = coupling_marginal_test(2, 0.5, 20_000, seed=9, jobs=2)
+    assert one.as_row() == threaded.as_row()
+
+
 def test_estimate_2d_t1_closed_form():
     points = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
     estimates = estimate_occupancy_2d(unit_box(2), 1, points, 400_000, p=0.5, seed=3)
@@ -750,11 +758,11 @@ def test_runs_stopped_coalesced_are_counted_coalesced():
 
     # Stopping every run as it coalesces leaves no coalesced pair in the
     # batch, yet each stopped run ended coalesced.
-    violations, _, coalesced_runs = _pathwise_run(
+    stops, _, coalesced_runs = _pathwise_run(
         "coupled-invariants", 30, 0.5, 3_000, 11, (Span(-1, -1), Span(0, 0)),
         _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced,
     )
-    assert coalesced_runs == violations > 0
+    assert coalesced_runs == stops[1].sum() > 0
 
 
 def test_int64_rank_limit_raises_before_wrapping():

@@ -540,6 +540,18 @@ def test_size_weighted_grid_law_matches_enumeration(size_pmf, start, exact):
     assert_same_law(contraction_pushforward(dist, rule), contract_by_enumeration(dist, rule))
 
 
+def test_rational_size_pmf_conserves_mass_exactly():
+    # The triangular pmf as Fractions: read through float(), its
+    # non-dyadic values lost about 1e-16 of mass per step.
+    def tri(k, n):
+        return Fraction(k + 1) / Fraction((n + 1) * (n + 2), 2)
+
+    rule = SizeWeightedContraction(tri)
+    for t in (1, 2, 3):
+        assert evolve(Span(0, 0), t, rule, Fraction(1, 2), TruncationPolicy(5), exact=True).total() == 1
+    assert sum(contraction_outcome_pmf(Span(0, 4), rule, exact=True).values()) == 1
+
+
 def test_truncation_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(-1)
