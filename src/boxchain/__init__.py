@@ -8,92 +8,125 @@ faces.  The package simulates these dynamics, propagates their law exactly
 with certified truncation error, and verifies the symmetry and
 monotonicity of the occupancy function both statistically and through two
 executable couplings.
+
+The package loads lazily: ``import boxchain`` imports none of its
+modules, and the first read of a public name imports the module that
+defines it (PEP 562), so a command pays only for the modules it runs.
 """
 
-from .boxes import (
-    Box,
-    EMPTY_BOX,
-    HyperRect,
-    contract_uniform,
-    count_nonempty_subrects,
-    expand_faces,
-    l1_norm,
-    simulate_path_rect,
-    step_rect,
-    unit_box,
-)
-from .coupling import (
-    BernoulliSurface,
-    CoupledState,
-    PairClass,
-    antithetic_image,
-    antithetic_mirror,
-    classify_pair,
-    coupled_contraction,
-    coupled_expansion,
-    coupled_expansion_amounts,
-    coupled_step,
-    dominates_nonnegative,
-    endpoint_gap,
-    initial_coupled_state,
-    reflect_origin,
-    reflection_coupled_step,
-    relabel_site,
-    right_offset,
-    run_coupled,
-    run_reflection,
-    unrelabel_site,
-)
-from .intervals import (
-    EMPTY,
-    ContractionRule,
-    EndpointResampleContraction,
-    Interval,
-    KillThenUniformContraction,
-    SizeWeightedContraction,
-    Span,
-    UNIFORM,
-    UniformContraction,
-    contract,
-    count_nonempty_subintervals,
-    expand,
-    geometric_pmf,
-    geometric_sample,
-    rank_subinterval,
-    simulate_path,
-    size_of,
-    step,
-    unrank_subinterval,
-)
-from .montecarlo import (
-    CheckReport,
-    CoalescenceSummary,
-    OccupancyEstimate,
-    check_even,
-    check_monotone_1d,
-    check_monotone_l1,
-    coalescence_stats,
-    coupling_invariant_check,
-    coupling_marginal_test,
-    estimate_occupancy,
-    estimate_occupancy_2d,
-    hoeffding_interval,
-    reflection_identity_check,
-    wilson_interval,
-)
-from .oracle import (
-    CouplingTransitionReport,
-    OccupancyBounds,
-    StateDist,
-    TruncationPolicy,
-    contraction_outcome_pmf,
-    contraction_pushforward,
-    coupling_transition_check,
-    evolve,
-    expansion_pushforward,
-    occupancy_bounds,
-    occupancy_table,
-)
-from .stream import Stream
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "boxes": (
+        "Box",
+        "EMPTY_BOX",
+        "HyperRect",
+        "contract_uniform",
+        "count_nonempty_subrects",
+        "expand_faces",
+        "l1_norm",
+        "simulate_path_rect",
+        "step_rect",
+        "unit_box",
+    ),
+    "coupling": (
+        "BernoulliSurface",
+        "CoupledState",
+        "PairClass",
+        "antithetic_image",
+        "antithetic_mirror",
+        "classify_pair",
+        "coupled_contraction",
+        "coupled_expansion",
+        "coupled_expansion_amounts",
+        "coupled_step",
+        "dominates_nonnegative",
+        "endpoint_gap",
+        "initial_coupled_state",
+        "reflect_origin",
+        "reflection_coupled_step",
+        "relabel_site",
+        "right_offset",
+        "run_coupled",
+        "run_reflection",
+        "unrelabel_site",
+    ),
+    "intervals": (
+        "EMPTY",
+        "ContractionRule",
+        "EndpointResampleContraction",
+        "Interval",
+        "KillThenUniformContraction",
+        "SizeWeightedContraction",
+        "Span",
+        "UNIFORM",
+        "UniformContraction",
+        "contract",
+        "count_nonempty_subintervals",
+        "expand",
+        "geometric_pmf",
+        "geometric_sample",
+        "rank_subinterval",
+        "simulate_path",
+        "size_of",
+        "step",
+        "unrank_subinterval",
+    ),
+    "montecarlo": (
+        "CheckReport",
+        "CoalescenceSummary",
+        "OccupancyEstimate",
+        "check_even",
+        "check_monotone_1d",
+        "check_monotone_l1",
+        "coalescence_stats",
+        "coupling_invariant_check",
+        "coupling_marginal_test",
+        "estimate_occupancy",
+        "estimate_occupancy_2d",
+        "hoeffding_interval",
+        "reflection_identity_check",
+        "wilson_interval",
+    ),
+    "oracle": (
+        "CouplingTransitionReport",
+        "OccupancyBounds",
+        "StateDist",
+        "TruncationPolicy",
+        "contraction_outcome_pmf",
+        "contraction_pushforward",
+        "coupling_transition_check",
+        "evolve",
+        "expansion_pushforward",
+        "occupancy_bounds",
+        "occupancy_table",
+    ),
+    "stream": ("Stream",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the module behind ``name`` on its first read.
+
+    A public name is cached in the package with the rest of its module's
+    names, so ``boxchain.X is boxchain.<module>.X`` and later reads skip
+    this function; a submodule name returns the submodule.
+    """
+    if name in _HOME:
+        module = _import_module(f".{_HOME[name]}", __name__)
+        globals().update({each: getattr(module, each) for each in _EXPORTS[_HOME[name]]})
+        return globals()[name]
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

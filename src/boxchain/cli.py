@@ -8,8 +8,14 @@ mc         Monte Carlo occupancy estimates with confidence intervals
 verify     run the statistical/structural verification suites
 
 Every output CSV is deterministic given the seed and parameters; a sidecar
-``<output>.meta.json`` records the full configuration, the seed, and the
-wall time for reproduction.
+``<output>.meta.json`` records the full configuration, the seed, the wall
+time and the versions for reproduction.
+
+Each subcommand imports the modules it runs inside its own function, so a
+fresh process pays only for those: ``simulate`` loads ``intervals`` and
+``stream`` (and ``boxes`` in 2-D), ``exact`` adds ``oracle`` and
+``coupling``, and ``mc`` and ``verify`` add ``montecarlo``, ``boxes`` and
+``coupling``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -23,10 +29,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import montecarlo, oracle
-from .boxes import Box, simulate_path_rect
 from .intervals import (
     EndpointResampleContraction,
     KillThenUniformContraction,
@@ -36,38 +40,52 @@ from .intervals import (
 )
 from .stream import Stream
 
+if TYPE_CHECKING:
+    from .boxes import Box
+
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
-# Each suite: its run, given the args and whether to inject its mutant;
-# the (least, most) --t it runs at, most None for no upper limit, or None
-# for the pathwise suites, which run to --horizon; and the mutant it injects.
+# Each suite: its run, given the montecarlo module, the args and whether
+# to inject its mutant; the (least, most) --t it runs at, most None for no
+# upper limit, or None for the pathwise suites, which run to --horizon; and
+# the mutant it injects.
 _SUITES = {
     "even": (
-        lambda a, m: montecarlo.check_even(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
+        lambda mc, a, m: mc.check_even(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
         (1, None), "one-sided-expansion",
     ),
     "monotone-1d": (
-        lambda a, m: montecarlo.check_monotone_1d(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
+        lambda mc, a, m: mc.check_monotone_1d(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
         (1, None), "one-sided-expansion",
     ),
     "monotone-l1": (
-        lambda a, _: montecarlo.check_monotone_l1(2, a.t, a.p, a.radius, a.trials, a.seed, jobs=a.jobs),
+        lambda mc, a, _: mc.check_monotone_l1(2, a.t, a.p, a.radius, a.trials, a.seed, jobs=a.jobs),
         (1, 3), None,
     ),
     "coupling-marginals": (
-        lambda a, m: montecarlo.coupling_marginal_test(a.t, a.p, a.trials, a.seed, jobs=a.jobs, skip_antithetic_map=m),
+        lambda mc, a, m: mc.coupling_marginal_test(a.t, a.p, a.trials, a.seed, jobs=a.jobs, skip_antithetic_map=m),
         (1, 3), "skip-antithetic-map",
     ),
     "coupling-invariants": (
-        lambda a, m: montecarlo.coupling_invariant_check(a.horizon, a.p, a.trials, a.seed, skip_antithetic_map=m),
+        lambda mc, a, m: mc.coupling_invariant_check(a.horizon, a.p, a.trials, a.seed, skip_antithetic_map=m),
         None, "skip-antithetic-map",
     ),
     "reflection": (
-        lambda a, m: montecarlo.reflection_identity_check(a.horizon, a.p, a.trials, a.seed, swap_expansion_draws=not m),
+        lambda mc, a, m: mc.reflection_identity_check(a.horizon, a.p, a.trials, a.seed, swap_expansion_draws=not m),
         None, "unmirrored-reflection",
     ),
 }
+
+# --mutant's choices: the mutants the suite table names, in the order of
+# montecarlo.MUTANTS, which the tests hold this equal to; the table lists
+# them in suite order, which is verify's row order.
+_MUTANTS = ("skip-antithetic-map", "unmirrored-reflection", "one-sided-expansion")
+
+# mc's sites when no site flag is given: x in -10..10 in 1-D, the L1 ball
+# of radius 4 in 2-D.
+_MC_X_RANGE = (-10, 10)
+_MC_RADIUS = 4
 
 
 class UsageError(Exception):
@@ -108,6 +126,8 @@ def _parse_initial_1d(text: str) -> Span:
 
 
 def _parse_initial_2d(text: str) -> Box:
+    from .boxes import Box
+
     try:
         axes = text.split(",")
         spans = []
@@ -130,10 +150,19 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def _write_meta(path: str, command: str, args, extra: Optional[dict] = None, wall_time: float = 0.0) -> None:
+    import numpy
+
+    from . import __version__
+
     payload = {
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)},
         "wall_time_s": wall_time,
+        "versions": {
+            "boxchain": __version__,
+            "python": "{}.{}.{}".format(*sys.version_info),
+            "numpy": numpy.__version__,
+        },
     }
     if extra:
         payload.update(extra)
@@ -165,6 +194,8 @@ def cmd_simulate(args) -> int:
             for when, state in enumerate(path):
                 rows.append((trial, when, *_bound_cells(state)))
     elif args.dimension == 2:
+        from .boxes import simulate_path_rect
+
         if args.variant != "uniform":
             raise UsageError("contraction variants are one-dimensional; use --variant uniform with --dimension 2")
         initial = _parse_initial_2d(args.initial or "0:0,0:0")
@@ -185,6 +216,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from . import oracle
+
     started = time.perf_counter()
     if args.dimension != 1:
         raise UsageError("the exact law is only propagated in one dimension")
@@ -217,16 +250,30 @@ def cmd_exact(args) -> int:
     return 0
 
 
+def _refuse_flags(args, flags: Sequence[str], dimension: int) -> None:
+    """A usage error naming the first of ``flags`` that was given, on the
+    command line or by --config, to an mc run in another dimension."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} applies only with --dimension {dimension}, not --dimension {args.dimension}")
+
+
 def cmd_mc(args) -> int:
+    from . import montecarlo
+
     started = time.perf_counter()
     rule = _build_rule(args, args.p)
     if args.dimension == 1:
+        _refuse_flags(args, ("--radius",), 2)
         if args.sites is not None:
             try:
                 sites = [int(s) for s in args.sites.split(",") if s.strip() != ""]
             except ValueError as exc:
                 raise UsageError(f"bad --sites list {args.sites!r}") from exc
         else:
+            # Resolved in args, so that .meta.json records the sites run.
+            args.x_min = _MC_X_RANGE[0] if args.x_min is None else args.x_min
+            args.x_max = _MC_X_RANGE[1] if args.x_max is None else args.x_max
             sites = list(range(args.x_min, args.x_max + 1))
         if not sites:
             raise UsageError("no sites requested")
@@ -248,8 +295,11 @@ def cmd_mc(args) -> int:
         ]
         _write_csv(args.out, ["x", "estimate", "ci_lo", "ci_hi"], rows)
     elif args.dimension == 2:
+        _refuse_flags(args, ("--sites", "--x-min", "--x-max"), 1)
         if args.variant != "uniform":
             raise UsageError("contraction variants are one-dimensional; use --variant uniform with --dimension 2")
+        if args.radius is None:
+            args.radius = _MC_RADIUS
         points = [
             (x, y)
             for x in range(-args.radius, args.radius + 1)
@@ -282,6 +332,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import montecarlo
+
     started = time.perf_counter()
     if args.suites:
         names = []
@@ -304,7 +356,7 @@ def cmd_verify(args) -> int:
     if args.mutant is not None and not any(mutated.values()):
         hosts = ", ".join(name for name, (_, _, mutant) in _SUITES.items() if mutant == args.mutant)
         raise UsageError(f"no selected suite injects --mutant {args.mutant}; it is injected by {hosts}")
-    reports = [_SUITES[name][0](args, mutated[name]) for name in names]
+    reports = [_SUITES[name][0](montecarlo, args, mutated[name]) for name in names]
     rows = [report.as_row() for report in reports]
     _write_csv(args.out, ["claim", "params", "margin", "pass"], rows)
     _write_meta(
@@ -399,10 +451,12 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     _add_common(mc)
     _add_sampling(mc)
     _add_process(mc)
+    # The site flags default to None, so that a flag given for the other
+    # dimension is refused; cmd_mc resolves the defaults.
     mc.add_argument("--sites", type=str, default=None, help="comma-separated 1-D sites")
-    mc.add_argument("--x-min", type=int, default=-10)
-    mc.add_argument("--x-max", type=int, default=10)
-    mc.add_argument("--radius", type=int, default=4, help="L1 radius of the 2-D site grid")
+    mc.add_argument("--x-min", type=int, default=None, help=f"first 1-D site (default {_MC_X_RANGE[0]})")
+    mc.add_argument("--x-max", type=int, default=None, help=f"last 1-D site (default {_MC_X_RANGE[1]})")
+    mc.add_argument("--radius", type=int, default=None, help=f"L1 radius of the 2-D site grid (default {_MC_RADIUS})")
     mc.add_argument("--confidence", type=float, default=0.99)
     mc.add_argument("--ci", choices=("wilson", "hoeffding"), default="wilson")
     mc.set_defaults(func=cmd_mc)
@@ -419,7 +473,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     verify.add_argument("--radius", type=int, default=4)
     verify.add_argument("--horizon", type=int, default=50,
                         help="horizon for the pathwise coupling suites")
-    verify.add_argument("--mutant", choices=montecarlo.MUTANTS, default=None,
+    verify.add_argument("--mutant", choices=_MUTANTS, default=None,
                         help="run against a deliberately corrupted variant")
     verify.set_defaults(func=cmd_verify)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
@@ -436,6 +435,10 @@ def _run_chunks(
 
     chunks = range((trials + _CHUNK - 1) // _CHUNK)
     if jobs > 1:
+        # Imported here: concurrent.futures loads threading, queue and
+        # logging, which no single-threaded run needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(chunk, chunks))
     return [chunk(i) for i in chunks]
@@ -815,7 +818,9 @@ def _pathwise_run(
     initial: tuple[Span, Span],
     step: Callable[..., None],
     holds: Callable[[_PairBatch], np.ndarray],
-) -> tuple[np.ndarray, tuple | None, int]:
+    *,
+    count_coalesced: bool = True,
+) -> tuple[np.ndarray, tuple | None, int | None]:
     """Step every run up to ``horizon`` times; a run stops when it dies or
     ``holds`` fails on it.
 
@@ -823,39 +828,45 @@ def _pathwise_run(
     runs that died at that step and the runs that failed ``holds`` there.
     Then the first violation ``(run, step, first, second)`` of the lowest
     violating run (or None), and the number of runs that ended coalesced:
-    a run keeps the flag it had when it died or stopped.
+    a run keeps the flag it had when it died or stopped.  That count costs
+    two counts per step, so a caller that does not read it passes
+    ``count_coalesced=False`` and gets None.
     """
     _at_least("trials", trials, 1)
 
     def work(start: int, stream: Stream, count: int):
         pairs = _PairBatch(count, *initial)
         died, failed = [0] * horizon, [0] * horizon
-        coalesced_runs = 0
+        coalesced_runs = 0 if count_coalesced else None
         first_violation = None
         for time in range(1, horizon + 1):
             if not len(pairs):
                 break
             before = len(pairs)
             rank, right_run, left_run = pairs.draws(p, stream)
-            coalesced_runs += int(np.count_nonzero(pairs.coalesced[rank == 0]))
+            if count_coalesced:
+                coalesced_runs += int(np.count_nonzero(pairs.coalesced[rank == 0]))
             step(pairs, rank, right_run, left_run)
             ok = holds(pairs)
             bad = np.flatnonzero(~ok)
             died[time - 1], failed[time - 1] = before - len(pairs), bad.size
             if bad.size:
-                coalesced_runs += int(np.count_nonzero(pairs.coalesced[bad]))
+                if count_coalesced:
+                    coalesced_runs += int(np.count_nonzero(pairs.coalesced[bad]))
                 run = start + int(pairs.run[bad[0]])
                 if first_violation is None or run < first_violation[0]:
                     first_violation = (run, time, *pairs.states(bad[0]))
                 pairs.keep(np.flatnonzero(ok))
-        coalesced_runs += int(np.count_nonzero(pairs.coalesced))
+        if count_coalesced:
+            coalesced_runs += int(np.count_nonzero(pairs.coalesced))
         return np.array([died, failed], np.int64), first_violation, coalesced_runs
 
     parts = _run_chunks(label, trials, seed, work)
     # Chunks come in run order, so the first chunk with a violation holds
     # the lowest violating run.
     first_violation = next((first for _, first, _ in parts if first is not None), None)
-    return sum(stops for stops, _, _ in parts), first_violation, sum(runs for _, _, runs in parts)
+    coalesced_runs = sum(runs for _, _, runs in parts) if count_coalesced else None
+    return sum(stops for stops, _, _ in parts), first_violation, coalesced_runs
 
 
 def _pathwise_report(
@@ -1021,6 +1032,7 @@ def reflection_identity_check(
         (Span(0, 0), Span(0, 0)),
         partial(_PairBatch.reflection_step, swap_expansion_draws=swap_expansion_draws),
         _PairBatch.mirrored,
+        count_coalesced=False,
     )
     params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed}
     return _pathwise_report("reflection-identity", params, stops, first_violation)
@@ -1061,7 +1073,7 @@ def coalescence_stats(
     # predicate); the runs still coupled and alive at the horizon are censored.
     (absorbed, coalesced), _, _ = _pathwise_run(
         "coalescence", horizon, p, trials, seed, (Span(-1, -1), Span(0, 0)),
-        _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced,
+        _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced, count_coalesced=False,
     )
     return CoalescenceSummary(
         p=p,

@@ -535,3 +535,51 @@ def test_mc_beyond_the_int64_rank_limit_is_a_usage_error(tmp_path, capsys):
     assert main(["mc", "--initial=-3500000000:3500000000", "--trials", "10",
                  "--out", str(out)]) == 2
     assert "int64 rank limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config, flag", [
+    (["--dimension", "2", "--sites", "1,2,3"], None, "--sites"),
+    (["--dimension", "2", "--x-min", "-3"], None, "--x-min"),
+    (["--dimension", "2", "--x-max", "3"], None, "--x-max"),
+    (["--radius", "2"], None, "--radius"),
+    (["--dimension", "2"], {"x_max": 3}, "--x-max"),
+    ([], {"radius": 3}, "--radius"),
+])
+def test_mc_site_flags_of_the_other_dimension_are_usage_errors(tmp_path, flags, config, flag, capsys):
+    # These used to exit 0 and write the other dimension's default sites.
+    argv = ["mc", "--t", "2", "--trials", "1000", *flags, "--out", str(tmp_path / "m.csv")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), *argv]
+    assert main(argv) == 2
+    assert f"{flag} applies only with --dimension" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "m.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("dimension, explicit, recorded", [
+    ("1", ["--x-min", "-10", "--x-max", "10"], {"x_min": -10, "x_max": 10, "radius": None}),
+    ("2", ["--radius", "4"], {"x_min": None, "x_max": None, "radius": 4}),
+])
+def test_mc_default_sites_are_resolved_and_recorded(tmp_path, dimension, explicit, recorded):
+    base = ["mc", "--dimension", dimension, "--t", "2", "--trials", "3000", "--seed", "5"]
+    assert main([*base, "--out", str(tmp_path / "default.csv")]) == 0
+    assert main([*base, *explicit, "--out", str(tmp_path / "explicit.csv")]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+    config = read_meta(tmp_path / "default.csv")["config"]
+    assert {key: config[key] for key in recorded} == recorded
+
+
+def test_sidecar_records_versions(tmp_path):
+    import numpy
+
+    import boxchain
+
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--t", "1", "--out", str(out)]) == 0
+    assert read_meta(out)["versions"] == {
+        "boxchain": boxchain.__version__,
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "numpy": numpy.__version__,
+    }

@@ -1,0 +1,127 @@
+"""The package's public surface, and which modules each entry point loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import boxchain
+from boxchain import boxes, coupling, intervals, montecarlo, oracle, stream
+
+# Every name the package re-exported when it imported its modules eagerly,
+# by the module that defines it.
+PUBLIC = {
+    boxes: (
+        "Box", "EMPTY_BOX", "HyperRect", "contract_uniform", "count_nonempty_subrects",
+        "expand_faces", "l1_norm", "simulate_path_rect", "step_rect", "unit_box",
+    ),
+    coupling: (
+        "BernoulliSurface", "CoupledState", "PairClass", "antithetic_image", "antithetic_mirror",
+        "classify_pair", "coupled_contraction", "coupled_expansion", "coupled_expansion_amounts",
+        "coupled_step", "dominates_nonnegative", "endpoint_gap", "initial_coupled_state",
+        "reflect_origin", "reflection_coupled_step", "relabel_site", "right_offset",
+        "run_coupled", "run_reflection", "unrelabel_site",
+    ),
+    intervals: (
+        "EMPTY", "ContractionRule", "EndpointResampleContraction", "Interval",
+        "KillThenUniformContraction", "SizeWeightedContraction", "Span", "UNIFORM",
+        "UniformContraction", "contract", "count_nonempty_subintervals", "expand",
+        "geometric_pmf", "geometric_sample", "rank_subinterval", "simulate_path", "size_of",
+        "step", "unrank_subinterval",
+    ),
+    montecarlo: (
+        "CheckReport", "CoalescenceSummary", "OccupancyEstimate", "check_even",
+        "check_monotone_1d", "check_monotone_l1", "coalescence_stats",
+        "coupling_invariant_check", "coupling_marginal_test", "estimate_occupancy",
+        "estimate_occupancy_2d", "hoeffding_interval", "reflection_identity_check",
+        "wilson_interval",
+    ),
+    oracle: (
+        "CouplingTransitionReport", "OccupancyBounds", "StateDist", "TruncationPolicy",
+        "contraction_outcome_pmf", "contraction_pushforward", "coupling_transition_check",
+        "evolve", "expansion_pushforward", "occupancy_bounds", "occupancy_table",
+    ),
+    stream: ("Stream",),
+}
+NAMES = [name for names in PUBLIC.values() for name in names]
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])
+def test_public_name_is_its_modules_object(module, name):
+    assert getattr(boxchain, name) is getattr(module, name)
+
+
+def test_star_import_and_dir_cover_the_public_names():
+    namespace = {}
+    exec("from boxchain import *", namespace)
+    assert set(NAMES) <= set(namespace)
+    assert all(namespace[name] is getattr(boxchain, name) for name in NAMES)
+    assert set(NAMES) <= set(dir(boxchain))
+    assert sorted(boxchain.__all__) == sorted(NAMES)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        boxchain.no_such_name
+    assert not hasattr(boxchain, "_private")
+    with pytest.raises(ImportError):
+        exec("from boxchain import no_such_name", {})
+
+
+def test_mutant_choices_are_montecarlo_mutants():
+    from boxchain.cli import _MUTANTS, _SUITES, build_parser
+
+    assert _MUTANTS == montecarlo.MUTANTS
+    assert set(_MUTANTS) == {mutant for *_, mutant in _SUITES.values()} - {None}
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    (mutant,) = (a for a in verify._actions if a.dest == "mutant")
+    assert tuple(mutant.choices) == montecarlo.MUTANTS
+
+
+# What a fresh process loads: run ``main(argv)`` (or nothing, for a bare
+# ``import boxchain``) and print the loaded boxchain modules.
+PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+import boxchain
+if argv is not None:
+    from boxchain.cli import main
+    assert main(argv) in (0, 1)
+print(json.dumps({
+    "modules": sorted(m.split(".")[1] for m in sys.modules if m.startswith("boxchain.")),
+    "futures": "concurrent.futures" in sys.modules,
+}))
+"""
+
+
+def loaded(argv, tmp_path):
+    src = str(Path(boxchain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    if argv is not None:
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
+    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (None, {"boxes", "cli", "coupling", "intervals", "montecarlo", "oracle", "stream"}),
+    (["simulate", "--t", "2"], {"boxes", "coupling", "montecarlo", "oracle"}),
+    (["simulate", "--dimension", "2", "--t", "2"], {"coupling", "montecarlo", "oracle"}),
+    (["exact", "--t", "2", "--n-max", "8"], {"boxes", "montecarlo"}),
+    (["mc", "--t", "2", "--trials", "2000"], {"oracle"}),
+    (["mc", "--dimension", "2", "--t", "1", "--trials", "2000"], {"oracle"}),
+    (["verify", "--suites", "reflection,coupling-invariants", "--trials", "200"], {"oracle"}),
+])
+def test_each_entry_point_loads_only_what_it_runs(argv, absent, tmp_path):
+    probe = loaded(argv, tmp_path)
+    assert not absent & set(probe["modules"]), probe["modules"]
+    assert not probe["futures"]
+
+
+def test_threaded_runs_still_load_the_pool(tmp_path):
+    probe = loaded(["mc", "--t", "1", "--trials", "20000", "--jobs", "2"], tmp_path)
+    assert probe["futures"]
