@@ -250,12 +250,12 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _refuse_flags(args, flags: Sequence[str], dimension: int) -> None:
+def _refuse_flags(args, flags: Sequence[str], why: str) -> None:
     """A usage error naming the first of ``flags`` that was given, on the
-    command line or by --config, to an mc run in another dimension."""
+    command line or by --config, followed by ``why`` it cannot be."""
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise UsageError(f"{flag} applies only with --dimension {dimension}, not --dimension {args.dimension}")
+            raise UsageError(f"{flag} {why}")
 
 
 def cmd_mc(args) -> int:
@@ -264,8 +264,9 @@ def cmd_mc(args) -> int:
     started = time.perf_counter()
     rule = _build_rule(args, args.p)
     if args.dimension == 1:
-        _refuse_flags(args, ("--radius",), 2)
+        _refuse_flags(args, ("--radius",), "applies only with --dimension 2, not --dimension 1")
         if args.sites is not None:
+            _refuse_flags(args, ("--x-min", "--x-max"), "cannot be combined with --sites")
             try:
                 sites = [int(s) for s in args.sites.split(",") if s.strip() != ""]
             except ValueError as exc:
@@ -295,7 +296,9 @@ def cmd_mc(args) -> int:
         ]
         _write_csv(args.out, ["x", "estimate", "ci_lo", "ci_hi"], rows)
     elif args.dimension == 2:
-        _refuse_flags(args, ("--sites", "--x-min", "--x-max"), 1)
+        _refuse_flags(
+            args, ("--sites", "--x-min", "--x-max"), "applies only with --dimension 1, not --dimension 2"
+        )
         if args.variant != "uniform":
             raise UsageError("contraction variants are one-dimensional; use --variant uniform with --dimension 2")
         if args.radius is None:

@@ -4,11 +4,15 @@ Every estimator and check simulates its trials in vectorized chunks of
 at most ``_CHUNK`` runs through one driver, :func:`_run_chunks`, which
 gives chunk ``i`` the labeled substream ``(label, i)``; so results are
 reproducible and independent of how chunks are scheduled across
-workers.  The pathwise checks and :func:`coalescence_stats` step their
-coupled pairs through one loop, :func:`_pathwise_run`.  All sites of one
-check are counted from the same trial paths (common random numbers),
-which shrinks the variance of the differences the checks look at; the
-confidence intervals used as margins are therefore conservative.
+workers.  A chunk is one batch of live rows, chains of boxes or coupled
+pairs, and every step of either draws through one protocol,
+:meth:`_Batch.contract`.  The estimators and the marginal test count
+coverage through one loop, :func:`_coverage`; the pathwise checks and
+:func:`coalescence_stats` step their pairs through another,
+:func:`_pathwise_run`.  All sites of one check are counted from the same
+trial paths (common random numbers), which shrinks the variance of the
+differences the checks look at; the confidence intervals used as
+margins are therefore conservative.
 
 Each check can also run against a deliberately corrupted variant of the
 dynamics (fault injection), which the faithful checks must detect.
@@ -177,12 +181,10 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # vectorized chunk simulation
 #
-# A chunk holds its live boxes as int64 endpoint arrays ``lo, hi`` of shape
-# (d, rows), one row of endpoints per axis; an interval is the box with
-# d = 1.  A contraction returns new arrays that keep only the surviving rows,
-# in their old order, so each later draw takes one value per live row and no
-# mask of dead rows is carried.  Every rank decode goes through the function
-# below; the coupled-pair engine shares it.
+# A batch holds the live rows of one chunk as int64 endpoint arrays ``lo, hi``
+# of shape (sides, rows): one row of endpoints per axis of a box, or per side
+# of a coupled pair; an interval is the box with one axis.  Every step draws
+# through :meth:`_Batch.contract`, so no mask of dead rows is carried.
 
 
 def _unrank_offsets_vec(n: np.ndarray, i0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,25 +236,26 @@ def _rank_counts(sizes: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _contract_chunk(
     lo: np.ndarray, hi: np.ndarray, rule: ContractionRule, stream: Stream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contract every box; returns new endpoint arrays of the boxes that stay
-    nonempty, in their old order.  A chunk with no rows makes no draws.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contract every box ``[lo, hi]``; returns the indices ``keep`` of the
+    boxes that stay nonempty, in their old order, and their new (left,
+    right) offsets within the host.
 
     The uniform rule draws one rank per box over its nonempty sub-boxes
     plus the empty outcome (rank 0) and splits the rest mixed-radix, last
-    axis fastest, as :func:`contract_uniform` does.  The other rules
-    contract intervals only.  Each rule yields the indices ``keep`` of the
-    surviving rows and their new (left, right) offsets within the host.
+    axis fastest, as :func:`contract_uniform` does; an interval skips the
+    split and its copies.  The other rules contract intervals only.
     """
-    if lo.shape[1] == 0:
-        return lo, hi
     sizes = hi - lo + 1
     n = sizes[0]
     if isinstance(rule, UniformContraction):
         ranks = _rank_counts(sizes)
-        draw = stream.integers_upto(math.prod(ranks))
-        keep = np.flatnonzero(draw)
+        # ``start`` spares an interval the product's copy of its rank counts.
+        draw = stream.integers_upto(math.prod(ranks[1:], start=ranks[0]))
+        keep = draw.nonzero()[0]  # np.flatnonzero's ravel costs more on small chunks
         rest = draw[keep] - 1
+        if len(lo) == 1:
+            return (keep, *_unrank_offsets_vec(n[keep], rest))
         left = np.empty((len(lo), rest.size), np.int64)
         right = np.empty_like(left)
         for axis in reversed(range(len(lo))):
@@ -261,9 +264,10 @@ def _contract_chunk(
             else:
                 digit = rest
             left[axis], right[axis] = _unrank_offsets_vec(sizes[axis][keep], digit)
-    elif len(lo) > 1:
+        return keep, left, right
+    if len(lo) > 1:
         raise ValueError(f"{type(rule).__name__} contracts intervals only; boxes contract uniformly")
-    elif isinstance(rule, KillThenUniformContraction):
+    if isinstance(rule, KillThenUniformContraction):
         death = np.empty(n.size)
         for nv in np.unique(n):
             prob = rule.death_probability(rule.expansion_p, int(nv))
@@ -271,11 +275,9 @@ def _contract_chunk(
                 raise ValueError(f"death probability {prob} outside [0, 1]")
             death[n == nv] = prob
         keep = np.flatnonzero(stream.random_array(n.size) >= death)
-        left = right = n[:0]
-        if keep.size:
-            (ranks,) = _rank_counts([n[keep]])
-            left, right = _unrank_offsets_vec(n[keep], stream.integers_upto(ranks - 1))
-    elif isinstance(rule, SizeWeightedContraction):
+        (ranks,) = _rank_counts([n[keep]])
+        return (keep, *_unrank_offsets_vec(n[keep], stream.integers_upto(ranks - 1)))
+    if isinstance(rule, SizeWeightedContraction):
         u = stream.random_array(n.size)
         size = np.empty(n.size, np.int64)
         for nv in np.unique(n):
@@ -285,38 +287,68 @@ def _contract_chunk(
         size = np.minimum(size, n)
         keep = np.flatnonzero(size)
         size = size[keep]
-        left = n[:0]
-        if keep.size:
-            left = stream.integers_upto(n[keep] - size)
-        right = left + size - 1
-    elif isinstance(rule, EndpointResampleContraction):
+        left = stream.integers_upto(n[keep] - size)
+        return keep, left, left + size - 1
+    if isinstance(rule, EndpointResampleContraction):
         u = stream.integers_upto(n - 1)
         v = stream.integers_upto(n - 1)
-        return lo + np.minimum(u, v), lo + np.maximum(u, v)  # never empty
-    else:
-        raise TypeError(f"unknown contraction rule {rule!r}")
-    # ``take`` of row indices is several times faster here than a mask.
-    base = lo.take(keep, axis=1)
-    return base + left, base + right
+        return np.arange(n.size), np.minimum(u, v), np.maximum(u, v)  # never empty
+    raise TypeError(f"unknown contraction rule {rule!r}")
 
 
-def _expand_chunk(
-    lo: np.ndarray, hi: np.ndarray, p: float, stream: Stream, one_sided: bool
-) -> None:
-    """Push the faces of every box out by geometric(p) run lengths in place,
-    axis by axis, low face then high face (``one_sided`` keeps the low faces).
+class _Batch:
+    """The live rows of one chunk: endpoint arrays ``lo, hi`` of shape
+    (sides, rows), every row started at ``initial``.
 
-    The step's runs are one draw of faces * d * rows values in that face
-    order, so they are the values one draw per face would give.  A chunk
-    with no rows makes no draws."""
-    d, rows = lo.shape
-    if rows == 0:
-        return
-    faces = 1 if one_sided else 2
-    runs = stream.geometric_array(p, faces * d * rows).reshape(d, faces, rows)
-    if not one_sided:
-        lo -= runs[:, 0]
-    hi += runs[:, -1]
+    A chain of boxes holds one side per axis and steps with :meth:`step`;
+    ``sides`` selects the rows that make up each counted state, here the
+    whole box.  :class:`_Pairs` holds the two sides of a coupled pair.
+    """
+
+    sides: tuple = (slice(None),)
+
+    def __init__(self, size: int, initial: Sequence[Span]) -> None:
+        self.lo = np.repeat(np.array([[span.left] for span in initial], np.int64), size, axis=1)
+        self.hi = np.repeat(np.array([[span.right] for span in initial], np.int64), size, axis=1)
+
+    def __len__(self) -> int:
+        return self.lo.shape[1]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only ``rows``, in their order."""
+        # ``take`` of row indices is several times faster here than a mask.
+        self.lo = self.lo.take(rows, axis=1)
+        self.hi = self.hi.take(rows, axis=1)
+
+    def contract(
+        self, axes: int, rule: ContractionRule, p: float, stream: Stream, faces: int = 2
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one draw protocol of every step: contract the first ``axes``
+        sides of each row as one box under ``rule``, drop the rows that die,
+        and draw the survivors' geometric(p) runs as one array of faces *
+        axes * survivors values, axis by axis, low face first (``faces=1``
+        draws the high faces only).  Returns the contracted boxes, shape
+        (axes, survivors), and the runs, shape (axes, faces, survivors);
+        ``lo, hi`` still hold the surviving hosts.  A batch with no rows
+        draws nothing."""
+        if not len(self):
+            return self.lo[:axes], self.hi[:axes], np.empty((axes, faces, 0), np.int64)
+        keep, left, right = _contract_chunk(self.lo[:axes], self.hi[:axes], rule, stream)
+        self.keep(keep)
+        base = self.lo[:axes]
+        runs = stream.geometric_array(p, faces * axes * keep.size).reshape(axes, faces, keep.size)
+        return base + left, base + right, runs
+
+    def step(
+        self, p: float, stream: Stream, *, rule: ContractionRule = UNIFORM, one_sided: bool = False
+    ) -> None:
+        """One chain step of every box: contract under ``rule``, then push
+        each face out by its run (``one_sided`` keeps the low faces)."""
+        lo, hi, runs = self.contract(len(self.lo), rule, p, stream, 1 if one_sided else 2)
+        if not one_sided:
+            lo -= runs[:, 0]
+        hi += runs[:, -1]
+        self.lo, self.hi = lo, hi
 
 
 class _SiteIndex:
@@ -391,27 +423,20 @@ class _SiteIndex:
         return counts
 
 
-def _chunk_counts(
-    stream: Stream, count: int, initial: Sequence[Span], t: int, rule: ContractionRule,
-    p: float, index: _SiteIndex, one_sided: bool, by_time: bool,
+def _coverage(
+    batch: _Batch, t: int, step: Callable[[_Batch], None], index: _SiteIndex, by_time: bool
 ) -> np.ndarray:
-    """Hit counts per site of ``count`` chains started at the box with spans
-    ``initial``: one row at time t, or one row per time 1..t.
-
-    The endpoint arrays hold only the chains still alive: each contraction
-    drops the ones that die, and a chunk with none left draws nothing more.
-    """
-    lo = np.repeat(np.array([[span.left] for span in initial], np.int64), count, axis=1)
-    hi = np.repeat(np.array([[span.right] for span in initial], np.int64), count, axis=1)
-    rows = []
+    """Hit counts per site of each side of ``batch`` as ``step`` advances
+    it t times: shape (times, sides, sites), at time t only or at each of
+    the times 1..t."""
+    counts = []
     for _ in range(t):
-        lo, hi = _contract_chunk(lo, hi, rule, stream)
-        _expand_chunk(lo, hi, p, stream, one_sided)
+        step(batch)
         if by_time:
-            rows.append(index.cover_counts(lo, hi))
+            counts.append([index.cover_counts(batch.lo[side], batch.hi[side]) for side in batch.sides])
     if not by_time:
-        rows.append(index.cover_counts(lo, hi))
-    return np.stack(rows)
+        counts.append([index.cover_counts(batch.lo[side], batch.hi[side]) for side in batch.sides])
+    return np.array(counts)
 
 
 def _run_chunks(
@@ -477,9 +502,12 @@ def _estimate(
     index = _SiteIndex(sites, len(initial))
     counts = sum(_run_chunks(
         label, trials, seed,
-        lambda _, stream, count: _chunk_counts(stream, count, initial, t, rule, p, index, one_sided, False),
+        lambda _, stream, count: _coverage(
+            _Batch(count, initial), t, lambda chains: chains.step(p, stream, rule=rule, one_sided=one_sided),
+            index, False,
+        ),
         jobs,
-    ))[0]
+    ))[0, 0]
     out = []
     for site, hits in zip(sites, counts.tolist()):
         lo, hi = ci(hits, trials, confidence)
@@ -667,69 +695,35 @@ def check_monotone_l1(
 # batched coupled pairs
 
 
-class _PairBatch:
-    """A chunk of live coupled pairs, in the chunk sampler's layout.
-
-    ``lo, hi`` are int64 endpoint arrays of shape (2, rows): side 0 holds
-    the first state, side 1 the second; the minus and plus sides of the
+class _Pairs(_Batch):
+    """A batch of live coupled pairs, shape (2, rows): side 0 holds the
+    first state, side 1 the second; the minus and plus sides of the
     antithetic coupling, or zeta and its mirror eta in the reflection
-    coupling.  Only live pairs are held, in run order: ``run`` is each
-    row's run index within its chunk, and ``coalesced`` marks the pairs
-    that run on shared draws.  Both sides of a pair die together, and a
-    step drops the pairs that die; :meth:`keep` drops any others a driver
-    is done with.
+    coupling.  Both sides of a pair die together.  A step contracts the
+    first side as a one-axis box and builds the second from that box and
+    its runs.
 
-    The steps take their draws as arguments, so tests can feed them fixed
-    ranks and run lengths; :meth:`draws` makes them from a stream.
+    ``run`` is each row's run index within its chunk, ``coalesced`` marks
+    the pairs that run on shared draws, and ``coalescences`` counts the
+    rows that have coalesced.  Coalescence is absorbing, so that is the
+    number of runs that end coalesced, whether they die, leave the batch
+    or stay.
     """
 
-    def __init__(self, size: int, first: Span, second: Span) -> None:
-        self.lo = np.repeat(np.array([[first.left], [second.left]], np.int64), size, axis=1)
-        self.hi = np.repeat(np.array([[first.right], [second.right]], np.int64), size, axis=1)
+    sides = (0, 1)
+
+    def __init__(self, size: int, initial: Sequence[Span]) -> None:
+        super().__init__(size, initial)
         self.coalesced = np.zeros(size, bool)
         self.run = np.arange(size)
-
-    def __len__(self) -> int:
-        return self.run.size
+        self.coalescences = 0
 
     def keep(self, rows: np.ndarray) -> None:
-        """Keep only ``rows``, in their order."""
-        self.lo = self.lo.take(rows, axis=1)
-        self.hi = self.hi.take(rows, axis=1)
+        super().keep(rows)
         self.coalesced = self.coalesced.take(rows)
         self.run = self.run.take(rows)
 
-    def draws(self, p: float, stream: Stream):
-        """One step's draws: a uniform contraction rank of each first host
-        (0 is death, as in :func:`unrank_subinterval`), then the right and
-        the left geometric run lengths, one of each per pair.  The runs are
-        one draw of 2 * rows values, the right runs first.  A host past the
-        int64 rank limit raises ``ValueError``, as in the chunk sampler."""
-        (ranks,) = _rank_counts([self.hi[0] - self.lo[0] + 1])
-        rank = stream.integers_upto(ranks)
-        right_run, left_run = stream.geometric_array(p, 2 * rank.size).reshape(2, rank.size)
-        return rank, right_run, left_run
-
-    def _contract(self, rank: np.ndarray, right_run: np.ndarray, left_run: np.ndarray):
-        """Drop the pairs that drew rank 0; contract the first host of the rest.
-
-        Returns the contracted first sides [a, b] of the surviving pairs and
-        their run lengths.  Endpoints still hold the hosts.
-        """
-        keep = np.flatnonzero(rank)
-        self.keep(keep)
-        base = self.lo[0]
-        a, b = _unrank_offsets_vec(self.hi[0] - base + 1, rank[keep] - 1)
-        return base + a, base + b, right_run[keep], left_run[keep]
-
-    def antithetic_step(
-        self,
-        rank: np.ndarray,
-        right_run: np.ndarray,
-        left_run: np.ndarray,
-        *,
-        skip_antithetic_map: bool = False,
-    ) -> None:
+    def antithetic_step(self, p: float, stream: Stream, *, skip_antithetic_map: bool = False) -> None:
         """:func:`coupled_step` on every antithetic or coalesced pair.
 
         The minus side contracts to [a, b] and expands to
@@ -743,7 +737,8 @@ class _PairBatch:
         shared step.  ``skip_antithetic_map`` copies the contraction, the
         fault injection of :func:`coupled_step`.
         """
-        a, b, right_run, left_run = self._contract(rank, right_run, left_run)
+        lo, hi, runs = self.contract(1, UNIFORM, p, stream)
+        a, b, left_run, right_run = lo[0], hi[0], runs[0, 0], runs[0, 1]
         if skip_antithetic_map:
             tl, tr = a, b
         else:
@@ -751,27 +746,22 @@ class _PairBatch:
             tl = np.where(inside, a, -1 - b)
             tr = np.where(inside, b, -1 - a)
         shared = self.coalesced | (right_run >= tr - b)
+        self.coalescences += int(np.count_nonzero(shared)) - int(np.count_nonzero(self.coalesced))
         self.lo[0] = a - left_run
         self.hi[0] = b + right_run
         self.lo[1] = np.where(shared, self.lo[0], tl - right_run)
         self.hi[1] = np.where(shared, self.hi[0], tr + left_run)
         self.coalesced = shared
 
-    def reflection_step(
-        self,
-        rank: np.ndarray,
-        right_run: np.ndarray,
-        left_run: np.ndarray,
-        *,
-        swap_expansion_draws: bool = True,
-    ) -> None:
+    def reflection_step(self, p: float, stream: Stream, *, swap_expansion_draws: bool = True) -> None:
         """:func:`reflection_coupled_step` on every pair.
 
         zeta contracts to [a, b] and expands to [a - left_run, b + right_run];
         eta contracts to the reflection [-b, -a] and expands with the two
         runs swapped, or reused unswapped as fault injection.
         """
-        a, b, right_run, left_run = self._contract(rank, right_run, left_run)
+        lo, hi, runs = self.contract(1, UNIFORM, p, stream)
+        a, b, left_run, right_run = lo[0], hi[0], runs[0, 0], runs[0, 1]
         self.lo[0] = a - left_run
         self.hi[0] = b + right_run
         if swap_expansion_draws:
@@ -816,11 +806,9 @@ def _pathwise_run(
     trials: int,
     seed: int,
     initial: tuple[Span, Span],
-    step: Callable[..., None],
-    holds: Callable[[_PairBatch], np.ndarray],
-    *,
-    count_coalesced: bool = True,
-) -> tuple[np.ndarray, tuple | None, int | None]:
+    step: Callable[[_Pairs, float, Stream], None],
+    holds: Callable[[_Pairs], np.ndarray],
+) -> tuple[np.ndarray, tuple | None, int]:
     """Step every run up to ``horizon`` times; a run stops when it dies or
     ``holds`` fails on it.
 
@@ -828,45 +816,34 @@ def _pathwise_run(
     runs that died at that step and the runs that failed ``holds`` there.
     Then the first violation ``(run, step, first, second)`` of the lowest
     violating run (or None), and the number of runs that ended coalesced:
-    a run keeps the flag it had when it died or stopped.  That count costs
-    two counts per step, so a caller that does not read it passes
-    ``count_coalesced=False`` and gets None.
+    a run keeps the flag it had when it died or stopped.
     """
     _at_least("trials", trials, 1)
 
     def work(start: int, stream: Stream, count: int):
-        pairs = _PairBatch(count, *initial)
+        pairs = _Pairs(count, initial)
         died, failed = [0] * horizon, [0] * horizon
-        coalesced_runs = 0 if count_coalesced else None
         first_violation = None
         for time in range(1, horizon + 1):
             if not len(pairs):
                 break
             before = len(pairs)
-            rank, right_run, left_run = pairs.draws(p, stream)
-            if count_coalesced:
-                coalesced_runs += int(np.count_nonzero(pairs.coalesced[rank == 0]))
-            step(pairs, rank, right_run, left_run)
+            step(pairs, p, stream)
             ok = holds(pairs)
-            bad = np.flatnonzero(~ok)
+            bad = (~ok).nonzero()[0]
             died[time - 1], failed[time - 1] = before - len(pairs), bad.size
             if bad.size:
-                if count_coalesced:
-                    coalesced_runs += int(np.count_nonzero(pairs.coalesced[bad]))
                 run = start + int(pairs.run[bad[0]])
                 if first_violation is None or run < first_violation[0]:
                     first_violation = (run, time, *pairs.states(bad[0]))
-                pairs.keep(np.flatnonzero(ok))
-        if count_coalesced:
-            coalesced_runs += int(np.count_nonzero(pairs.coalesced))
-        return np.array([died, failed], np.int64), first_violation, coalesced_runs
+                pairs.keep(ok.nonzero()[0])
+        return np.array([died, failed], np.int64), first_violation, pairs.coalescences
 
     parts = _run_chunks(label, trials, seed, work)
     # Chunks come in run order, so the first chunk with a violation holds
     # the lowest violating run.
     first_violation = next((first for _, first, _ in parts if first is not None), None)
-    coalesced_runs = sum(runs for _, _, runs in parts) if count_coalesced else None
-    return sum(stops for stops, _, _ in parts), first_violation, coalesced_runs
+    return sum(stops for stops, _, _ in parts), first_violation, sum(runs for _, _, runs in parts)
 
 
 def _pathwise_report(
@@ -914,8 +891,7 @@ def coupling_marginal_test(
     Occupancy profiles at times 1..t over a site window are compared by
     per-site two-sample chi-square tests at a union-bounded significance.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _at_least("t", t, 1)
     validate_expansion_param(p)
     _at_least("trials", trials, 1)
     _at_least("x_window", x_window, 0)
@@ -924,51 +900,36 @@ def coupling_marginal_test(
     sites = list(range(-x_window, x_window + 1))
     index = _SiteIndex(sites)
 
-    def coupled(_, stream: Stream, count: int) -> np.ndarray:
-        """Occupancy counts of the minus and plus marginals at times 1..t,
-        shape (2, t, sites): index 0 is the minus side, 1 the plus side."""
-        pairs = _PairBatch(count, Span(-1, -1), Span(0, 0))
-        counts = np.zeros((2, t, index.size), np.int64)
-        for time in range(t):
-            if not len(pairs):
-                break
-            pairs.antithetic_step(*pairs.draws(p, stream), skip_antithetic_map=skip_antithetic_map)
-            for side in range(2):
-                counts[side, time] = index.cover_counts(pairs.lo[side], pairs.hi[side])
-        return counts
-
-    def standalone(label: str, initial: Span) -> np.ndarray:
+    def counts(label: str, batch: type[_Batch], initial: Sequence[Span], step: Callable) -> np.ndarray:
+        """Counts of each side at times 1..t, shape (t, sides, sites)."""
         return sum(_run_chunks(
             label, trials, seed,
-            lambda _, stream, count: _chunk_counts(stream, count, (initial,), t, UNIFORM, p, index, False, True),
+            lambda _, stream, count: _coverage(
+                batch(count, initial), t, lambda rows: step(rows, p, stream), index, True
+            ),
             jobs,
         ))
 
-    counts_minus, counts_plus = sum(_run_chunks("coupled-marginal", trials, seed, coupled, jobs))
-
-    alone_minus = standalone("standalone-minus", Span(-1, -1))
-    alone_plus = standalone("standalone-plus", Span(0, 0))
-    tests = 2 * t * len(sites)
-    alpha_each = significance / tests
-    min_pvalue = 1.0
-    for coupled, alone in ((counts_minus, alone_minus), (counts_plus, alone_plus)):
-        for time in range(t):
-            for j in range(len(sites)):
-                pv = _two_sample_pvalue(
-                    int(coupled[time, j]), trials, int(alone[time, j]), trials
-                )
-                min_pvalue = min(min_pvalue, pv)
+    # Side 0 is the minus side and side 1 the plus side, coupled and alone.
+    coupled = counts(
+        "coupled-marginal", _Pairs, (Span(-1, -1), Span(0, 0)),
+        partial(_Pairs.antithetic_step, skip_antithetic_map=skip_antithetic_map),
+    )
+    alone = np.concatenate([
+        counts(f"standalone-{side}", _Batch, (initial,), _Batch.step)
+        for side, initial in (("minus", Span(-1, -1)), ("plus", Span(0, 0)))
+    ], axis=1)
+    alpha_each = significance / (2 * t * len(sites))
+    min_pvalue = min(
+        _two_sample_pvalue(hits, trials, alone_hits, trials)
+        for hits, alone_hits in zip(coupled.ravel().tolist(), alone.ravel().tolist())
+    )
     return CheckReport(
         claim="coupling-marginals",
         passed=min_pvalue >= alpha_each,
         worst_margin=alpha_each - min_pvalue,
         params={
-            "t": t,
-            "p": p,
-            "trials": trials,
-            "seed": seed,
-            "significance": significance,
-            "x_window": x_window,
+            "t": t, "p": p, "trials": trials, "seed": seed, "significance": significance, "x_window": x_window
         },
     )
 
@@ -999,8 +960,8 @@ def coupling_invariant_check(
         trials,
         seed,
         (Span(-1, -1), Span(0, 0)),
-        partial(_PairBatch.antithetic_step, skip_antithetic_map=skip_antithetic_map),
-        _PairBatch.invariants_hold,
+        partial(_Pairs.antithetic_step, skip_antithetic_map=skip_antithetic_map),
+        _Pairs.invariants_hold,
     )
     params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed, "coalesced_runs": coalesced_runs}
     return _pathwise_report("coupling-invariants", params, stops, first_violation)
@@ -1030,9 +991,8 @@ def reflection_identity_check(
         trials,
         seed,
         (Span(0, 0), Span(0, 0)),
-        partial(_PairBatch.reflection_step, swap_expansion_draws=swap_expansion_draws),
-        _PairBatch.mirrored,
-        count_coalesced=False,
+        partial(_Pairs.reflection_step, swap_expansion_draws=swap_expansion_draws),
+        _Pairs.mirrored,
     )
     params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed}
     return _pathwise_report("reflection-identity", params, stops, first_violation)
@@ -1073,7 +1033,7 @@ def coalescence_stats(
     # predicate); the runs still coupled and alive at the horizon are censored.
     (absorbed, coalesced), _, _ = _pathwise_run(
         "coalescence", horizon, p, trials, seed, (Span(-1, -1), Span(0, 0)),
-        _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced, count_coalesced=False,
+        _Pairs.antithetic_step, lambda pairs: ~pairs.coalesced,
     )
     return CoalescenceSummary(
         p=p,

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from scipy import stats
 
 
@@ -24,6 +25,29 @@ class StubStream:
 
     def bernoulli(self, p):
         return 1 if self.random() < p else 0
+
+
+class VectorStubStream:
+    """Scripted stand-in for Stream's vector draws: replays queued arrays
+    for the batched engine, each checked against the draw it answers."""
+
+    def __init__(self, integers=(), geometric=()):
+        self._integers = [np.asarray(value, np.int64) for value in integers]
+        self._geometric = [np.asarray(value, np.int64) for value in geometric]
+
+    def integers_upto(self, highs, size=None):
+        value = self._integers.pop(0)
+        assert value.shape == np.shape(highs), f"scripted {value.shape} integers, drawn {np.shape(highs)}"
+        assert np.all((0 <= value) & (value <= highs)), f"scripted integers {value} out of range {highs}"
+        return value
+
+    def geometric_array(self, p, size):
+        value = self._geometric.pop(0)
+        assert value.size == size, f"scripted {value.size} runs, drawn {size}"
+        return value
+
+    def exhausted(self):
+        return not self._integers and not self._geometric
 
 
 def chi_square_pvalue(counts, probabilities, total):

@@ -558,6 +558,26 @@ def test_mc_site_flags_of_the_other_dimension_are_usage_errors(tmp_path, flags, 
     assert not (tmp_path / "m.csv.meta.json").exists()
 
 
+@pytest.mark.parametrize("flags, config, flag", [
+    (["--sites", "0,1", "--x-min", "-3", "--x-max", "3"], None, "--x-min"),
+    (["--sites", "0,1", "--x-max", "3"], None, "--x-max"),
+    (["--x-min", "-3"], {"sites": "0,1"}, "--x-min"),
+    (["--sites", "0,1"], {"x_max": 3}, "--x-max"),
+])
+def test_mc_sites_with_an_x_range_is_a_usage_error(tmp_path, flags, config, flag, capsys):
+    # This used to exit 0, write the listed sites only and record the
+    # ignored range in the sidecar as if it had run.
+    argv = ["mc", "--t", "2", "--trials", "1000", *flags, "--out", str(tmp_path / "m.csv")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), *argv]
+    assert main(argv) == 2
+    assert f"{flag} cannot be combined with --sites" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "m.csv.meta.json").exists()
+
+
 @pytest.mark.parametrize("dimension, explicit, recorded", [
     ("1", ["--x-min", "-10", "--x-max", "10"], {"x_min": -10, "x_max": 10, "radius": None}),
     ("2", ["--radius", "4"], {"x_min": None, "x_max": None, "radius": 4}),

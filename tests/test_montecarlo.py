@@ -364,16 +364,22 @@ def _fixed_draw_cases(hosts):
 
 
 def _batch_of(cases, second_of, coalesced=False):
-    from boxchain.montecarlo import _PairBatch
+    """A pair batch of the cases' hosts, and a stream scripted with their
+    draws as the engine takes them: every rank, then the survivors' left
+    runs and their right runs (low face first)."""
+    from conftest import VectorStubStream
 
-    pairs = _PairBatch(len(cases), Span(0, 0), Span(0, 0))
+    from boxchain.montecarlo import _Pairs
+
+    pairs = _Pairs(len(cases), (Span(0, 0), Span(0, 0)))
     for i, (host, _, _, _) in enumerate(cases):
         second = second_of(host)
         pairs.lo[:, i] = host.left, second.left
         pairs.hi[:, i] = host.right, second.right
     pairs.coalesced[:] = coalesced
-    columns = [np.array([case[k] for case in cases], np.int64) for k in (1, 2, 3)]
-    return pairs, columns
+    rank, right, left = (np.array([case[k] for case in cases], np.int64) for k in (1, 2, 3))
+    live = rank != 0
+    return pairs, VectorStubStream(integers=[rank], geometric=[np.concatenate([left[live], right[live]])])
 
 
 def _rows_by_case(pairs):
@@ -397,8 +403,9 @@ def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
     hosts = [h for h in spans if classify_pair(h, antithetic_mirror(h)) is PairClass.ANTITHETIC]
     cases = _fixed_draw_cases(hosts)
     for skip in (False, True):
-        pairs, draws = _batch_of(cases, antithetic_mirror)
-        pairs.antithetic_step(*draws, skip_antithetic_map=skip)
+        pairs, stream = _batch_of(cases, antithetic_mirror)
+        pairs.antithetic_step(0.5, stream, skip_antithetic_map=skip)
+        assert stream.exhausted()
         rows = _rows_by_case(pairs)
         for i, (host, rank, right, left) in enumerate(cases):
             want = coupled_step(
@@ -430,8 +437,9 @@ def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
 def test_batched_coalesced_step_matches_scalar_on_fixed_draws():
     hosts = [Span(left, left + size - 1) for left in range(-4, 3) for size in range(1, 7)]
     cases = _fixed_draw_cases(hosts)
-    pairs, draws = _batch_of(cases, lambda host: host, coalesced=True)
-    pairs.antithetic_step(*draws)
+    pairs, stream = _batch_of(cases, lambda host: host, coalesced=True)
+    pairs.antithetic_step(0.5, stream)
+    assert stream.exhausted()
     rows = _rows_by_case(pairs)
     for i, (host, rank, right, left) in enumerate(cases):
         want = coupled_step(CoupledState(host, host, True), 0.5, _surface_stream(rank, right, left))
@@ -449,8 +457,9 @@ def test_batched_reflection_step_matches_scalar_on_fixed_draws():
     hosts = [Span(left, left + size - 1) for left in range(-4, 3) for size in range(1, 7)]
     cases = _fixed_draw_cases(hosts)
     for swap in (True, False):
-        pairs, draws = _batch_of(cases, reflect_origin)
-        pairs.reflection_step(*draws, swap_expansion_draws=swap)
+        pairs, batch_stream = _batch_of(cases, reflect_origin)
+        pairs.reflection_step(0.5, batch_stream, swap_expansion_draws=swap)
+        assert batch_stream.exhausted()
         rows = _rows_by_case(pairs)
         mirrored = pairs.mirrored()
         for i, (host, rank, right, left) in enumerate(cases):
@@ -467,11 +476,11 @@ def test_batched_reflection_step_matches_scalar_on_fixed_draws():
 
 
 def test_batched_pair_predicates_match_scalar():
-    from boxchain.montecarlo import _PairBatch
+    from boxchain.montecarlo import _Pairs
 
     rng = np.random.default_rng(3)
     size = 4000
-    pairs = _PairBatch(size, Span(0, 0), Span(0, 0))
+    pairs = _Pairs(size, (Span(0, 0), Span(0, 0)))
     (ml, pl), (mr, pr) = pairs.lo, pairs.hi
     ml[:] = rng.integers(-6, 4, size)
     mr[:] = ml + rng.integers(0, 6, size)
@@ -509,6 +518,56 @@ def test_batched_pair_predicates_match_scalar():
         ok = ok and not (coalesced and minus != plus) and dominates_nonnegative(minus, plus)
         assert bool(invariants[i]) == ok, (minus, plus, coalesced)
     assert seen == set(PairClass) - {PairClass.BOTH_EMPTY}
+
+
+class _CountingStream:
+    """A Stream that records each vector draw's method and size."""
+
+    def __init__(self, seed):
+        self.stream = Stream(seed)
+        self.draws = []
+
+    def _record(self, name, values):
+        self.draws.append((name, values.size))
+        return values
+
+    def integers_upto(self, highs, size=None):
+        return self._record("integers_upto", self.stream.integers_upto(highs, size))
+
+    def geometric_array(self, p, size):
+        return self._record("geometric_array", self.stream.geometric_array(p, size))
+
+    def random_array(self, size):
+        return self._record("random_array", self.stream.random_array(size))
+
+
+def test_every_batched_step_draws_one_contraction_then_the_survivors_runs():
+    from boxchain.montecarlo import _Batch, _Pairs
+
+    host, pair = (Span(0, 1),), (Span(-1, -1), Span(0, 0))
+    # (batch of n rows, step, faces, axes)
+    steps = {
+        "chain 1-D": (lambda n: _Batch(n, host), lambda b, s: b.step(0.5, s), 2, 1),
+        "chain 2-D": (lambda n: _Batch(n, (Span(0, 1), Span(-1, 0))), lambda b, s: b.step(0.5, s), 2, 2),
+        "one-sided": (lambda n: _Batch(n, host), lambda b, s: b.step(0.8, s, one_sided=True), 1, 1),
+        "antithetic": (lambda n: _Pairs(n, pair), lambda b, s: b.antithetic_step(0.5, s), 2, 1),
+        "reflection": (lambda n: _Pairs(n, (Span(0, 0),) * 2), lambda b, s: b.reflection_step(0.5, s), 2, 1),
+    }
+    for name, (make, step, faces, axes) in steps.items():
+        stream = _CountingStream(7)
+        batch = make(500)
+        for _ in range(3):
+            live = len(batch)
+            stream.draws.clear()
+            step(batch, stream)
+            # Rows die at every step, and the dead get no runs.
+            assert 0 < len(batch) < live, name
+            assert stream.draws == [
+                ("integers_upto", live), ("geometric_array", faces * axes * len(batch))
+            ], name
+        stream.draws.clear()
+        step(make(0), stream)
+        assert stream.draws == [], name
 
 
 def test_cover_counts_match_per_site_counting():
@@ -693,29 +752,31 @@ def test_sampler_paths_are_pinned():
     for (rule, t), pinned in expected.items():
         rules = {} if rule is None else {"rule": rule}
         assert hits(estimate_occupancy(Span(0, 0), t, sites, 40_000, seed=6, p=0.1, **rules)) == pinned
+    # Re-recorded when coupled pairs took the chunk sampler's draw protocol.
     assert coupling_marginal_test(2, 0.5, 4000, seed=9).as_row() == (
         "coupling-marginals",
         "p=0.5;seed=9;significance=0.001;t=2;trials=4000;x_window=8",
-        "-0.03279120956487866",
+        "-0.08396289101079335",
         "pass",
     )
 
 
 def test_pair_engine_draws_are_pinned():
-    # Recorded before the coupled-pair engine dropped dead pairs instead of
-    # masking them.  9000 trials make a second, partial chunk.  By the
-    # horizon every chunk at p = 0.5 has died out, and so has every chunk
-    # of the reflection mutant, which stops each run at its violation.
+    # Recorded when coupled pairs took the chunk sampler's draw protocol:
+    # runs drawn after the kill, for survivors only, low face first.  9000
+    # trials make a second, partial chunk.  By the horizon every chunk at
+    # p = 0.5 has died out, and so has every chunk of the reflection
+    # mutant, which stops each run at its violation.
     horizon, trials = 200, 9000
     pinned = {
         # (p, seed): coalesced runs of the invariants check and of its
         # skip-map mutant, the reflection mutant's margin and first
         # violation, and coalescence_stats' (coalesced, absorbed,
         # censored, sum of t n, sum of t^2 n) over its first event times.
-        (0.5, 1): (3067, 4470, 3713, (0, 1, Span(0, 1), Span(0, 1)), (3077, 5923, 0, 14582, 56986)),
-        (0.5, 2): (3102, 4453, 3754, (0, 1, Span(-1, 0), Span(-1, 0)), (3105, 5895, 0, 14934, 59900)),
-        (0.8, 1): (4185, 4470, 4357, (0, 1, Span(-8, 3), Span(-8, 3)), (4170, 4830, 0, 13027, 106001)),
-        (0.8, 2): (4169, 4453, 4429, (0, 1, Span(-11, 3), Span(-11, 3)), (4257, 4743, 0, 13284, 135586)),
+        (0.5, 1): (3094, 4470, 3679, (0, 1, Span(-1, 0), Span(-1, 0)), (3091, 5909, 0, 14779, 58583)),
+        (0.5, 2): (3022, 4453, 3829, (0, 1, Span(0, 1), Span(0, 1)), (3100, 5900, 0, 14630, 53860)),
+        (0.8, 1): (4210, 4470, 4340, (0, 1, Span(-3, 5), Span(-3, 5)), (4186, 4814, 0, 13007, 137473)),
+        (0.8, 2): (4158, 4453, 4413, (0, 1, Span(-3, 15), Span(-3, 15)), (4241, 4759, 0, 13210, 155026)),
     }
     for (p, seed), (runs, mutant_runs, broken, first, summary) in pinned.items():
         common = f"horizon={horizon};p={p};seed={seed};trials={trials}"
@@ -739,28 +800,46 @@ def test_pair_engine_draws_are_pinned():
         ) == summary
         assert sum(times.values()) == trials
     assert coalescence_stats(0.5, horizon, trials, 1).first_event_times == {
-        1: 6774, 2: 1221, 3: 429, 4: 180, 5: 110, 6: 74, 7: 51, 8: 37, 9: 18, 10: 26,
-        11: 18, 12: 7, 13: 12, 14: 7, 15: 7, 16: 2, 17: 4, 18: 4, 19: 4, 20: 4, 21: 2,
-        23: 1, 25: 2, 26: 1, 28: 1, 29: 1, 37: 1, 38: 1, 48: 1,
+        1: 6754, 2: 1186, 3: 443, 4: 198, 5: 112, 6: 84, 7: 51, 8: 33, 9: 32, 10: 20,
+        11: 24, 12: 16, 13: 8, 14: 9, 15: 3, 16: 2, 17: 3, 18: 3, 19: 3, 20: 2, 22: 1,
+        23: 2, 24: 2, 26: 1, 27: 1, 28: 2, 29: 1, 30: 2, 31: 1, 49: 1,
     }
-    # Runs 0 and 1 die at the first step, so the first violation's run is
-    # not its row in the batch.
+    # Run 0 survives its first step still mirrored (its two runs were
+    # equal) and breaks at the second.
     assert reflection_identity_check(3, 0.3, 100, 0, swap_expansion_draws=False).as_row() == (
         "reflection-identity",
-        "first_violation=(2, 1, Span(0, 1), Span(0, 1));horizon=3;p=0.3;seed=0;trials=100",
-        "29.0",
+        "first_violation=(0, 2, Span(-1, 0), Span(-1, 0));horizon=3;p=0.3;seed=0;trials=100",
+        "32.0",
         "fail",
     )
 
 
+def test_first_violation_names_the_run_not_its_row():
+    from boxchain.montecarlo import _Pairs
+
+    # Replay the first step of the reflection mutant's first chunk until
+    # runs die before the first violating one, so that its row in the
+    # batch is not its run index; the report must name the run.
+    for seed in range(20):
+        pairs = _Pairs(100, (Span(0, 0), Span(0, 0)))
+        pairs.reflection_step(0.3, Stream(seed).substream("reflection", 0), swap_expansion_draws=False)
+        bad = np.flatnonzero(~pairs.mirrored())
+        if bad.size and pairs.run[bad[0]] != bad[0]:
+            break
+    else:
+        pytest.fail("no seed puts a dead run before the first violation")
+    report = reflection_identity_check(1, 0.3, 100, seed, swap_expansion_draws=False)
+    assert report.params["first_violation"] == (int(pairs.run[bad[0]]), 1, *pairs.states(bad[0]))
+
+
 def test_runs_stopped_coalesced_are_counted_coalesced():
-    from boxchain.montecarlo import _PairBatch, _pathwise_run
+    from boxchain.montecarlo import _Pairs, _pathwise_run
 
     # Stopping every run as it coalesces leaves no coalesced pair in the
     # batch, yet each stopped run ended coalesced.
     stops, _, coalesced_runs = _pathwise_run(
         "coupled-invariants", 30, 0.5, 3_000, 11, (Span(-1, -1), Span(0, 0)),
-        _PairBatch.antithetic_step, lambda pairs: ~pairs.coalesced,
+        _Pairs.antithetic_step, lambda pairs: ~pairs.coalesced,
     )
     assert coalesced_runs == stops[1].sum() > 0
 
@@ -794,13 +873,14 @@ def test_rank_limit_checks_each_row():
 
 
 def test_pair_engine_rank_count_is_guarded():
-    from boxchain.montecarlo import _PairBatch
+    from boxchain.montecarlo import _Pairs
 
     # A host of 2**32 sites has 2**63 + 2**31 nonempty sub-intervals, past
     # int64: the count must raise, not wrap to a small rank range.
-    pairs = _PairBatch(4, Span(-(2**32), -1), Span(0, 2**32 - 1))
-    with pytest.raises(ValueError, match="int64 rank limit"):
-        pairs.draws(0.5, Stream(3))
+    for step in (_Pairs.antithetic_step, _Pairs.reflection_step):
+        pairs = _Pairs(4, (Span(-(2**32), -1), Span(0, 2**32 - 1)))
+        with pytest.raises(ValueError, match="int64 rank limit"):
+            step(pairs, 0.5, Stream(3))
 
 
 def test_nan_margin_counts_as_failure():

@@ -125,3 +125,19 @@ def test_each_entry_point_loads_only_what_it_runs(argv, absent, tmp_path):
 def test_threaded_runs_still_load_the_pool(tmp_path):
     probe = loaded(["mc", "--t", "1", "--trials", "20000", "--jobs", "2"], tmp_path)
     assert probe["futures"]
+
+
+def test_every_perfbench_trace_target_exists():
+    # The tracer wraps each target by name, in its owner's own namespace;
+    # a refactor that deletes or moves one of those names breaks the
+    # traced benchmark run, which tier-1 would not otherwise run.
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (owner.__name__, attr) for owner, attr, _ in tracing.TARGETS if attr not in owner.__dict__
+    ]
+    assert tracing.TARGETS and not missing
