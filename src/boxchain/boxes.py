@@ -24,6 +24,7 @@ __all__ = [
     "step_rect",
     "simulate_path_rect",
     "l1_norm",
+    "unit_box",
 ]
 
 

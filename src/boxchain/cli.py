@@ -77,9 +77,10 @@ _SUITES = {
     ),
 }
 
-# --mutant's choices: the mutants the suite table names, in the order of
-# montecarlo.MUTANTS, which the tests hold this equal to; the table lists
-# them in suite order, which is verify's row order.
+# --mutant's choices: the deliberate fault injections that confirm the
+# checks have teeth.  The tests hold them equal, as a set, to the mutants
+# the suite table names; the table lists those in suite order, which is
+# verify's row order.
 _MUTANTS = ("skip-antithetic-map", "unmirrored-reflection", "one-sided-expansion")
 
 # mc's sites when no site flag is given: x in -10..10 in 1-D, the L1 ball

@@ -39,7 +39,6 @@ __all__ = [
     "antithetic_mirror",
     "relabel_site",
     "unrelabel_site",
-    "relabel_endpoints",
     "classify_pair",
     "overlap",
     "antithetic_image",
@@ -81,11 +80,6 @@ def unrelabel_site(label: int) -> int:
     if label == 0:
         raise ValueError("label 0 does not exist in the zero-skipping labeling")
     return label - 1 if label >= 1 else label
-
-
-def relabel_endpoints(interval: Span) -> tuple[int, int]:
-    """(left, right) of a nonempty interval in zero-skipping labels."""
-    return relabel_site(interval.left), relabel_site(interval.right)
 
 
 class PairClass(Enum):
@@ -288,7 +282,7 @@ def coupled_expansion(
     Materializes independent right and left surfaces for the minus process
     (in that order) and applies :func:`coupled_expansion_amounts`.  The
     result is either an exactly coalesced identical pair or a pair that is
-    again antithetic.
+    again antithetic; any other result raises ``ValueError``.
     """
     _require_antithetic(tilde_minus, tilde_plus)
     offset = right_offset(tilde_minus, tilde_plus)
@@ -304,10 +298,8 @@ def coupled_expansion(
     )
     new_minus = Span(tilde_minus.left - m_left, tilde_minus.right + m_right)
     new_plus = Span(tilde_plus.left - p_left, tilde_plus.right + p_right)
-    if coalesced:
-        assert new_minus == new_plus
-    else:
-        assert new_plus == antithetic_mirror(new_minus)
+    if new_plus != (new_minus if coalesced else antithetic_mirror(new_minus)):
+        raise ValueError(f"coupled expansion gave {new_minus}, {new_plus} with coalesced={coalesced}")
     return CoupledState(new_minus, new_plus, coalesced)
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "Interval",
     "EMPTY",
     "size_of",
-    "contains",
     "validate_expansion_param",
     "UniformContraction",
     "UNIFORM",
@@ -71,10 +70,6 @@ EMPTY: Interval = None
 
 def size_of(interval: Interval) -> int:
     return 0 if interval is None else interval.size
-
-
-def contains(interval: Interval, site: int) -> bool:
-    return interval is not None and interval.left <= site <= interval.right
 
 
 def validate_expansion_param(p) -> None:
@@ -133,6 +128,15 @@ class KillThenUniformContraction:
 
     death_probability: Callable[[float, int], float] = uniform_death_probability
     expansion_p: float = 0.5
+
+    def death_at(self, n: int, exact: bool = False):
+        """``death_probability(p, n)`` at p = ``expansion_p``, or at
+        ``Fraction(expansion_p)`` when ``exact``; a value outside [0, 1]
+        (NaN included) raises ``ValueError``."""
+        death = self.death_probability(Fraction(self.expansion_p) if exact else self.expansion_p, n)
+        if not 0 <= death <= 1:
+            raise ValueError(f"death probability {death} outside [0, 1]")
+        return death
 
 
 @dataclass(frozen=True)
@@ -263,9 +267,7 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         left = state.left + stream.randbelow(n - k + 1)
         return Span(left, left + k - 1)
     if isinstance(rule, KillThenUniformContraction):
-        death = rule.death_probability(rule.expansion_p, n)
-        if not 0 <= death <= 1:
-            raise ValueError(f"death probability {death} outside [0, 1]")
+        death = rule.death_at(n)
         if stream.random() < death:
             return EMPTY
         total = count_nonempty_subintervals(n)

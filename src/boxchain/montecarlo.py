@@ -58,7 +58,6 @@ __all__ = [
     "OccupancyEstimate",
     "CheckReport",
     "CoalescenceSummary",
-    "MUTANTS",
     "wilson_interval",
     "hoeffding_interval",
     "estimate_occupancy",
@@ -75,9 +74,6 @@ __all__ = [
 _CHUNK = 8192
 # Cells in one block of the coverage sweep (8 bytes each, 2 MiB).
 _SWEEP_CELLS = 2**18
-
-# Deliberate fault injections used to confirm the checks have teeth.
-MUTANTS = ("skip-antithetic-map", "unmirrored-reflection", "one-sided-expansion")
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +266,7 @@ def _contract_chunk(
     if isinstance(rule, KillThenUniformContraction):
         death = np.empty(n.size)
         for nv in np.unique(n):
-            prob = rule.death_probability(rule.expansion_p, int(nv))
-            if not 0 <= prob <= 1:
-                raise ValueError(f"death probability {prob} outside [0, 1]")
-            death[n == nv] = prob
+            death[n == nv] = rule.death_at(int(nv))
         keep = np.flatnonzero(stream.random_array(n.size) >= death)
         (ranks,) = _rank_counts([n[keep]])
         return (keep, *_unrank_offsets_vec(n[keep], stream.integers_upto(ranks - 1)))

@@ -16,6 +16,7 @@ denominator, where mass conservation holds identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -101,8 +102,8 @@ class _WeightsView:
 
     A law given a dict returns that dict.  A law computed by the oracle
     builds the dict from its grid on first access: the nonzero cells, and
-    ``EMPTY`` only if its mass is positive.  Edits to either dict do not
-    reach the grid once it exists.
+    ``EMPTY`` only if its mass is positive.  Every law is on its grid from
+    the start, so edits to either dict never reach the grid.
     """
 
     def __get__(self, dist: Optional["StateDist"], owner: type) -> dict[Interval, Mass]:
@@ -124,13 +125,13 @@ class _WeightsView:
 class StateDist:
     """Finitely supported distribution over intervals plus tracked lost mass.
 
-    Every read and push sees the law on an upper-triangular grid:
-    ``grid[i, j]`` is the mass of ``Span(origin + i, origin + j)`` and
-    ``empty_mass`` that of the empty state.  A law the oracle computes is
-    made on its grid (``on_grid``) and builds ``weights`` only on first
+    Every law is held on an upper-triangular grid from the moment it is
+    built: ``grid[i, j]`` is the mass of ``Span(origin + i, origin + j)``
+    and ``empty_mass`` that of the empty state.  A law the oracle computes
+    is made on its grid (``on_grid``) and builds ``weights`` only on first
     access.  A law given as a dict keeps it as ``weights`` and is packed
-    onto the grid at its first read or push; a law with no span packs to a
-    0x0 grid, and one whose grid would pass the size limits raises
+    onto the grid when it is built; a law with no span packs to a 0x0
+    grid, and one whose grid would pass the size limits raises
     ``ValueError`` there.  On a rational law (``denom`` set) the grid is an
     object array of Python ints and ``empty_mass`` an int, all numerators
     over the common denominator ``denom``; ``lost`` and every mass read
@@ -141,13 +142,25 @@ class StateDist:
     lost: Mass
     exact: bool = False
 
-    # Set by ``on_grid``, or by ``_packed`` on a law given as a dict.
-    grid = None
-    origin = None
-    empty_mass = None
-    denom = None
-    _lost_units = None
-    _cover = None
+    def __post_init__(self) -> None:
+        """Pack the dict onto the grid: masses for a float law, numerators
+        over the lcm of every mass's denominator for a rational one."""
+        spans = [(iv.left, iv.right, w) for iv, w in self.weights.items() if iv is not None]
+        lefts, rights, masses = zip(*spans) if spans else ((), (), ())
+        lefts, rights = np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
+        origin, extent = (int(lefts.min()), int(rights.max() - lefts.min()) + 1) if spans else (0, 0)
+        empty = self.weights.get(EMPTY, 0)
+        if self.exact:
+            values = [Fraction(m) for m in (*masses, empty, self.lost)]
+            denom = lcm(*(v.denominator for v in values))
+            _check_object_grid(extent, denom.bit_length())
+            grid = np.zeros((extent, extent), dtype=object)
+            *masses, empty, lost = (v.numerator * (denom // v.denominator) for v in values)
+        else:
+            grid, denom = _zeros(extent), None
+            masses, empty, lost = [float(m) for m in masses], float(empty), float(self.lost)
+        grid[lefts - origin, rights - origin] = masses
+        self.grid, self.origin, self.empty_mass, self._lost_units, self.denom = grid, origin, empty, lost, denom
 
     @classmethod
     def on_grid(
@@ -155,9 +168,10 @@ class StateDist:
     ) -> "StateDist":
         """A law held as its endpoint grid: float masses, or with ``denom``
         integer numerators (grid, empty mass and lost) over it."""
-        dist = cls(None, lost if denom is None else Fraction(lost, denom), denom is not None)
-        dist.grid, dist.origin, dist.empty_mass, dist.denom = grid, origin, empty_mass, denom
-        dist._lost_units = lost
+        dist = cls.__new__(cls)  # no dict to pack, so ``__init__`` is skipped
+        dist.weights, dist.exact, dist.denom = None, denom is not None, denom
+        dist.grid, dist.origin, dist.empty_mass, dist._lost_units = grid, origin, empty_mass, lost
+        dist.lost = dist._mass(lost)
         return dist
 
     @classmethod
@@ -166,29 +180,12 @@ class StateDist:
         zero: Mass = Fraction(0) if exact else 0.0
         return cls({interval: one}, zero, exact)
 
-    def _packed(self) -> tuple:
-        """(grid, origin, empty, lost, denom) in grid units: masses for a
-        float law (``denom`` None), numerators over ``denom`` for a rational
-        one.  A law given as a dict is packed onto its grid on the first
-        call, from the dict as it is then."""
-        if self.grid is None:
-            spans = [(iv.left, iv.right, w) for iv, w in self.weights.items() if iv is not None]
-            lefts, rights, masses = zip(*spans) if spans else ((), (), ())
-            lefts, rights = np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
-            origin, extent = (int(lefts.min()), int(rights.max() - lefts.min()) + 1) if spans else (0, 0)
-            empty = self.weights.get(EMPTY, 0)
-            if self.exact:
-                values = [Fraction(m) for m in (*masses, empty, self.lost)]
-                denom = lcm(*(v.denominator for v in values))
-                _check_object_grid(extent, denom.bit_length())
-                grid = np.zeros((extent, extent), dtype=object)
-                *masses, empty, lost = (v.numerator * (denom // v.denominator) for v in values)
-            else:
-                grid, denom = _zeros(extent), None
-                masses, empty, lost = [float(m) for m in masses], float(empty), float(self.lost)
-            grid[lefts - origin, rights - origin] = masses
-            self.grid, self.origin, self.empty_mass, self._lost_units, self.denom = grid, origin, empty, lost, denom
-        return self.grid, self.origin, self.empty_mass, self._lost_units, self.denom
+    def _step(self, grid: np.ndarray, origin: int, scale: int, empty_units, lost_units) -> "StateDist":
+        """The law a step makes of this one, its units over this law's
+        denominator times ``scale``; a float law's units are Python floats."""
+        if self.denom is None:
+            return StateDist.on_grid(grid, origin, float(empty_units), float(lost_units))
+        return StateDist.on_grid(grid, origin, empty_units, lost_units, self.denom * scale)
 
     def _mass(self, units) -> Mass:
         """The mass of ``units`` grid units."""
@@ -197,12 +194,11 @@ class StateDist:
     def _cells(self) -> tuple[list[int], list[int], list[Mass]]:
         """Left ends, right ends and masses of the nonzero cells, in
         row-major order, which is sorted by (left, right)."""
-        grid, origin, _, _, denom = self._packed()
-        rows, cols = np.nonzero(grid)
-        masses = grid[rows, cols].tolist()
-        if denom is not None:
-            masses = [Fraction(m, denom) for m in masses]
-        return (rows + origin).tolist(), (cols + origin).tolist(), masses
+        rows, cols = np.nonzero(self.grid)
+        masses = self.grid[rows, cols].tolist()
+        if self.denom is not None:
+            masses = [Fraction(m, self.denom) for m in masses]
+        return (rows + self.origin).tolist(), (cols + self.origin).tolist(), masses
 
     def span_rows(self) -> list[tuple[int, int, Mass]]:
         """``(left, right, mass)`` for every span with mass, sorted, read
@@ -210,37 +206,36 @@ class StateDist:
         return list(zip(*self._cells()))
 
     def total(self) -> Mass:
-        grid, _, empty, lost, _ = self._packed()
-        return self._mass(grid.sum() + empty + lost)
+        return self._mass(self.grid.sum() + self.empty_mass + self._lost_units)
 
     def mass_of(self, interval: Interval) -> Mass:
-        grid, origin, empty, _, _ = self._packed()
         if interval is None:
-            return self._mass(empty)
-        left, right = interval.left - origin, interval.right - origin
-        return self._mass(grid[left, right] if 0 <= left and right < len(grid) else 0)
+            return self._mass(self.empty_mass)
+        left, right = interval.left - self.origin, interval.right - self.origin
+        return self._mass(self.grid[left, right] if 0 <= left and right < len(self.grid) else 0)
 
     def support(self) -> tuple[int, int]:
         """(number of spans with mass, sites from the leftmost left end to
         the rightmost right end), read off the grid."""
-        grid = self._packed()[0]
-        rows = np.flatnonzero(grid.any(axis=1))
+        rows = np.flatnonzero(self.grid.any(axis=1))
         if not len(rows):
             return 0, 0
-        cols = np.flatnonzero(grid.any(axis=0))
-        return int(np.count_nonzero(grid)), int(cols[-1] - rows[0]) + 1
+        cols = np.flatnonzero(self.grid.any(axis=0))
+        return int(np.count_nonzero(self.grid)), int(cols[-1] - rows[0]) + 1
 
     def common_denominator(self) -> Optional[int]:
         """The denominator a rational law's masses and ``lost`` share; None
         for a float law."""
-        return self._packed()[4]
+        return self.denom
+
+    @cached_property
+    def _cover(self) -> np.ndarray:
+        # The diagonal of the dominance sums: acc[k, k] sums the cells with
+        # left <= k <= right.
+        return np.diagonal(_dominance(self.grid)).copy()
 
     def _coverage(self, site: int) -> Mass:
         """Mass of the spans that contain ``site``."""
-        if self._cover is None:
-            # The diagonal of the dominance sums: acc[k, k] sums the cells
-            # with left <= k <= right.
-            self._cover = np.diagonal(_dominance(self._packed()[0])).copy()
         k = site - self.origin
         return self._mass(self._cover[k] if 0 <= k < len(self._cover) else 0)
 
@@ -283,9 +278,7 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
                 out[Span(left, left + k - 1)] = share
         return out
     if isinstance(rule, KillThenUniformContraction):
-        death = rule.death_probability(Fraction(rule.expansion_p) if exact else rule.expansion_p, n)
-        if not 0 <= death <= 1:
-            raise ValueError(f"death probability {death} outside [0, 1]")
+        death = rule.death_at(n, exact)
         death_mass: Mass = Fraction(death) if exact else float(death)
         total = count_nonempty_subintervals(n)
         survive = (1 - death_mass) / total
@@ -384,11 +377,7 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
             terms.append((share, death, np.where(sizes == k, 1, 0).astype(dtype)))
         return terms
     if isinstance(rule, KillThenUniformContraction):
-        p = Fraction(rule.expansion_p) if exact else rule.expansion_p
-        death = [rule.death_probability(p, n) for n in sizes.tolist()]
-        bad = [d for d in death if not 0 <= d <= 1]
-        if bad:
-            raise ValueError(f"death probability {bad[0]} outside [0, 1]")
+        death = [rule.death_at(n, exact) for n in sizes.tolist()]
         death = np.array([Fraction(d) for d in death] if exact else death, dtype)
         return [((one - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes), dtype))]
     if isinstance(rule, EndpointResampleContraction):
@@ -406,23 +395,6 @@ def _contract_grid(grid: np.ndarray, empty: Mass, terms: list[tuple]) -> tuple[n
         if death is not None:
             empty += np.einsum("ij,ij->", grid, _by_size(death))
     return (np.zeros_like(grid) if out is None else out), empty
-
-
-def _contract_exact(grid: np.ndarray, empty: int, lost: int, denom: int, terms: list[tuple]) -> tuple:
-    """``_contract_grid`` on numerators: the rational factors of every term
-    are scaled to integers by the lcm L of their denominators, and every
-    numerator and the common denominator gain the factor L."""
-    scale = lcm(*(f.denominator for term in terms for factor in term[:2] if factor is not None for f in factor))
-
-    def integers(factor):
-        if factor is None:
-            return None
-        return np.array([f.numerator * (scale // f.denominator) for f in factor], dtype=object)
-
-    _check_object_grid(len(grid), (denom * scale).bit_length())
-    terms = [(integers(share), integers(death), outcome) for share, death, outcome in terms]
-    out, empty = _contract_grid(grid, empty * scale, terms)
-    return out, empty, lost * scale, denom * scale
 
 
 def _geometric_sum(
@@ -463,71 +435,68 @@ def _geometric_sum(
             c += 1
 
 
-def _expand_grid(grid: np.ndarray, p: float, n_max: int) -> tuple[np.ndarray, int, float]:
-    """Returns (expanded grid, origin shift, lost increment).
+def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
+    """Returns (expanded grid, denominator factor, lost increment).
 
     Each endpoint moves out by a geometric amount truncated at ``n_max``,
-    the left one first, then the right one.
+    the left one first, then the right one; the origin moves down by
+    ``n_max``.  A float law (``denom`` None) takes the kernel (1 - p) p**a
+    and keeps the factor 1.  A rational law, for p = num/den, takes the
+    kernel (den - num) num**a den**(n_max - a) over den**(n_max + 1),
+    summed by ``_geometric_sum`` in homogeneous form, and its numerators
+    are over its denominator times the factor den**(2 (n_max + 1)).
     """
-    kernel = (1.0 - p) * p ** np.arange(n_max + 1)
-    retained = float(kernel.sum())
-    size = len(grid)
-    out = _zeros(size + 2 * n_max)
-    # Rows hold left endpoints, which move to lower rows: up the reversed rows.
-    left = out[: size + n_max, n_max : n_max + size]
-    _geometric_sum(left[::-1], (1.0 - p) ** 2 * grid[::-1], p, n_max + 1, axis=0)
-    # Columns hold right endpoints, which move to higher columns.
-    _geometric_sum(out[: size + n_max, n_max:], left.copy(), p, n_max + 1, axis=1)
-    live = float(grid.sum())
-    return out, n_max, live * (1.0 - retained * retained)
-
-
-def _expand_exact(grid: np.ndarray, p: Fraction, n_max: int, denom: int) -> tuple:
-    """``_expand_grid`` on numerators over ``denom``, for p = num/den.
-
-    The kernel is (den - num) num**a den**(n_max - a) over den**(n_max + 1),
-    summed by ``_geometric_sum`` in homogeneous form; the common
-    denominator gains the factor den**(2 (n_max + 1)).  Returns (expanded
-    grid, origin shift, that factor, lost increment over the new
-    denominator).
-    """
-    num, den = p.numerator, p.denominator
     terms = n_max + 1
     size = len(grid)
-    _check_object_grid(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
-    out = np.zeros((size + 2 * n_max, size + 2 * n_max), dtype=object)
+    if denom is None:
+        num, den, homogeneous = float(p), 1.0, None
+        out = _zeros(size + 2 * n_max)
+        scale, retained = 1, float(((1.0 - num) * num ** np.arange(terms)).sum())
+    else:
+        p = Fraction(p)
+        num, den, homogeneous = p.numerator, p.denominator, p.denominator
+        _check_object_grid(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
+        out = np.zeros((size + 2 * n_max, size + 2 * n_max), dtype=object)
+        scale, retained = den ** (2 * terms), den**terms - num**terms
+    # Rows hold left endpoints, which move to lower rows: up the reversed rows.
     left = out[: size + n_max, n_max : n_max + size]
-    _geometric_sum(left[::-1], (den - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
-    _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=den)
-    scale = den ** (2 * terms)
-    retained = den**terms - num**terms
-    return out, n_max, scale, grid.sum() * (scale - retained * retained)
+    _geometric_sum(left[::-1], (den - num) ** 2 * grid[::-1], num, terms, axis=0, den=homogeneous)
+    # Columns hold right endpoints, which move to higher columns.
+    _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=homogeneous)
+    return out, scale, grid.sum() * (scale - retained * retained)
 
 
 def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist:
-    """Exact mixture over all contraction outcomes of every source state."""
-    grid, origin, empty, lost, denom = dist._packed()
-    terms = _grid_factors(rule, np.arange(1, len(grid) + 1), dist.exact)
-    if denom is None:
-        grid, empty = _contract_grid(grid, empty, terms)
-        return StateDist.on_grid(grid, origin, float(empty), lost)
-    grid, empty, lost, denom = _contract_exact(grid, empty, lost, denom, terms)
-    return StateDist.on_grid(grid, origin, empty, lost, denom)
+    """Exact mixture over all contraction outcomes of every source state.
+
+    On a rational law the rational factors of every term are scaled to
+    integers by the lcm L of their denominators, and every numerator and
+    the common denominator gain the factor L.
+    """
+    terms = _grid_factors(rule, np.arange(1, len(dist.grid) + 1), dist.exact)
+    scale = 1
+    if dist.denom is not None:
+        scale = lcm(*(f.denominator for term in terms for factor in term[:2] if factor is not None for f in factor))
+        _check_object_grid(len(dist.grid), (dist.denom * scale).bit_length())
+
+        def integers(factor):
+            return None if factor is None else np.array([int(f * scale) for f in factor], dtype=object)
+
+        terms = [(integers(share), integers(death), outcome) for share, death, outcome in terms]
+    grid, empty = _contract_grid(dist.grid, dist.empty_mass * scale, terms)
+    return dist._step(grid, dist.origin, scale, empty, dist._lost_units * scale)
 
 
 def expansion_pushforward(dist: StateDist, p, policy: TruncationPolicy) -> StateDist:
     """Convolve every span with two truncated geometrics; track the tails."""
     validate_expansion_param(p)
-    grid, origin, empty, lost, denom = dist._packed()
-    if not grid.any():
+    if not dist.grid.any():
         # No span has mass: nothing moves and nothing is lost, so the law
         # keeps its denominator and no zero grid is grown.
-        return StateDist.on_grid(grid[:0, :0], origin, empty, lost, denom)
-    if denom is None:
-        grid, shift, lost_inc = _expand_grid(grid, float(p), policy.n_max)
-        return StateDist.on_grid(grid, origin - shift, empty, lost + lost_inc)
-    grid, shift, scale, lost_inc = _expand_exact(grid, Fraction(p), policy.n_max, denom)
-    return StateDist.on_grid(grid, origin - shift, empty * scale, lost * scale + lost_inc, denom * scale)
+        return dist._step(dist.grid[:0, :0], dist.origin, 1, dist.empty_mass, dist._lost_units)
+    grid, scale, lost_inc = _expand(dist.grid, p, policy.n_max, dist.denom)
+    origin = dist.origin - policy.n_max
+    return dist._step(grid, origin, scale, dist.empty_mass * scale, dist._lost_units * scale + lost_inc)
 
 
 def evolve(
@@ -541,8 +510,7 @@ def evolve(
     """Law of the process after ``horizon`` steps from a point mass.
 
     ``lost`` is nondecreasing in the horizon and bounds the bracket width
-    of every occupancy value.  Every step ends with an expansion, so the
-    law of every horizon from 1 on is a grid law.
+    of every occupancy value.
     """
     validate_expansion_param(p)
     if horizon < 0:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+__all__ = ["Stream"]
+
 _BLOCK = 512
 _WORD_MAX = (1 << 64) - 1
 

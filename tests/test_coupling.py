@@ -323,6 +323,18 @@ def test_coupled_expansion_requires_antithetic():
         coupled_expansion(Span(0, 0), Span(0, 0), 0.5, Stream(0))
 
 
+@pytest.mark.parametrize("amounts", [(True, 0, 0, 1, 0), (False, 0, 0, 1, 0)])
+def test_coupled_expansion_fails_closed_on_inconsistent_amounts(amounts, monkeypatch):
+    # The invariant holds as a raise, not an assert, so it is kept under -O.
+    # Plus moves one site left and minus stays put: the pair neither
+    # coalesces nor stays antithetic.
+    from boxchain import coupling
+
+    monkeypatch.setattr(coupling, "coupled_expansion_amounts", lambda *_: amounts)
+    with pytest.raises(ValueError, match="coupled expansion gave"):
+        coupled_expansion(Span(-1, -1), Span(0, 0), 0.5, Stream(0))
+
+
 # ---------------------------------------------------------------------------
 # full coupled steps
 

@@ -12,11 +12,14 @@ from boxchain import (
     SizeWeightedContraction,
     Span,
     StateDist,
+    Stream,
     TruncationPolicy,
     UNIFORM,
+    contract,
     contraction_outcome_pmf,
     contraction_pushforward,
     coupling_transition_check,
+    estimate_occupancy,
     evolve,
     expansion_pushforward,
     occupancy_bounds,
@@ -295,16 +298,16 @@ def reference_uniform_evolve(p, n_max, t):
 
 
 def test_doubling_expansion_matches_shifted_add():
-    from boxchain.oracle import _expand_grid
+    from boxchain.oracle import _expand
 
     rng = np.random.default_rng(3)
     for n_max in (0, 1, 2, 3, 7, 8, 120):
         for p in (0.3, 0.8):
             grid = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.5))
             grid[0, 8] = 0.25  # the widest span
-            got, shift, lost_inc = _expand_grid(grid, p, n_max)
+            got, scale, lost_inc = _expand(grid, p, n_max, None)
             want = shifted_add_expansion(grid, geometric_kernel(p, n_max))
-            assert shift == n_max
+            assert scale == 1
             assert got.shape == want.shape
             assert np.array_equal(got != 0, want != 0)
             assert (got >= 0).all()
@@ -315,7 +318,7 @@ def test_doubling_expansion_matches_shifted_add():
 
 
 def test_exact_doubling_expansion_matches_shifted_add():
-    from boxchain.oracle import _expand_exact
+    from boxchain.oracle import _expand
 
     rng = np.random.default_rng(5)
     for n_max in (0, 1, 2, 3, 7, 8, 20):
@@ -323,9 +326,9 @@ def test_exact_doubling_expansion_matches_shifted_add():
             num, den, terms = p.numerator, p.denominator, n_max + 1
             grid = np.triu(rng.integers(1, 50, (9, 9)) * (rng.random((9, 9)) < 0.5)).astype(object)
             grid[0, 8] = 7  # the widest span
-            got, shift, scale, lost_inc = _expand_exact(grid, p, n_max, 1000)
+            got, scale, lost_inc = _expand(grid, p, n_max, 1000)
             kernel = [(den - num) * num**a * den ** (n_max - a) for a in range(terms)]
-            assert (shift, scale) == (n_max, den ** (2 * terms))
+            assert scale == den ** (2 * terms)
             assert np.array_equal(got, shifted_add_expansion(grid, kernel))
             assert lost_inc == grid.sum() * (scale - (den**terms - num**terms) ** 2)
 
@@ -349,7 +352,7 @@ def test_grid_law_reads_match_dict_route():
     for rule, t in ((UNIFORM, 3), (EndpointResampleContraction(), 2)):
         law = evolve(Span(-1, 1), t, rule=rule, p=0.7, policy=TruncationPolicy(25))
         as_dict = StateDist(dict(law.weights), law.lost)
-        assert as_dict.grid is None and len(as_dict.weights) >= 512
+        assert len(as_dict.weights) >= 512
         assert law.total() == pytest.approx(as_dict.total(), abs=1e-14)
         for got, want in zip(occupancy_table(law, sites), occupancy_table(as_dict, sites)):
             assert got.site == want.site
@@ -385,23 +388,25 @@ def test_kill_rule_grid_matches_rational():
 def test_kill_rule_rejects_bad_death_probability():
     for death in (1.5, -0.1, float("nan")):
         rule = KillThenUniformContraction(lambda p, n, d=death: d, 0.5)
-        with pytest.raises(ValueError, match="outside"):
-            evolve(Span(0, 0), 1, rule=rule)
-        with pytest.raises(ValueError, match="outside"):
-            contraction_pushforward(StateDist({Span(0, 1): 1.0}, 0.0), rule)
+        for refused in (
+            lambda: evolve(Span(0, 0), 1, rule=rule),
+            lambda: evolve(Span(0, 0), 1, rule=rule, exact=True),
+            lambda: contraction_pushforward(StateDist({Span(0, 1): 1.0}, 0.0), rule),
+            lambda: contraction_outcome_pmf(Span(0, 1), rule, exact=True),
+            lambda: contract(Span(0, 1), rule, Stream(0)),
+            lambda: estimate_occupancy(Span(0, 1), 1, [0], 10, rule=rule),
+        ):
+            with pytest.raises(ValueError, match="outside"):
+                refused()
 
 
 def test_huge_grid_fails_closed_without_allocating():
-    far = StateDist({Span(0, 0): 0.5, Span(10**5, 10**5): 0.5}, 0.0)
     tracemalloc.start()
     try:
         for push in (
-            lambda: contraction_pushforward(far, UNIFORM),
-            lambda: expansion_pushforward(far, 0.5, TruncationPolicy(3)),
-            # A read packs the law onto the same grid, so it is refused too.
-            far.total,
-            far.support,
-            lambda: occupancy_bounds(far, 0),
+            # A law given as a dict is packed onto its grid when it is built,
+            # so one whose grid is too large is refused there.
+            lambda: StateDist({Span(0, 0): 0.5, Span(10**5, 10**5): 0.5}, 0.0),
             lambda: evolve(Span(0, 10**5), 1),
             lambda: evolve(Span(0, 0), 1, policy=TruncationPolicy(10**4)),
         ):
@@ -415,12 +420,17 @@ def test_huge_grid_fails_closed_without_allocating():
 
 def test_huge_rational_grid_fails_closed_without_allocating():
     half = Fraction(1, 2)
-    far = StateDist({Span(0, 0): half, Span(10**5, 10**5): half}, Fraction(0), exact=True)
+    # A grid of extent 1000 over the denominator 1 is small, but the uniform
+    # rule's factors at sizes 1..1000 have an lcm of 9152 bits, which every
+    # numerator of its contraction may reach.
+    wide = np.zeros((1000, 1000), dtype=object)
+    wide[0, -1] = 1
+    wide = StateDist.on_grid(wide, 0, 0, 0, 1)
     tracemalloc.start()
     try:
         for push, extent in (
-            (lambda: contraction_pushforward(far, UNIFORM), 100001),
-            (lambda: expansion_pushforward(far, half, TruncationPolicy(3)), 100001),
+            (lambda: StateDist({Span(0, 0): half, Span(10**5, 10**5): half}, Fraction(0), exact=True), 100001),
+            (lambda: contraction_pushforward(wide, UNIFORM), 1000),
             (lambda: evolve(Span(0, 0), 1, policy=TruncationPolicy(10**4), exact=True), 20001),
             # A float grid of extent 201 is small, but this one's numerators
             # need 2 * 101 * 3170 bits each.

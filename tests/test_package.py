@@ -71,14 +71,21 @@ def test_unknown_attribute_raises_attribute_error():
         exec("from boxchain import no_such_name", {})
 
 
+def test_every_export_is_in_its_modules_all():
+    # ``from boxchain.<module> import *`` gives every name the package
+    # exports from that module.
+    missing = [(m, name) for m, names in boxchain._EXPORTS.items() for name in names
+               if name not in getattr(getattr(boxchain, m), "__all__", ())]
+    assert not missing
+
+
 def test_mutant_choices_are_montecarlo_mutants():
     from boxchain.cli import _MUTANTS, _SUITES, build_parser
 
-    assert _MUTANTS == montecarlo.MUTANTS
     assert set(_MUTANTS) == {mutant for *_, mutant in _SUITES.values()} - {None}
     verify = build_parser()._subparsers._group_actions[0].choices["verify"]
     (mutant,) = (a for a in verify._actions if a.dest == "mutant")
-    assert tuple(mutant.choices) == montecarlo.MUTANTS
+    assert tuple(mutant.choices) == _MUTANTS
 
 
 # What a fresh process loads: run ``main(argv)`` (or nothing, for a bare
