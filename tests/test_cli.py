@@ -603,3 +603,74 @@ def test_sidecar_records_versions(tmp_path):
         "python": "{}.{}.{}".format(*sys.version_info),
         "numpy": numpy.__version__,
     }
+
+
+# CSVs as simulate and mc wrote them while each subcommand still had one
+# branch per dimension; one path for every dimension must keep them.
+PINNED_CSVS = {
+    "simulate-1d": (
+        ["simulate", "--t", "3", "--seed", "4", "--trials", "3"],
+        b"trial,t,left,right\r\n0,0,0,0\r\n0,1,EMPTY,EMPTY\r\n0,2,EMPTY,EMPTY\r\n0,3,EMPTY,EMPTY\r\n"
+        b"1,0,0,0\r\n1,1,EMPTY,EMPTY\r\n1,2,EMPTY,EMPTY\r\n1,3,EMPTY,EMPTY\r\n"
+        b"2,0,0,0\r\n2,1,EMPTY,EMPTY\r\n2,2,EMPTY,EMPTY\r\n2,3,EMPTY,EMPTY\r\n",
+    ),
+    "simulate-2d": (
+        ["simulate", "--dimension", "2", "--initial=-1:2,0:3", "--t", "2", "--trials", "3"],
+        b"trial,t,left0,right0,left1,right1\r\n0,0,-1,2,0,3\r\n0,1,-3,1,0,2\r\n0,2,0,1,1,2\r\n"
+        b"1,0,-1,2,0,3\r\n1,1,-2,1,0,1\r\n1,2,1,2,1,1\r\n"
+        b"2,0,-1,2,0,3\r\n2,1,-1,1,1,5\r\n2,2,-1,2,0,6\r\n",
+    ),
+    "mc-1d": (
+        ["mc", "--sites", "3,1,-2", "--variant", "endpoint-resample", "--trials", "1000"],
+        b"x,estimate,ci_lo,ci_hi\r\n3,0.276,0.24115490177347138,0.31379794010325496\r\n"
+        b"1,0.574,0.5333633322275833,0.6136611753667125\r\n"
+        b"-2,0.434,0.39419487086970606,0.47467516289754363\r\n",
+    ),
+    "mc-2d": (
+        ["mc", "--dimension", "2", "--radius", "2", "--t", "1", "--trials", "5000"],
+        b"x,y,estimate,ci_lo,ci_hi\r\n-2,0,0.1224,0.11095874153526673,0.13484206519751357\r\n"
+        b"-1,-1,0.1228,0.11134149263052659,0.13525825392563004\r\n"
+        b"-1,0,0.246,0.23065475176351538,0.26201846039253923\r\n"
+        b"-1,1,0.1246,0.11306437778000783,0.13713059798134208\r\n"
+        b"0,-2,0.125,0.11344735241210421,0.137546563172622\r\n"
+        b"0,-1,0.2432,0.22791893126547252,0.259161702126948\r\n"
+        b"0,0,0.4872,0.4690211292788821,0.5054127963730767\r\n"
+        b"0,1,0.2436,0.22830970779867626,0.2595698654171206\r\n"
+        b"0,2,0.1196,0.10828064723042016,0.1319275807387261\r\n"
+        b"1,-1,0.1244,0.11287290555297476,0.136922600296687\r\n"
+        b"1,0,0.249,0.23358697693403196,0.26507828389734484\r\n"
+        b"1,1,0.1274,0.11574603661292346,0.14004151791206057\r\n"
+        b"2,0,0.1218,0.11038469219138997,0.13421770480632592\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CSVS)
+def test_simulate_and_mc_csvs_pinned(tmp_path, name):
+    argv, expected = PINNED_CSVS[name]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc", "exact"])
+def test_unsupported_dimension_is_a_usage_error(tmp_path, command):
+    out = tmp_path / "r.csv"
+    assert main([command, "--dimension", "3", "--t", "1", "--out", str(out)]
+                + (["--trials", "100"] if command == "mc" else [])) == 2
+    assert not out.exists()
+    assert not (tmp_path / "r.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize("dimension, initial", [
+    ("1", "0:0,0:0"),
+    ("2", "0:0"),
+    ("2", "0:0,0:0,0:0"),
+])
+def test_initial_with_the_wrong_number_of_axes_is_a_usage_error(tmp_path, command, dimension, initial):
+    out = tmp_path / "r.csv"
+    assert main([command, "--dimension", dimension, f"--initial={initial}", "--t", "1", "--out", str(out)]
+                + (["--trials", "100"] if command == "mc" else [])) == 2
+    assert not out.exists()
+    assert not (tmp_path / "r.csv.meta.json").exists()
