@@ -7,6 +7,10 @@ exact      certified occupancy brackets from the truncated exact law (1-D)
 mc         Monte Carlo occupancy estimates with confidence intervals
 verify     run the statistical/structural verification suites
 
+``simulate`` and ``mc`` run each dimension in ``_DIMENSIONS`` by one path,
+``--initial`` giving one span per axis; ``exact`` and the contraction
+variants other than ``uniform`` are one-dimensional.
+
 Every output CSV is deterministic given the seed and parameters; a sidecar
 ``<output>.meta.json`` records the full configuration, the seed, the wall
 time and the versions for reproduction.
@@ -28,8 +32,9 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intervals import (
     EndpointResampleContraction,
@@ -39,9 +44,6 @@ from .intervals import (
     simulate_path,
 )
 from .stream import Stream
-
-if TYPE_CHECKING:
-    from .boxes import Box
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -77,11 +79,16 @@ _SUITES = {
     ),
 }
 
-# --mutant's choices: the deliberate fault injections that confirm the
-# checks have teeth.  The tests hold them equal, as a set, to the mutants
-# the suite table names; the table lists those in suite order, which is
-# verify's row order.
-_MUTANTS = ("skip-antithetic-map", "unmirrored-reflection", "one-sided-expansion")
+# --mutant's choices, in suite order: the deliberate fault injections that
+# confirm the checks have teeth.
+_MUTANTS = tuple(dict.fromkeys(mutant for *_, mutant in _SUITES.values() if mutant is not None))
+
+# The dimensions simulate and mc run in, each with the CSV columns of a
+# state's spans (simulate) and of a site (mc).
+_DIMENSIONS = {
+    1: (("left", "right"), ("x",)),
+    2: (("left0", "right0", "left1", "right1"), ("x", "y")),
+}
 
 # mc's sites when no site flag is given: x in -10..10 in 1-D, the L1 ball
 # of radius 4 in 2-D.
@@ -102,6 +109,10 @@ def _build_rule(args, p):
     """The contraction rule of ``--variant``; rational when ``p`` is."""
     if args.p_empty is not None and args.variant != "kill-uniform":
         raise UsageError(f"--p-empty applies only with --variant kill-uniform, not --variant {args.variant}")
+    if args.variant != "uniform" and args.dimension != 1:
+        raise UsageError(
+            f"contraction variants are one-dimensional; use --variant uniform with --dimension {args.dimension}"
+        )
     if args.variant == "uniform":
         return UNIFORM
     if args.variant == "kill-uniform":
@@ -118,29 +129,21 @@ def _build_rule(args, p):
     raise UsageError(f"unknown variant {args.variant!r}")
 
 
-def _parse_initial_1d(text: str) -> Span:
+def _parse_initial(text: Optional[str], dimension: int) -> tuple[Span, ...]:
+    """``--initial`` as one span per axis; the origin's unit box if not given."""
+    if text is None:
+        return (Span(0, 0),) * dimension
+    form = ",".join(f"L{axis}:R{axis}" for axis in range(dimension))
     try:
-        left, right = (int(part) for part in text.split(":"))
-        return Span(left, right)
-    except Exception as exc:
-        raise UsageError(f"bad 1-D initial state {text!r}, expected LEFT:RIGHT") from exc
-
-
-def _parse_initial_2d(text: str) -> Box:
-    from .boxes import Box
-
-    try:
-        axes = text.split(",")
         spans = []
-        for axis in axes:
-            left, right = (int(part) for part in axis.split(":"))
+        for axis in text.split(","):
+            left, right = (int(end) for end in axis.split(":"))
             spans.append(Span(left, right))
-        box = Box(tuple(spans))
-    except Exception as exc:
-        raise UsageError(f"bad 2-D initial state {text!r}, expected L0:R0,L1:R1") from exc
-    if box.dim != 2:
-        raise UsageError(f"expected two axes in {text!r}")
-    return box
+    except ValueError as exc:
+        raise UsageError(f"bad initial state {text!r}, expected {form}") from exc
+    if len(spans) != dimension:
+        raise UsageError(f"initial state {text!r} has the wrong axis count, expected {form}")
+    return tuple(spans)
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -172,12 +175,6 @@ def _write_meta(path: str, command: str, args, extra: Optional[dict] = None, wal
         handle.write("\n")
 
 
-def _bound_cells(interval) -> tuple:
-    if interval is None:
-        return "EMPTY", "EMPTY"
-    return interval.left, interval.right
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,33 +182,24 @@ def _bound_cells(interval) -> tuple:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     rule = _build_rule(args, args.p)
-    rows = []
+    initial = _parse_initial(args.initial, args.dimension)
     if args.dimension == 1:
-        initial = _parse_initial_1d(args.initial or "0:0")
-        header = ["trial", "t", "left", "right"]
-        for trial in range(args.trials):
-            stream = Stream(args.seed).substream("simulate", trial)
-            path = simulate_path(initial, args.t, rule, args.p, stream)
-            for when, state in enumerate(path):
-                rows.append((trial, when, *_bound_cells(state)))
-    elif args.dimension == 2:
-        from .boxes import simulate_path_rect
-
-        if args.variant != "uniform":
-            raise UsageError("contraction variants are one-dimensional; use --variant uniform with --dimension 2")
-        initial = _parse_initial_2d(args.initial or "0:0,0:0")
-        header = ["trial", "t", "left0", "right0", "left1", "right1"]
-        for trial in range(args.trials):
-            stream = Stream(args.seed).substream("simulate", trial)
-            path = simulate_path_rect(initial, args.t, args.p, stream)
-            for when, state in enumerate(path):
-                if state is None:
-                    rows.append((trial, when, "EMPTY", "EMPTY", "EMPTY", "EMPTY"))
-                else:
-                    rows.append((trial, when, *_bound_cells(state.spans[0]), *_bound_cells(state.spans[1])))
+        simulate = partial(simulate_path, initial[0], args.t, rule, args.p)
+        spans_of = lambda span: (span,)
     else:
-        raise UsageError(f"--dimension must be 1 or 2, got {args.dimension}")
-    _write_csv(args.out, header, rows)
+        from .boxes import Box, simulate_path_rect
+
+        simulate = partial(simulate_path_rect, Box(initial), args.t, args.p)
+        spans_of = lambda box: box.spans
+    columns, _ = _DIMENSIONS[args.dimension]
+    rows = []
+    for trial in range(args.trials):
+        for when, state in enumerate(simulate(Stream(args.seed).substream("simulate", trial))):
+            if state is None:
+                rows.append((trial, when, *["EMPTY"] * len(columns)))
+            else:
+                rows.append((trial, when, *(end for span in spans_of(state) for end in (span.left, span.right))))
+    _write_csv(args.out, ["trial", "t", *columns], rows)
     _write_meta(args.out, "simulate", args, wall_time=time.perf_counter() - started)
     return 0
 
@@ -220,9 +208,7 @@ def cmd_exact(args) -> int:
     from . import oracle
 
     started = time.perf_counter()
-    if args.dimension != 1:
-        raise UsageError("the exact law is only propagated in one dimension")
-    initial = _parse_initial_1d(args.initial or "0:0")
+    (initial,) = _parse_initial(args.initial, args.dimension)
     if args.x_min > args.x_max:
         raise UsageError(f"no sites requested: --x-min {args.x_min} is above --x-max {args.x_max}")
     exact = args.arithmetic == "rational"
@@ -264,6 +250,7 @@ def cmd_mc(args) -> int:
 
     started = time.perf_counter()
     rule = _build_rule(args, args.p)
+    initial = _parse_initial(args.initial, args.dimension)
     if args.dimension == 1:
         _refuse_flags(args, ("--radius",), "applies only with --dimension 2, not --dimension 1")
         if args.sites is not None:
@@ -277,60 +264,28 @@ def cmd_mc(args) -> int:
             args.x_min = _MC_X_RANGE[0] if args.x_min is None else args.x_min
             args.x_max = _MC_X_RANGE[1] if args.x_max is None else args.x_max
             sites = list(range(args.x_min, args.x_max + 1))
-        if not sites:
-            raise UsageError("no sites requested")
-        initial = _parse_initial_1d(args.initial or "0:0")
-        estimates = montecarlo.estimate_occupancy(
-            initial,
-            args.t,
-            sites,
-            args.trials,
-            rule=rule,
-            p=args.p,
-            seed=args.seed,
-            confidence=args.confidence,
-            method=args.ci,
-            jobs=args.jobs,
-        )
-        rows = [
-            (e.site, repr(e.estimate), repr(e.ci_lo), repr(e.ci_hi)) for e in estimates
-        ]
-        _write_csv(args.out, ["x", "estimate", "ci_lo", "ci_hi"], rows)
-    elif args.dimension == 2:
-        _refuse_flags(
-            args, ("--sites", "--x-min", "--x-max"), "applies only with --dimension 1, not --dimension 2"
-        )
-        if args.variant != "uniform":
-            raise UsageError("contraction variants are one-dimensional; use --variant uniform with --dimension 2")
+        estimate = partial(montecarlo.estimate_occupancy, initial[0], rule=rule)
+    else:
+        from .boxes import Box
+
+        why = f"applies only with --dimension 1, not --dimension {args.dimension}"
+        _refuse_flags(args, ("--sites", "--x-min", "--x-max"), why)
         if args.radius is None:
             args.radius = _MC_RADIUS
-        points = [
-            (x, y)
-            for x in range(-args.radius, args.radius + 1)
-            for y in range(-args.radius, args.radius + 1)
-            if abs(x) + abs(y) <= args.radius
-        ]
-        if not points:
-            raise UsageError("no sites requested")
-        initial = _parse_initial_2d(args.initial or "0:0,0:0")
-        estimates = montecarlo.estimate_occupancy_2d(
-            initial,
-            args.t,
-            points,
-            args.trials,
-            p=args.p,
-            seed=args.seed,
-            confidence=args.confidence,
-            method=args.ci,
-            jobs=args.jobs,
-        )
-        rows = [
-            (e.site[0], e.site[1], repr(e.estimate), repr(e.ci_lo), repr(e.ci_hi))
-            for e in estimates
-        ]
-        _write_csv(args.out, ["x", "y", "estimate", "ci_lo", "ci_hi"], rows)
-    else:
-        raise UsageError(f"--dimension must be 1 or 2, got {args.dimension}")
+        sites = montecarlo._l1_ball(args.radius, args.dimension)
+        estimate = partial(montecarlo.estimate_occupancy_2d, Box(initial))
+    if not sites:
+        raise UsageError("no sites requested")
+    estimates = estimate(
+        args.t, sites, args.trials,
+        p=args.p, seed=args.seed, confidence=args.confidence, method=args.ci, jobs=args.jobs,
+    )
+    _, columns = _DIMENSIONS[args.dimension]
+    rows = [
+        (*(e.site if args.dimension > 1 else (e.site,)), repr(e.estimate), repr(e.ci_lo), repr(e.ci_hi))
+        for e in estimates
+    ]
+    _write_csv(args.out, [*columns, "estimate", "ci_lo", "ci_hi"], rows)
     _write_meta(args.out, "mc", args, wall_time=time.perf_counter() - started)
     return 0
 
@@ -393,8 +348,8 @@ def _add_sampling(sub, jobs: bool = True) -> None:
         sub.add_argument("--jobs", type=int, default=1, help="worker threads for chunked trials")
 
 
-def _add_process(sub) -> None:
-    sub.add_argument("--dimension", type=int, default=1, help="spatial dimension (1 or 2)")
+def _add_process(sub, dimensions: Sequence[int] = tuple(_DIMENSIONS)) -> None:
+    sub.add_argument("--dimension", type=int, choices=dimensions, default=1, help="spatial dimension")
     sub.add_argument(
         "--variant",
         choices=("uniform", "kill-uniform", "endpoint-resample"),
@@ -404,7 +359,7 @@ def _add_process(sub) -> None:
     sub.add_argument("--p-empty", type=float, default=None,
                      help="constant death probability for --variant kill-uniform")
     sub.add_argument("--initial", type=str, default=None,
-                     help="initial state, LEFT:RIGHT or L0:R0,L1:R1")
+                     help="initial state, one LEFT:RIGHT span per axis, comma-separated")
 
 
 def _config_value(action: argparse.Action, value):
@@ -420,7 +375,7 @@ def _config_value(action: argparse.Action, value):
         raise UsageError(f"config value {json.dumps(value)} for {flag} is not a valid {action.type.__name__}") from None
     if action.choices is not None and parsed not in action.choices:
         raise UsageError(
-            f"config value {json.dumps(value)} for {flag} is not one of: {', '.join(action.choices)}"
+            f"config value {json.dumps(value)} for {flag} is not one of: {', '.join(map(str, action.choices))}"
         )
     return parsed
 
@@ -442,7 +397,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     exact = commands.add_parser("exact", help="certified occupancy brackets (1-D)")
     _add_common(exact)
-    _add_process(exact)
+    _add_process(exact, dimensions=(1,))
     exact.add_argument("--n-max", type=int, default=40, help="geometric truncation per side per step")
     exact.add_argument("--arithmetic", choices=("float", "rational"), default="float")
     exact.add_argument("--x-min", type=int, default=-10)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .boxes import Box, unit_box
+from .boxes import Box, l1_norm, unit_box
 
 # The scalar coupled steps and pair predicates are the reference the
 # batched engine below is tested against.  They stay bound here by name
@@ -489,6 +489,7 @@ def _estimate(
         raise ValueError("trials must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
+    _validate_confidence(confidence)
     if method not in _CI_METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(_CI_METHODS)}")
     ci = _CI_METHODS[method]
@@ -558,6 +559,13 @@ def estimate_occupancy_2d(
 
 # ---------------------------------------------------------------------------
 # statistical checks of the occupancy function
+
+
+def _l1_ball(radius: int, d: int) -> list[tuple[int, ...]]:
+    """The lattice points of L1 norm at most ``radius`` in ``d`` dimensions,
+    in lexicographic order."""
+    axis = range(-radius, radius + 1)
+    return [point for point in itertools.product(axis, repeat=d) if l1_norm(point) <= radius]
 
 
 def _pair_gap(a: OccupancyEstimate, b: OccupancyEstimate) -> float:
@@ -660,18 +668,8 @@ def check_monotone_l1(
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
     _at_least("radius", radius, 1)
-    points = [
-        (x, y)
-        for x in range(-radius, radius + 1)
-        for y in range(-radius, radius + 1)
-        if abs(x) + abs(y) <= radius
-    ]
-    ordered = [
-        (a, b)
-        for a in points
-        for b in points
-        if a != b and abs(a[0]) + abs(a[1]) <= abs(b[0]) + abs(b[1])
-    ]
+    points = _l1_ball(radius, d)
+    ordered = [(a, b) for a in points for b in points if a != b and l1_norm(a) <= l1_norm(b)]
     return _occupancy_check(
         "occupancy-monotone-l1-2d",
         {"d": d, "t": t, "p": p, "radius": radius, "trials": trials, "seed": seed},

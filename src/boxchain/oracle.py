@@ -463,7 +463,8 @@ def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
     _geometric_sum(left[::-1], (den - num) ** 2 * grid[::-1], num, terms, axis=0, den=homogeneous)
     # Columns hold right endpoints, which move to higher columns.
     _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=homogeneous)
-    return out, scale, grid.sum() * (scale - retained * retained)
+    # A float kernel can sum past 1 by rounding; no step loses negative mass.
+    return out, scale, max(grid.sum() * (scale - retained * retained), 0)
 
 
 def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist:

@@ -518,6 +518,7 @@ def test_config_key_of_no_flag_is_a_usage_error(tmp_path, capsys):
     ({"mutant": "bogus"}, ["verify", "--suites", "reflection"], "--mutant"),
     ({"arithmetic": "decimal"}, ["exact"], "--arithmetic"),
     ({"trials": True}, ["simulate"], "--trials"),
+    ({"dimension": 3}, ["mc"], "--dimension"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, config, command, flag, capsys):
     # These used to die with a TypeError, run the faithful suite, compute

@@ -668,6 +668,20 @@ def test_invalid_confidence_fails_closed():
             check_monotone_l1(2, 1, 0.5, 2, 1_000, seed=7, confidence=bad)
 
 
+@pytest.mark.parametrize("confidence", [1.5, 0.0, float("nan")])
+def test_estimators_refuse_a_bad_confidence_before_sampling(monkeypatch, confidence):
+    from boxchain import montecarlo
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the confidence")
+
+    monkeypatch.setattr(montecarlo, "_run_chunks", no_sampling)
+    with pytest.raises(ValueError, match="confidence"):
+        estimate_occupancy(Span(0, 0), 3, range(-10, 11), 2_000_000, confidence=confidence)
+    with pytest.raises(ValueError, match="confidence"):
+        estimate_occupancy_2d(unit_box(2), 3, [(0, 0)], 2_000_000, confidence=confidence)
+
+
 def test_hits_outside_trials_fail_closed():
     import math
 

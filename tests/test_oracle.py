@@ -475,6 +475,17 @@ def test_float_grid_holds_to_rational_grid_cell_by_cell(t):
         assert float(bracket.lo) - 1e-12 <= got.lo <= got.hi <= float(bracket.hi) + 1e-12
 
 
+def test_float_lost_is_never_negative():
+    # At this p the float expansion kernel sums past 1 by rounding, which
+    # once gave a negative lost increment and brackets with hi below lo.
+    policy = TruncationPolicy(20)
+    law = evolve(Span(0, 0), 3, p=0.0115, policy=policy)
+    exact = evolve(Span(0, 0), 3, p=Fraction(115, 10_000), policy=policy, exact=True)
+    assert law.lost >= 0
+    for got, bracket in zip(occupancy_table(law, [0, 1]), occupancy_table(exact, [0, 1])):
+        assert got.lo <= got.hi and got.hi >= bracket.lo
+
+
 def uniform_by_size(k, n):
     """The size pmf under which the size-weighted rule is the uniform one
     (as in test_intervals)."""
