@@ -8,6 +8,7 @@ decode goes through a mixed-radix split of a single draw.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,6 +25,7 @@ __all__ = [
     "step_rect",
     "simulate_path_rect",
     "l1_norm",
+    "l1_ball",
     "unit_box",
 ]
 
@@ -128,3 +130,10 @@ def simulate_path_rect(initial: HyperRect, horizon: int, p: float, stream: Strea
 
 def l1_norm(point: Sequence[int]) -> int:
     return sum(abs(int(x)) for x in point)
+
+
+def l1_ball(radius: int, dim: int) -> list[tuple[int, ...]]:
+    """The lattice points of L1 norm at most ``radius`` in ``dim``
+    dimensions, in lexicographic order."""
+    axis = range(-radius, radius + 1)
+    return [point for point in itertools.product(axis, repeat=dim) if l1_norm(point) <= radius]

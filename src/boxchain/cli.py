@@ -7,9 +7,9 @@ exact      certified occupancy brackets from the truncated exact law (1-D)
 mc         Monte Carlo occupancy estimates with confidence intervals
 verify     run the statistical/structural verification suites
 
-``simulate`` and ``mc`` run each dimension in ``_DIMENSIONS`` by one path,
-``--initial`` giving one span per axis; ``exact`` and the contraction
-variants other than ``uniform`` are one-dimensional.
+``simulate`` and ``mc`` run dimensions 1 and 2 by one path, ``--initial``
+giving one span per axis; ``exact`` and the contraction variants other than
+``uniform`` are one-dimensional.
 
 Every output CSV is deterministic given the seed and parameters; a sidecar
 ``<output>.meta.json`` records the full configuration, the seed, the wall
@@ -81,14 +81,9 @@ _SUITES = {
 
 # --mutant's choices, in suite order: the deliberate fault injections that
 # confirm the checks have teeth.
-_MUTANTS = tuple(dict.fromkeys(mutant for *_, mutant in _SUITES.values() if mutant is not None))
-
-# The dimensions simulate and mc run in, each with the CSV columns of a
-# state's spans (simulate) and of a site (mc).
-_DIMENSIONS = {
-    1: (("left", "right"), ("x",)),
-    2: (("left0", "right0", "left1", "right1"), ("x", "y")),
-}
+_MUTANTS = tuple(
+    dict.fromkeys(mutant for *_, mutant in _SUITES.values() if mutant is not None)
+)
 
 # mc's sites when no site flag is given: x in -10..10 in 1-D, the L1 ball
 # of radius 4 in 2-D.
@@ -186,19 +181,22 @@ def cmd_simulate(args) -> int:
     if args.dimension == 1:
         simulate = partial(simulate_path, initial[0], args.t, rule, args.p)
         spans_of = lambda span: (span,)
+        columns = ["left", "right"]
     else:
         from .boxes import Box, simulate_path_rect
 
         simulate = partial(simulate_path_rect, Box(initial), args.t, args.p)
         spans_of = lambda box: box.spans
-    columns, _ = _DIMENSIONS[args.dimension]
+        columns = ["left0", "right0", "left1", "right1"]
     rows = []
     for trial in range(args.trials):
-        for when, state in enumerate(simulate(Stream(args.seed).substream("simulate", trial))):
+        stream = Stream(args.seed).substream("simulate", trial)
+        for when, state in enumerate(simulate(stream)):
             if state is None:
-                rows.append((trial, when, *["EMPTY"] * len(columns)))
+                cells = ["EMPTY"] * len(columns)
             else:
-                rows.append((trial, when, *(end for span in spans_of(state) for end in (span.left, span.right))))
+                cells = [end for span in spans_of(state) for end in (span.left, span.right)]
+            rows.append((trial, when, *cells))
     _write_csv(args.out, ["trial", "t", *columns], rows)
     _write_meta(args.out, "simulate", args, wall_time=time.perf_counter() - started)
     return 0
@@ -208,7 +206,9 @@ def cmd_exact(args) -> int:
     from . import oracle
 
     started = time.perf_counter()
-    (initial,) = _parse_initial(args.initial, args.dimension)
+    if args.dimension != 1:
+        raise UsageError("the exact law is only propagated in one dimension")
+    (initial,) = _parse_initial(args.initial, 1)
     if args.x_min > args.x_max:
         raise UsageError(f"no sites requested: --x-min {args.x_min} is above --x-max {args.x_max}")
     exact = args.arithmetic == "rational"
@@ -265,24 +265,34 @@ def cmd_mc(args) -> int:
             args.x_max = _MC_X_RANGE[1] if args.x_max is None else args.x_max
             sites = list(range(args.x_min, args.x_max + 1))
         estimate = partial(montecarlo.estimate_occupancy, initial[0], rule=rule)
+        cells_of = lambda site: (site,)
+        columns = ["x"]
     else:
-        from .boxes import Box
+        from .boxes import Box, l1_ball
 
-        why = f"applies only with --dimension 1, not --dimension {args.dimension}"
-        _refuse_flags(args, ("--sites", "--x-min", "--x-max"), why)
+        _refuse_flags(
+            args, ("--sites", "--x-min", "--x-max"), "applies only with --dimension 1, not --dimension 2"
+        )
         if args.radius is None:
             args.radius = _MC_RADIUS
-        sites = montecarlo._l1_ball(args.radius, args.dimension)
+        sites = l1_ball(args.radius, 2)
         estimate = partial(montecarlo.estimate_occupancy_2d, Box(initial))
+        cells_of = lambda site: site
+        columns = ["x", "y"]
     if not sites:
         raise UsageError("no sites requested")
     estimates = estimate(
-        args.t, sites, args.trials,
-        p=args.p, seed=args.seed, confidence=args.confidence, method=args.ci, jobs=args.jobs,
+        args.t,
+        sites,
+        args.trials,
+        p=args.p,
+        seed=args.seed,
+        confidence=args.confidence,
+        method=args.ci,
+        jobs=args.jobs,
     )
-    _, columns = _DIMENSIONS[args.dimension]
     rows = [
-        (*(e.site if args.dimension > 1 else (e.site,)), repr(e.estimate), repr(e.ci_lo), repr(e.ci_hi))
+        (*cells_of(e.site), repr(e.estimate), repr(e.ci_lo), repr(e.ci_hi))
         for e in estimates
     ]
     _write_csv(args.out, [*columns, "estimate", "ci_lo", "ci_hi"], rows)
@@ -348,8 +358,8 @@ def _add_sampling(sub, jobs: bool = True) -> None:
         sub.add_argument("--jobs", type=int, default=1, help="worker threads for chunked trials")
 
 
-def _add_process(sub, dimensions: Sequence[int] = tuple(_DIMENSIONS)) -> None:
-    sub.add_argument("--dimension", type=int, choices=dimensions, default=1, help="spatial dimension")
+def _add_process(sub) -> None:
+    sub.add_argument("--dimension", type=int, choices=(1, 2), default=1, help="spatial dimension")
     sub.add_argument(
         "--variant",
         choices=("uniform", "kill-uniform", "endpoint-resample"),
@@ -397,7 +407,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     exact = commands.add_parser("exact", help="certified occupancy brackets (1-D)")
     _add_common(exact)
-    _add_process(exact, dimensions=(1,))
+    _add_process(exact)
     exact.add_argument("--n-max", type=int, default=40, help="geometric truncation per side per step")
     exact.add_argument("--arithmetic", choices=("float", "rational"), default="float")
     exact.add_argument("--x-min", type=int, default=-10)
@@ -488,10 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be >= {least}, got {value}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

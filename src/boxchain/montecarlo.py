@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .boxes import Box, l1_norm, unit_box
+from .boxes import Box, l1_ball, l1_norm, unit_box
 
 # The scalar coupled steps and pair predicates are the reference the
 # batched engine below is tested against.  They stay bound here by name
@@ -561,13 +561,6 @@ def estimate_occupancy_2d(
 # statistical checks of the occupancy function
 
 
-def _l1_ball(radius: int, d: int) -> list[tuple[int, ...]]:
-    """The lattice points of L1 norm at most ``radius`` in ``d`` dimensions,
-    in lexicographic order."""
-    axis = range(-radius, radius + 1)
-    return [point for point in itertools.product(axis, repeat=d) if l1_norm(point) <= radius]
-
-
 def _pair_gap(a: OccupancyEstimate, b: OccupancyEstimate) -> float:
     """How far the two estimates are beyond their combined CI half-widths."""
     return abs(a.estimate - b.estimate) - (a.half_width + b.half_width)
@@ -668,8 +661,9 @@ def check_monotone_l1(
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
     _at_least("radius", radius, 1)
-    points = _l1_ball(radius, d)
-    ordered = [(a, b) for a in points for b in points if a != b and l1_norm(a) <= l1_norm(b)]
+    points = l1_ball(radius, d)
+    norms = {point: l1_norm(point) for point in points}
+    ordered = [(a, b) for a in points for b in points if a != b and norms[a] <= norms[b]]
     return _occupancy_check(
         "occupancy-monotone-l1-2d",
         {"d": d, "t": t, "p": p, "radius": radius, "trials": trials, "seed": seed},

@@ -531,6 +531,30 @@ def test_config_values_are_checked_like_flags(tmp_path, config, command, flag, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, header", [
+    (["simulate", "--t", "2"], ["trial", "t", "left0", "right0", "left1", "right1"]),
+    (["mc", "--t", "1", "--trials", "1000", "--radius", "1"], ["x", "y", "estimate", "ci_lo", "ci_hi"]),
+])
+def test_config_dimension_two_runs_in_two_dimensions(tmp_path, command, header):
+    # Each config default is checked on every subcommand that defines its
+    # flag, exact's --dimension among them; that must not refuse 2 here.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dimension": 2}))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), *command, "--out", str(out)]) == 0
+    assert read_csv(out)[0] == header
+    assert read_meta(out)["config"]["dimension"] == 2
+
+
+def test_config_dimension_two_is_refused_by_exact(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dimension": 2}))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "exact", "--t", "1", "--out", str(out)]) == 2
+    assert "only propagated in one dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_beyond_the_int64_rank_limit_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "mc.csv"
     assert main(["mc", "--initial=-3500000000:3500000000", "--trials", "10",
