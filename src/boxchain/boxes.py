@@ -9,10 +9,11 @@ decode goes through a mixed-radix split of a single draw.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intervals import EMPTY, Span, count_nonempty_subintervals, unrank_subinterval, validate_expansion_param
+from .intervals import Span, count_nonempty_subintervals, expand, unrank_subinterval, validate_expansion_param
 from .stream import Stream
 
 __all__ = [
@@ -65,10 +66,7 @@ def unit_box(dim: int) -> Box:
 
 def count_nonempty_subrects(sizes: Sequence[int]) -> int:
     """Product over axes of n_i (n_i + 1) / 2."""
-    total = 1
-    for n in sizes:
-        total *= count_nonempty_subintervals(n)
-    return total
+    return math.prod(count_nonempty_subintervals(n) for n in sizes)
 
 
 def contract_uniform(state: HyperRect, stream: Stream) -> HyperRect:
@@ -76,10 +74,7 @@ def contract_uniform(state: HyperRect, stream: Stream) -> HyperRect:
     if state is None:
         return EMPTY_BOX
     axis_counts = [count_nonempty_subintervals(n) for n in state.sizes]
-    total = 1
-    for c in axis_counts:
-        total *= c
-    index = stream.randbelow(total + 1)
+    index = stream.randbelow(math.prod(axis_counts) + 1)
     if index == 0:
         return EMPTY_BOX
     # Mixed-radix decode, last axis fastest.
@@ -96,19 +91,13 @@ def contract_uniform(state: HyperRect, stream: Stream) -> HyperRect:
 
 
 def expand_faces(core: HyperRect, p: float, stream: Stream) -> HyperRect:
-    """Shift each of the 2d faces outward by an independent geometric(p).
-
-    Draw order is axis by axis, low face then high face.
-    """
+    """Shift each of the 2d faces outward by an independent geometric(p):
+    ``expand`` on each axis's span, so the draw order is axis by axis, low
+    face then high face."""
     validate_expansion_param(p)
     if core is None:
         return EMPTY_BOX
-    spans = []
-    for span in core.spans:
-        low = stream.geometric(p)
-        high = stream.geometric(p)
-        spans.append(Span(span.left - low, span.right + high))
-    return Box(tuple(spans))
+    return Box(tuple(expand(span, p, stream) for span in core.spans))
 
 
 def step_rect(state: HyperRect, p: float, stream: Stream) -> HyperRect:

@@ -185,19 +185,16 @@ def count_nonempty_subintervals(n: int) -> int:
 
 def _offsets_from_rank(n: int, i0: int) -> tuple[int, int]:
     """Decode rank i0 in [0, n(n+1)/2) to (left, right) offsets, ordered by
-    (left, right)."""
-    # cum(a) = number of sub-intervals whose left offset is < a.
-    a_top = 2 * n + 1
-    disc = a_top * a_top - 8 * i0
-    a = (a_top - isqrt(disc)) // 2
-    if a > n - 1:
-        a = n - 1
-    while a * n - a * (a - 1) // 2 > i0:
-        a -= 1
-    while (a + 1) * n - (a + 1) * a // 2 <= i0:
-        a += 1
-    cum = a * n - a * (a - 1) // 2
-    return a, a + (i0 - cum)
+    (left, right).
+
+    Counted from the last one, r = T(n) - 1 - i0 with T(m) = m(m+1)/2, and
+    the block with left end n-1-k holds r in [T(k), T(k+1)), where 8r + 1
+    lies in [(2k+1)^2, (2k+3)^2).  So k = (isqrt(8r + 1) - 1) // 2, exact
+    in integers of any size.
+    """
+    r = n * (n + 1) // 2 - 1 - i0
+    k = (isqrt(8 * r + 1) - 1) // 2
+    return n - 1 - k, n - 1 - (r - k * (k + 1) // 2)
 
 
 def unrank_subinterval(host: Span, index: int) -> Interval:

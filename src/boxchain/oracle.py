@@ -66,19 +66,16 @@ __all__ = [
 
 Mass = Union[float, Fraction]
 
-# A float grid of more cells than this (8 bytes each, 512 MiB) is refused
-# rather than allocated.  An expansion holds about three grids of its output
-# size at once (the output, its left-endpoint pass and one product
-# temporary), beside its input, so one at the limit peaks near 2 GiB.
-_GRID_CELL_LIMIT = 2**26
-
-# A rational grid is refused past this many bytes, counted as a pointer and
-# a Python int of bits(D)/8 bytes plus its header per cell, D being the
-# common denominator that bounds every numerator.  That counts every cell as
-# nonzero: a law's upper-triangular grid holds about half of it, and an
-# expansion peaks at 1.3-2.2 times it (tracemalloc, extents 61-481), so one
-# at the limit peaks near 1 GiB.
-_OBJECT_GRID_BYTES = 2**29
+# A grid is refused past this many bytes: 8 a cell for a float grid, and a
+# pointer and a Python int of bits(D)/8 bytes plus its header a cell for a
+# rational one, D being the common denominator that bounds every numerator.
+# An expansion holds about three float grids of its output size at once (the
+# output, its left-endpoint pass and one product temporary), beside its
+# input, so one at the limit peaks near 2 GiB.  A rational grid's count takes
+# every cell as nonzero: a law's upper-triangular grid holds about half of
+# it, and an expansion peaks at 1.3-2.2 times it (tracemalloc, extents
+# 61-481), so one at the limit peaks near 1 GiB.
+_GRID_BYTES = 2**29
 _INT_HEADER_BYTES = 28
 
 
@@ -97,70 +94,48 @@ class TruncationPolicy:
         return 1.0 - (1.0 - float(p) ** (self.n_max + 1)) ** 2
 
 
-class _WeightsView:
-    """The ``weights`` field of ``StateDist``.
-
-    A law given a dict returns that dict.  A law computed by the oracle
-    builds the dict from its grid on first access: the nonzero cells, and
-    ``EMPTY`` only if its mass is positive.  Every law is on its grid from
-    the start, so edits to either dict never reach the grid.
-    """
-
-    def __get__(self, dist: Optional["StateDist"], owner: type) -> dict[Interval, Mass]:
-        if dist is None:
-            raise AttributeError("weights")  # the field has no default
-        if dist._weights is None:
-            lefts, rights, masses = dist._cells()
-            empty = dist.mass_of(EMPTY)
-            weights: dict[Interval, Mass] = {EMPTY: empty} if empty > 0 else {}
-            weights.update(zip(map(Span, lefts, rights), masses))
-            dist._weights = weights
-        return dist._weights
-
-    def __set__(self, dist: "StateDist", weights: Optional[dict[Interval, Mass]]) -> None:
-        dist._weights = weights
-
-
-@dataclass
+@dataclass(init=False, repr=False, eq=False)
 class StateDist:
     """Finitely supported distribution over intervals plus tracked lost mass.
 
-    Every law is held on an upper-triangular grid from the moment it is
-    built: ``grid[i, j]`` is the mass of ``Span(origin + i, origin + j)``
-    and ``empty_mass`` that of the empty state.  A law the oracle computes
-    is made on its grid (``on_grid``) and builds ``weights`` only on first
-    access.  A law given as a dict keeps it as ``weights`` and is packed
-    onto the grid when it is built; a law with no span packs to a 0x0
-    grid, and one whose grid would pass the size limits raises
-    ``ValueError`` there.  On a rational law (``denom`` set) the grid is an
-    object array of Python ints and ``empty_mass`` an int, all numerators
-    over the common denominator ``denom``; ``lost`` and every mass read
-    through the API are ``Fraction``s.
+    A law holds one state, its upper-triangular grid: ``grid[i, j]`` is the
+    mass of ``Span(origin + i, origin + j)`` and ``empty_mass`` that of the
+    empty state.  A law given as a dict is packed onto its grid when it is
+    built, and the oracle makes its laws on their grids (``on_grid``).  A
+    law with no span packs to a 0x0 grid, and one whose grid would pass the
+    size limit raises ``ValueError`` there.  On a rational law (``denom``
+    set) the grid is an object array of Python ints and ``empty_mass`` an
+    int, all numerators over the common denominator ``denom``; ``lost`` and
+    every mass read through the API, ``weights`` included, are
+    ``Fraction``s.
+
+    The constructor's arguments are declared as dataclass fields, with no
+    generated method, only so that ``dataclasses.replace`` makes a copy of
+    a law with one of them changed.
     """
 
-    weights: dict[Interval, Mass] = _WeightsView()
+    weights: dict[Interval, Mass]
     lost: Mass
-    exact: bool = False
+    exact: bool
 
-    def __post_init__(self) -> None:
-        """Pack the dict onto the grid: masses for a float law, numerators
+    def __init__(self, weights: dict[Interval, Mass], lost: Mass, exact: bool = False) -> None:
+        """Pack ``weights`` onto the grid: masses for a float law, numerators
         over the lcm of every mass's denominator for a rational one."""
-        spans = [(iv.left, iv.right, w) for iv, w in self.weights.items() if iv is not None]
+        spans = [(iv.left, iv.right, w) for iv, w in weights.items() if iv is not None]
         lefts, rights, masses = zip(*spans) if spans else ((), (), ())
         lefts, rights = np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
         origin, extent = (int(lefts.min()), int(rights.max() - lefts.min()) + 1) if spans else (0, 0)
-        empty = self.weights.get(EMPTY, 0)
-        if self.exact:
-            values = [Fraction(m) for m in (*masses, empty, self.lost)]
+        empty = weights.get(EMPTY, 0)
+        if exact:
+            values = [Fraction(m) for m in (*masses, empty, lost)]
             denom = lcm(*(v.denominator for v in values))
-            _check_object_grid(extent, denom.bit_length())
-            grid = np.zeros((extent, extent), dtype=object)
+            grid = _zeros(extent, denom.bit_length())
             *masses, empty, lost = (v.numerator * (denom // v.denominator) for v in values)
         else:
             grid, denom = _zeros(extent), None
-            masses, empty, lost = [float(m) for m in masses], float(empty), float(self.lost)
+            masses, empty, lost = [float(m) for m in masses], float(empty), float(lost)
         grid[lefts - origin, rights - origin] = masses
-        self.grid, self.origin, self.empty_mass, self._lost_units, self.denom = grid, origin, empty, lost, denom
+        self._hold(grid, origin, empty, lost, denom)
 
     @classmethod
     def on_grid(
@@ -169,10 +144,30 @@ class StateDist:
         """A law held as its endpoint grid: float masses, or with ``denom``
         integer numerators (grid, empty mass and lost) over it."""
         dist = cls.__new__(cls)  # no dict to pack, so ``__init__`` is skipped
-        dist.weights, dist.exact, dist.denom = None, denom is not None, denom
-        dist.grid, dist.origin, dist.empty_mass, dist._lost_units = grid, origin, empty_mass, lost
-        dist.lost = dist._mass(lost)
+        dist._hold(grid, origin, empty_mass, lost, denom)
         return dist
+
+    def _hold(self, grid: np.ndarray, origin: int, empty_units, lost_units, denom: Optional[int]) -> None:
+        # ``weights``'s slot goes in first, so a dropped law frees that dict
+        # before its grid: the other order made the next law's grids fault
+        # in twice the pages.
+        self._weights: Optional[dict[Interval, Mass]] = None
+        self.grid, self.origin, self.denom = grid, origin, denom
+        self.empty_mass, self._lost_units = empty_units, lost_units
+        self.exact = denom is not None
+        self.lost = self._mass(lost_units)
+
+    @property
+    def weights(self) -> dict[Interval, Mass]:
+        """The law as ``{Span: mass}``, built from the grid on first read:
+        the nonzero cells, and ``EMPTY`` only if its mass is positive.
+        Edits to it never reach the grid."""
+        if self._weights is None:
+            lefts, rights, masses = self._cells()
+            empty = self.mass_of(EMPTY)
+            self._weights = {EMPTY: empty} if empty > 0 else {}
+            self._weights.update(zip(map(Span, lefts, rights), masses))
+        return self._weights
 
     @classmethod
     def point_mass(cls, interval: Interval, exact: bool = False) -> "StateDist":
@@ -312,25 +307,24 @@ def _size_pmf(rule: SizeWeightedContraction, n: int, exact: bool) -> list[Mass]:
 # the grid
 
 
-def _zeros(extent: int) -> np.ndarray:
-    """An ``extent`` x ``extent`` grid of zeros; refused past the cell limit."""
-    if extent * extent > _GRID_CELL_LIMIT:
+def _check_grid(extent: int, bits: Optional[int] = None) -> None:
+    """Refuse an ``extent`` x ``extent`` grid past ``_GRID_BYTES`` before
+    anything of its size is allocated: a float grid, or with ``bits`` a
+    rational one whose numerators may reach ``bits`` bits."""
+    cell_bytes = 8 if bits is None else 8 + _INT_HEADER_BYTES + bits // 8
+    if extent * extent * cell_bytes > _GRID_BYTES:
+        kind = "float" if bits is None else "rational"
         raise ValueError(
-            f"a float law of extent {extent} needs a {extent}x{extent} grid, "
-            f"over the limit of {_GRID_CELL_LIMIT} cells"
+            f"a {kind} law of extent {extent} needs a {extent}x{extent} grid of {cell_bytes}-byte "
+            f"cells, over the limit of {_GRID_BYTES} bytes"
         )
-    return np.zeros((extent, extent))
 
 
-def _check_object_grid(extent: int, bits: int) -> None:
-    """Refuse a rational grid whose numerators may reach ``bits`` bits
-    before anything of its size is allocated."""
-    cell_limit = _OBJECT_GRID_BYTES // (8 + _INT_HEADER_BYTES + bits // 8)
-    if extent * extent > cell_limit:
-        raise ValueError(
-            f"a rational law of extent {extent} with a {bits}-bit denominator needs a "
-            f"{extent}x{extent} grid, over the limit of {cell_limit} cells at that size"
-        )
+def _zeros(extent: int, bits: Optional[int] = None) -> np.ndarray:
+    """An ``extent`` x ``extent`` grid of zeros: floats, or with ``bits`` the
+    Python int 0 in an object array; refused by ``_check_grid``."""
+    _check_grid(extent, bits)
+    return np.zeros((extent, extent), dtype=float if bits is None else object)
 
 
 def _by_size(factor: np.ndarray) -> np.ndarray:
@@ -455,8 +449,7 @@ def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
     else:
         p = Fraction(p)
         num, den, homogeneous = p.numerator, p.denominator, p.denominator
-        _check_object_grid(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
-        out = np.zeros((size + 2 * n_max, size + 2 * n_max), dtype=object)
+        out = _zeros(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
         scale, retained = den ** (2 * terms), den**terms - num**terms
     # Rows hold left endpoints, which move to lower rows: up the reversed rows.
     left = out[: size + n_max, n_max : n_max + size]
@@ -478,7 +471,7 @@ def contraction_pushforward(dist: StateDist, rule: ContractionRule) -> StateDist
     scale = 1
     if dist.denom is not None:
         scale = lcm(*(f.denominator for term in terms for factor in term[:2] if factor is not None for f in factor))
-        _check_object_grid(len(dist.grid), (dist.denom * scale).bit_length())
+        _check_grid(len(dist.grid), (dist.denom * scale).bit_length())
 
         def integers(factor):
             return None if factor is None else np.array([int(f * scale) for f in factor], dtype=object)

@@ -153,12 +153,21 @@ def test_rank_unrank_roundtrip_random(host, data):
 
 
 def test_unrank_huge_host():
-    host = Span(-5_000_000, 4_999_999)
-    total = count_nonempty_subintervals(host.size)
-    for index in (1, 2, total // 3, total // 2, total - 1, total):
-        sub = unrank_subinterval(host, index)
-        assert host.left <= sub.left <= sub.right <= host.right
-        assert rank_subinterval(host, sub) == index
+    # The second host's ranks are past 2**53, where a float square root
+    # cannot tell neighbouring ranks apart.
+    for host in (Span(-5_000_000, 4_999_999), Span(0, 10**20 - 1)):
+        n = host.size
+        total = count_nonempty_subintervals(n)
+        for index in (1, 2, total // 3, total // 2, total - 1, total):
+            sub = unrank_subinterval(host, index)
+            assert host.left <= sub.left <= sub.right <= host.right
+            assert rank_subinterval(host, sub) == index
+        # The block of left offset a follows the T(n) - T(n - a) sub-intervals
+        # that start left of it, and runs from [a, a] to [a, n - 1].
+        for a in (0, 1, 2, n // 3, n // 2, n - 2, n - 1):
+            first = total - count_nonempty_subintervals(n - a) + 1
+            assert unrank_subinterval(host, first) == Span(host.left + a, host.left + a)
+            assert unrank_subinterval(host, first + n - a - 1) == Span(host.left + a, host.right)
 
 
 # ---------------------------------------------------------------------------

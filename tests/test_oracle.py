@@ -345,6 +345,17 @@ def test_grid_law_weights_match_reference_dict():
     assert law.weights == dict_from_grid(law.grid, law.origin, law.empty_mass)
     # No death under the endpoint rule, so no EMPTY key.
     assert EMPTY not in StateDist.on_grid(np.eye(2), 0, 0.0, 0.0).weights
+    # A law given as a dict reads as its grid: zero masses are dropped, and
+    # ``lost`` is a float like every mass of a float law.
+    given = StateDist({EMPTY: 0.0, Span(0, 0): 1.0, Span(1, 1): 0.0}, 0)
+    assert given.weights == {Span(0, 0): 1.0}
+    assert given.lost == 0.0 and type(given.lost) is float
+
+
+def test_law_repr_is_short():
+    # A law's repr does not spell out its support, which for this one holds
+    # tens of thousands of spans.
+    assert len(repr(evolve(Span(0, 0), 3, p=0.5, policy=TruncationPolicy(40)))) < 200
 
 
 def test_grid_law_reads_match_dict_route():
