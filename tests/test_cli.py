@@ -667,6 +667,32 @@ PINNED_CSVS = {
         b"1,1,0.1274,0.11574603661292346,0.14004151791206057\r\n"
         b"2,0,0.1218,0.11038469219138997,0.13421770480632592\r\n",
     ),
+    "mc-kill": (
+        ["mc", "--variant", "kill-uniform", "--p-empty", "0.2", "--sites", "0,1,3", "--t", "3",
+         "--trials", "2000", "--seed", "5"],
+        b"x,estimate,ci_lo,ci_hi\r\n0,0.324,0.2976647161055843,0.3514991645821859\r\n"
+        b"1,0.2755,0.2505416539504017,0.30194295522235065\r\n"
+        b"3,0.134,0.11558463725940094,0.15483570553448467\r\n",
+    ),
+    "simulate-kill": (
+        ["simulate", "--variant", "kill-uniform", "--t", "4", "--trials", "3", "--seed", "2"],
+        b"trial,t,left,right\r\n0,0,0,0\r\n0,1,0,0\r\n0,2,EMPTY,EMPTY\r\n0,3,EMPTY,EMPTY\r\n0,4,EMPTY,EMPTY\r\n"
+        b"1,0,0,0\r\n1,1,0,0\r\n1,2,0,0\r\n1,3,EMPTY,EMPTY\r\n1,4,EMPTY,EMPTY\r\n"
+        b"2,0,0,0\r\n2,1,0,0\r\n2,2,EMPTY,EMPTY\r\n2,3,EMPTY,EMPTY\r\n2,4,EMPTY,EMPTY\r\n",
+    ),
+    "exact-kill": (
+        ["exact", "--variant", "kill-uniform", "--t", "3", "--n-max", "20", "--x-min", "0", "--x-max", "2"],
+        b"x,lo,hi\r\n0,0.19967582819351132,0.1996769710495053\r\n"
+        b"1,0.17556532838565211,0.1755664712416461\r\n"
+        b"2,0.1318179496614529,0.1318190925174469\r\n",
+    ),
+    "exact-kill-rational": (
+        ["exact", "--variant", "kill-uniform", "--arithmetic", "rational", "--p-empty", "0.3", "--t", "2",
+         "--n-max", "6", "--x-min", "0", "--x-max", "2"],
+        b"x,lo,hi\r\n0,0.38241261225764545,0.40081503429089577\r\n"
+        b"1,0.2773296970181405,0.2957321190513908\r\n"
+        b"2,0.1716465443173118,0.19004896635056215\r\n",
+    ),
 }
 
 
