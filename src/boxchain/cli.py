@@ -17,9 +17,8 @@ time and the versions for reproduction.
 
 Each subcommand imports the modules it runs inside its own function, so a
 fresh process pays only for those: ``simulate`` loads ``intervals`` and
-``stream`` (and ``boxes`` in 2-D), ``exact`` adds ``oracle`` and
-``coupling``, and ``mc`` and ``verify`` add ``montecarlo``, ``boxes`` and
-``coupling``.
+``stream`` (and ``boxes`` in 2-D), ``exact`` adds ``oracle``, and ``mc``
+and ``verify`` add ``montecarlo``, ``boxes`` and ``coupling``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -96,12 +95,16 @@ class UsageError(Exception):
 
 
 def _rational(value: float) -> Fraction:
-    """A float flag as the rational the exact oracle computes with."""
-    return Fraction(value).limit_denominator(10**9)
+    """A float flag as the rational the exact oracle computes with: the
+    simplest fraction of denominator at most 10**9 when it rounds to
+    ``value`` (3/10 for 0.3), and otherwise the float's exact value, so
+    that a rational run computes at the flag a float run reads."""
+    simple = Fraction(value).limit_denominator(10**9)
+    return simple if float(simple) == value else Fraction(value)
 
 
-def _build_rule(args, p):
-    """The contraction rule of ``--variant``; rational when ``p`` is."""
+def _build_rule(args):
+    """The contraction rule of ``--variant``."""
     if args.p_empty is not None and args.variant != "kill-uniform":
         raise UsageError(f"--p-empty applies only with --variant kill-uniform, not --variant {args.variant}")
     if args.variant != "uniform" and args.dimension != 1:
@@ -115,10 +118,11 @@ def _build_rule(args, p):
             const = float(args.p_empty)
             if not 0 <= const <= 1:
                 raise UsageError(f"--p-empty must lie in [0, 1], got {const}")
-            if isinstance(p, Fraction):
-                const = _rational(const)
-            return KillThenUniformContraction(lambda _p, _n: const, p)
-        return KillThenUniformContraction(expansion_p=p)
+            # Its float value is the flag, and its exact one what the
+            # rational oracle reads.
+            death = _rational(const)
+            return KillThenUniformContraction(lambda _n: death)
+        return KillThenUniformContraction()
     if args.variant == "endpoint-resample":
         return EndpointResampleContraction()
     raise UsageError(f"unknown variant {args.variant!r}")
@@ -176,7 +180,7 @@ def _write_meta(path: str, command: str, args, extra: Optional[dict] = None, wal
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    rule = _build_rule(args, args.p)
+    rule = _build_rule(args)
     initial = _parse_initial(args.initial, args.dimension)
     if args.dimension == 1:
         simulate = partial(simulate_path, initial[0], args.t, rule, args.p)
@@ -213,7 +217,7 @@ def cmd_exact(args) -> int:
         raise UsageError(f"no sites requested: --x-min {args.x_min} is above --x-max {args.x_max}")
     exact = args.arithmetic == "rational"
     p = _rational(args.p) if exact else args.p
-    rule = _build_rule(args, p)
+    rule = _build_rule(args)
     dist = oracle.evolve(
         initial, args.t, rule, p, oracle.TruncationPolicy(args.n_max), exact=exact
     )
@@ -249,7 +253,7 @@ def cmd_mc(args) -> int:
     from . import montecarlo
 
     started = time.perf_counter()
-    rule = _build_rule(args, args.p)
+    rule = _build_rule(args)
     initial = _parse_initial(args.initial, args.dimension)
     if args.dimension == 1:
         _refuse_flags(args, ("--radius",), "applies only with --dimension 2, not --dimension 1")

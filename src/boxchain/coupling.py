@@ -284,7 +284,6 @@ def coupled_expansion(
     result is either an exactly coalesced identical pair or a pair that is
     again antithetic; any other result raises ``ValueError``.
     """
-    _require_antithetic(tilde_minus, tilde_plus)
     offset = right_offset(tilde_minus, tilde_plus)
     if surfaces is None:
         if stream is None:
@@ -321,13 +320,10 @@ def coupled_step(
     corrupts the plus marginal while keeping every state well formed.
     """
     validate_expansion_param(p)
-    if state.coalesced:
-        shared = expand(contract(state.minus, UNIFORM, stream), p, stream)
-        return CoupledState(shared, shared, True)
     kind = classify_pair(state.minus, state.plus)
     if kind is PairClass.BOTH_EMPTY:
         return state
-    if kind is PairClass.IDENTICAL:
+    if state.coalesced or kind is PairClass.IDENTICAL:
         shared = expand(contract(state.minus, UNIFORM, stream), p, stream)
         return CoupledState(shared, shared, True)
     if kind is not PairClass.ANTITHETIC:

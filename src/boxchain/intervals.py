@@ -8,9 +8,12 @@ contraction rules are supported; the expansion is always geometric.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from numbers import Rational
 from typing import Callable, Optional, Union
 
 from .stream import Stream
@@ -82,15 +85,17 @@ def validate_expansion_param(p) -> None:
 # contraction rules
 
 
-def uniform_death_probability(p, n: int):
-    """Death weight that reproduces the uniform rule: one slot out of K+1.
+def uniform_death_probability(n: int) -> Fraction:
+    """Death weight that reproduces the uniform rule: one slot out of K+1,
+    the exact ``Fraction(1, K + 1)``."""
+    return Fraction(1, n * (n + 1) // 2 + 1)
 
-    A ``Fraction`` when ``p`` is one, so that the rational oracle, which
-    passes its expansion parameter as a ``Fraction``, stays exact.
-    """
-    if isinstance(p, Fraction):
-        return Fraction(1, n * (n + 1) // 2 + 1)
-    return 1.0 / (n * (n + 1) // 2 + 1)
+
+def _exact(value) -> Fraction:
+    """A rule's callable value in exact arithmetic: the ``Fraction`` a
+    ``Rational`` value is, and for any other value its float value's, for
+    which the result is then certified."""
+    return Fraction(value) if isinstance(value, Rational) else Fraction(float(value))
 
 
 @dataclass(frozen=True)
@@ -107,36 +112,48 @@ class SizeWeightedContraction:
     size, so the oracle contracts it on the grid as a sum of one term per
     outcome size k, each with the share ``pmf(k, n) / (n - k + 1)`` per
     source size n; the oracle evaluates the pmf at every size up to its
-    grid's extent.  The rational oracle reads each value as the
-    ``Fraction`` it is: a pmf of ``Fraction``s is certified as given and
-    conserves mass exactly, and a float pmf is certified for its float
-    values.
+    grid's extent.  Every reader takes the pmf through ``pmf_at``.
     """
 
     size_pmf: Callable[[int, int], float]
 
+    def pmf_at(self, n: int, exact: bool = False) -> list:
+        """``size_pmf(k, n)`` over k = 0..n, each value read once: floats,
+        or when ``exact`` the ``Fraction``s of ``_exact``, so a pmf of
+        ``Fraction``s is certified as given and conserves mass exactly and
+        a float pmf is certified for its float values.  A negative or NaN
+        weight, or a sum more than 1e-9 from 1, raises ``ValueError``."""
+        values = [self.size_pmf(k, n) for k in range(n + 1)]
+        weights = [float(v) for v in values]
+        # ``not w >= 0`` also catches NaN, which fails every comparison.
+        if any(not w >= 0 for w in weights):
+            raise ValueError(f"size pmf has negative or NaN weights for n={n}")
+        total = sum(weights)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"size pmf sums to {total} over k=0..{n}, expected 1")
+        return [_exact(v) for v in values] if exact else weights
+
 
 @dataclass(frozen=True)
 class KillThenUniformContraction:
-    """Die with probability ``death_probability(p, n)``, else uniform over
-    the nonempty sub-intervals.
+    """Die with probability ``death_probability(n)``, else uniform over the
+    nonempty sub-intervals.
 
-    ``expansion_p`` is forwarded as the first argument of the callable, as
-    a ``Fraction`` by the rational oracle; the default callable then
-    returns a ``Fraction`` and reproduces the uniform rule exactly.
+    Every reader takes the death probability through ``death_at``; the
+    default callable's ``Fraction`` makes the rational kill law exactly the
+    uniform one.
     """
 
-    death_probability: Callable[[float, int], float] = uniform_death_probability
-    expansion_p: float = 0.5
+    death_probability: Callable[[int], float] = uniform_death_probability
 
     def death_at(self, n: int, exact: bool = False):
-        """``death_probability(p, n)`` at p = ``expansion_p``, or at
-        ``Fraction(expansion_p)`` when ``exact``; a value outside [0, 1]
-        (NaN included) raises ``ValueError``."""
-        death = self.death_probability(Fraction(self.expansion_p) if exact else self.expansion_p, n)
+        """``death_probability(n)`` as a float, or when ``exact`` as the
+        ``Fraction`` of ``_exact``; a value outside [0, 1] (NaN included)
+        raises ``ValueError``."""
+        death = self.death_probability(n)
         if not 0 <= death <= 1:
             raise ValueError(f"death probability {death} outside [0, 1]")
-        return death
+        return _exact(death) if exact else float(death)
 
 
 @dataclass(frozen=True)
@@ -226,29 +243,6 @@ def rank_subinterval(host: Span, interval: Interval) -> int:
     return cum + (b - a) + 1
 
 
-def size_pmf_weights(size_pmf: Callable[[int, int], float], n: int) -> list[float]:
-    """Evaluate and validate a size pmf over k = 0..n."""
-    weights = [float(size_pmf(k, n)) for k in range(n + 1)]
-    # ``not w >= 0`` also catches NaN, which fails every comparison.
-    if any(not w >= 0 for w in weights):
-        raise ValueError(f"size pmf has negative or NaN weights for n={n}")
-    total = sum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"size pmf sums to {total} over k=0..{n}, expected 1")
-    return weights
-
-
-def _draw_size(size_pmf: Callable[[int, int], float], n: int, stream: Stream) -> int:
-    weights = size_pmf_weights(size_pmf, n)
-    u = stream.random()
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return k
-    return n
-
-
 def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval:
     """One contraction phase under ``rule``; the empty state is absorbing."""
     if state is None:
@@ -258,7 +252,9 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         total = count_nonempty_subintervals(n)
         return unrank_subinterval(state, stream.randbelow(total + 1))
     if isinstance(rule, SizeWeightedContraction):
-        k = _draw_size(rule.size_pmf, n, stream)
+        # The first size whose cumulative weight passes the draw; n if none
+        # does, as rounding may leave the sum just under 1.
+        k = min(bisect_right(list(accumulate(rule.pmf_at(n))), stream.random()), n)
         if k == 0:
             return EMPTY
         left = state.left + stream.randbelow(n - k + 1)

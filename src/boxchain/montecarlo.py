@@ -49,7 +49,6 @@ from .intervals import (
     Span,
     UNIFORM,
     UniformContraction,
-    size_pmf_weights,
     validate_expansion_param,
 )
 from .stream import Stream
@@ -275,7 +274,7 @@ def _contract_chunk(
         size = np.empty(n.size, np.int64)
         for nv in np.unique(n):
             mask = n == nv
-            cum = np.cumsum(size_pmf_weights(rule.size_pmf, int(nv)))
+            cum = np.cumsum(rule.pmf_at(int(nv)))
             size[mask] = np.searchsorted(cum, u[mask], side="right")
         size = np.minimum(size, n)
         keep = np.flatnonzero(size)

@@ -19,20 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 from typing import Iterable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coupling import (
-    PairClass,
-    antithetic_image,
-    antithetic_mirror,
-    classify_pair,
-    coupled_expansion_amounts,
-    right_offset,
-)
 from .intervals import (
     EMPTY,
     ContractionRule,
@@ -44,7 +35,6 @@ from .intervals import (
     UNIFORM,
     UniformContraction,
     count_nonempty_subintervals,
-    size_pmf_weights,
     unrank_subinterval,
     validate_expansion_param,
 )
@@ -264,7 +254,7 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
                 out[Span(left, right)] = unit
         return out
     if isinstance(rule, SizeWeightedContraction):
-        probs = _size_pmf(rule, n, exact)
+        probs = rule.pmf_at(n, exact)
         out[EMPTY] = probs[0]
         for k in range(1, n + 1):
             slots = n - k + 1
@@ -274,10 +264,9 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
         return out
     if isinstance(rule, KillThenUniformContraction):
         death = rule.death_at(n, exact)
-        death_mass: Mass = Fraction(death) if exact else float(death)
         total = count_nonempty_subintervals(n)
-        survive = (1 - death_mass) / total
-        out[EMPTY] = death_mass
+        survive = (1 - death) / total
+        out[EMPTY] = death
         for left in range(span.left, span.right + 1):
             for right in range(left, span.right + 1):
                 out[Span(left, right)] = survive
@@ -290,17 +279,6 @@ def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = Fal
                 out[Span(left, right)] = Fraction(count, denom) if exact else count / denom
         return out
     raise TypeError(f"unknown contraction rule {rule!r}")
-
-
-def _size_pmf(rule: SizeWeightedContraction, n: int, exact: bool) -> list[Mass]:
-    """The size pmf over k = 0..n, validated; when ``exact``, each value is
-    the ``Fraction`` it is, so a rational pmf conserves mass exactly and
-    a float one reads as its float value."""
-    weights = size_pmf_weights(rule.size_pmf, n)
-    if not exact:
-        return weights
-    values = [rule.size_pmf(k, n) for k in range(n + 1)]
-    return [Fraction(v) if isinstance(v, Rational) else Fraction(float(v)) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +341,7 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
         # size n >= k: one term per k, whose outcome factor keeps size k
         # only.  The deaths, pmf(0, n), ride on the first term.
         ns = sizes.tolist()
-        probs = [_size_pmf(rule, n, exact) for n in ns]
+        probs = [rule.pmf_at(n, exact) for n in ns]
         terms = []
         for k in ns:
             share = np.array([w[k] / (n - k + 1) if n >= k else 0 for n, w in zip(ns, probs)], dtype)
@@ -371,8 +349,7 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
             terms.append((share, death, np.where(sizes == k, 1, 0).astype(dtype)))
         return terms
     if isinstance(rule, KillThenUniformContraction):
-        death = [rule.death_at(n, exact) for n in sizes.tolist()]
-        death = np.array([Fraction(d) for d in death] if exact else death, dtype)
+        death = np.array([rule.death_at(n, exact) for n in sizes.tolist()], dtype)
         return [((one - death) / (sizes * (sizes + 1) // 2), death, np.ones(len(sizes), dtype))]
     if isinstance(rule, EndpointResampleContraction):
         # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
@@ -565,6 +542,15 @@ def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransi
     matches identically; the plus marginal can differ only by redistributed
     tail mass.
     """
+    from .coupling import (
+        PairClass,
+        antithetic_image,
+        antithetic_mirror,
+        classify_pair,
+        coupled_expansion_amounts,
+        right_offset,
+    )
+
     plus_host = antithetic_mirror(host)
     if classify_pair(host, plus_host) is not PairClass.ANTITHETIC:
         raise ValueError(f"host {host} does not sit in the antithetic class")

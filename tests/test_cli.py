@@ -154,6 +154,23 @@ def test_exact_rational_kill_rule_is_exact(tmp_path):
     assert read_meta(const)["lost_exact"] == "21/128"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "6e-10", "--t", "1", "--n-max", "6", "--x-min", "0", "--x-max", "1"],
+    ["--variant", "kill-uniform", "--p-empty", "1e-10", "--t", "1", "--n-max", "40", "--x-min", "0",
+     "--x-max", "0"],
+])
+def test_rational_exact_computes_at_the_flag(tmp_path, argv):
+    # A flag whose fraction of denominator at most 10**9 does not round back
+    # to it is read at its exact float value, as the float run reads it.
+    floats, rational = tmp_path / "float.csv", tmp_path / "rational.csv"
+    assert main(["exact", *argv, "--out", str(floats)]) == 0
+    assert main(["exact", *argv, "--arithmetic", "rational", "--out", str(rational)]) == 0
+    for want, got in zip(read_csv(floats)[1:], read_csv(rational)[1:], strict=True):
+        assert want[0] == got[0]
+        assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-12)
+        assert float(got[2]) == pytest.approx(float(want[2]), abs=1e-12)
+
+
 def test_exact_rejects_empty_site_range(tmp_path, capsys):
     out = tmp_path / "exact.csv"
     assert main(["exact", "--x-min", "5", "--x-max", "-5", "--out", str(out)]) == 2

@@ -288,7 +288,7 @@ def test_kill_then_uniform_default_matches_uniform():
 
 
 def test_kill_then_uniform_custom_death():
-    rule = KillThenUniformContraction(lambda p, n: 0.25, 0.5)
+    rule = KillThenUniformContraction(lambda n: 0.25)
     pmf = contraction_outcome_pmf(Span(0, 1), rule)
     assert pmf[EMPTY] == pytest.approx(0.25)
     assert pmf[Span(0, 0)] == pytest.approx(0.75 / 3)

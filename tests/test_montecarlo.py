@@ -708,7 +708,7 @@ def test_fixed_seed_hits_are_pinned():
     assert hits(
         estimate_occupancy(Span(-1, 2), 20, [-3, 0, 4], 20_000, seed=2, p=0.7, jobs=2)
     ) == [1150, 1216, 1116]
-    kill = KillThenUniformContraction(expansion_p=0.5)
+    kill = KillThenUniformContraction()
     assert hits(estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, rule=kill)) == [
         4508, 5854, 2995
     ]
@@ -754,7 +754,7 @@ def test_sampler_paths_are_pinned():
     assert hits(
         estimate_occupancy(Span(0, 2), 3, [-2, 0, 1, 3, 5], 20_000, seed=5, rule=weighted)
     ) == [6234, 10894, 11765, 8665, 4171]
-    kill = KillThenUniformContraction(expansion_p=0.1)
+    kill = KillThenUniformContraction()
     sites = [-1, 0, 1, 2]
     expected = {
         (None, 14): [5, 2, 3, 2],

@@ -114,7 +114,7 @@ def test_dead_law_grid_does_not_grow(exact):
     if exact:
         assert dist.common_denominator() == 1
     # A law the kill rule empties at the first step stops growing there.
-    kill = KillThenUniformContraction(lambda p, n: 1, p)
+    kill = KillThenUniformContraction(lambda n: 1)
     dist = evolve(Span(0, 2), 3, kill, p, policy, exact=exact)
     assert dist.grid.shape == (0, 0)
     assert dist.support() == (0, 0)
@@ -386,7 +386,7 @@ def test_span_rows_are_the_sorted_weights():
 
 def test_kill_rule_grid_matches_rational():
     policy = TruncationPolicy(5)
-    rule = KillThenUniformContraction(lambda p, n: 0.1 + 0.8 / n, 0.5)
+    rule = KillThenUniformContraction(lambda n: 0.1 + 0.8 / n)
     float_dist = evolve(Span(0, 1), 3, rule=rule, p=0.5, policy=policy)
     exact_dist = evolve(Span(0, 1), 3, rule=rule, p=Fraction(1, 2), policy=policy, exact=True)
     assert float_dist.grid is not None
@@ -398,7 +398,7 @@ def test_kill_rule_grid_matches_rational():
 
 def test_kill_rule_rejects_bad_death_probability():
     for death in (1.5, -0.1, float("nan")):
-        rule = KillThenUniformContraction(lambda p, n, d=death: d, 0.5)
+        rule = KillThenUniformContraction(lambda n, d=death: d)
         for refused in (
             lambda: evolve(Span(0, 0), 1, rule=rule),
             lambda: evolve(Span(0, 0), 1, rule=rule, exact=True),
@@ -464,8 +464,13 @@ def test_rational_kill_rule_reproduces_uniform_exactly():
     uniform = evolve(Span(0, 0), 2, UNIFORM, Fraction(1, 2), TruncationPolicy(6), exact=True)
     assert kill.weights == uniform.weights
     assert kill.lost == uniform.lost
-    # The float path and the samplers still get a float.
-    assert rule.death_probability(0.5, 2) == 0.25 and isinstance(rule.death_probability(0.5, 2), float)
+    # The float path and the samplers still get a float, the correctly
+    # rounded value of the exact death.
+    assert rule.death_at(2) == 0.25 and isinstance(rule.death_at(2), float)
+    for n in range(1, 2001):
+        slots = n * (n + 1) // 2 + 1
+        assert rule.death_at(n) == 1.0 / slots
+        assert rule.death_at(n, True) == Fraction(1, slots)
 
 
 @pytest.mark.parametrize("t", [4, 5, 6])
@@ -582,6 +587,17 @@ def test_rational_size_pmf_conserves_mass_exactly():
     for t in (1, 2, 3):
         assert evolve(Span(0, 0), t, rule, Fraction(1, 2), TruncationPolicy(5), exact=True).total() == 1
     assert sum(contraction_outcome_pmf(Span(0, 4), rule, exact=True).values()) == 1
+
+
+def test_rational_size_pmf_is_read_once_per_value():
+    calls = []
+
+    def pmf(k, n):
+        calls.append((k, n))
+        return Fraction(1, n + 1)
+
+    evolve(Span(0, 1), 1, SizeWeightedContraction(pmf), Fraction(1, 2), TruncationPolicy(2), exact=True)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_truncation_policy_validation():

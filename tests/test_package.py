@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,17 @@ def test_every_export_is_in_its_modules_all():
     assert not missing
 
 
+def test_readme_python_blocks_run():
+    # The blocks run in order in one namespace, as a reader would paste
+    # them, so a changed signature cannot leave the quickstart stale.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+
+
 def test_mutant_choices_are_montecarlo_mutants():
     from boxchain.cli import _MUTANTS, _SUITES, build_parser
 
@@ -118,7 +130,7 @@ def loaded(argv, tmp_path):
     (None, {"boxes", "cli", "coupling", "intervals", "montecarlo", "oracle", "stream"}),
     (["simulate", "--t", "2"], {"boxes", "coupling", "montecarlo", "oracle"}),
     (["simulate", "--dimension", "2", "--t", "2"], {"coupling", "montecarlo", "oracle"}),
-    (["exact", "--t", "2", "--n-max", "8"], {"boxes", "montecarlo"}),
+    (["exact", "--t", "2", "--n-max", "8"], {"boxes", "coupling", "montecarlo"}),
     (["mc", "--t", "2", "--trials", "2000"], {"oracle"}),
     (["mc", "--dimension", "2", "--t", "1", "--trials", "2000"], {"oracle"}),
     (["verify", "--suites", "reflection,coupling-invariants", "--trials", "200"], {"oracle"}),
