@@ -8,10 +8,8 @@ contraction rules are supported; the expansion is always geometric.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import isqrt
 from numbers import Rational
 from typing import Callable, Optional, Union
@@ -119,10 +117,12 @@ class SizeWeightedContraction:
 
     def pmf_at(self, n: int, exact: bool = False) -> list:
         """``size_pmf(k, n)`` over k = 0..n, each value read once: floats,
-        or when ``exact`` the ``Fraction``s of ``_exact``, so a pmf of
-        ``Fraction``s is certified as given and conserves mass exactly and
-        a float pmf is certified for its float values.  A negative or NaN
-        weight, or a sum more than 1e-9 from 1, raises ``ValueError``."""
+        or when ``exact`` the ``Fraction``s of ``_exact``, so a float pmf is
+        certified for its float values, and a pmf of ``Rational``s is
+        certified as given and must sum to exactly 1, so that it conserves
+        mass exactly.  A negative or NaN weight, or a sum more than 1e-9
+        from 1, raises ``ValueError``, as does an inexact ``Rational`` sum
+        when ``exact``."""
         values = [self.size_pmf(k, n) for k in range(n + 1)]
         weights = [float(v) for v in values]
         # ``not w >= 0`` also catches NaN, which fails every comparison.
@@ -131,7 +131,12 @@ class SizeWeightedContraction:
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"size pmf sums to {total} over k=0..{n}, expected 1")
-        return [_exact(v) for v in values] if exact else weights
+        if not exact:
+            return weights
+        fractions = [_exact(v) for v in values]
+        if all(isinstance(v, Rational) for v in values) and sum(fractions) != 1:
+            raise ValueError(f"size pmf sums to {sum(fractions)} over k=0..{n}, expected exactly 1")
+        return fractions
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,14 @@ class KillThenUniformContraction:
     def death_at(self, n: int, exact: bool = False):
         """``death_probability(n)`` as a float, or when ``exact`` as the
         ``Fraction`` of ``_exact``; a value outside [0, 1] (NaN included)
-        raises ``ValueError``."""
+        raises ``ValueError``.  The float read converts first, so the
+        sampler's per-step check compares floats."""
         death = self.death_probability(n)
+        if not exact:
+            death = float(death)
         if not 0 <= death <= 1:
             raise ValueError(f"death probability {death} outside [0, 1]")
-        return _exact(death) if exact else float(death)
+        return _exact(death) if exact else death
 
 
 @dataclass(frozen=True)
@@ -243,6 +251,17 @@ def rank_subinterval(host: Span, interval: Interval) -> int:
     return cum + (b - a) + 1
 
 
+def _draw_size(rule: SizeWeightedContraction, n: int, stream: Stream) -> int:
+    weights = rule.pmf_at(n)
+    u = stream.random()
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return k
+    return n
+
+
 def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval:
     """One contraction phase under ``rule``; the empty state is absorbing."""
     if state is None:
@@ -252,9 +271,7 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         total = count_nonempty_subintervals(n)
         return unrank_subinterval(state, stream.randbelow(total + 1))
     if isinstance(rule, SizeWeightedContraction):
-        # The first size whose cumulative weight passes the draw; n if none
-        # does, as rounding may leave the sum just under 1.
-        k = min(bisect_right(list(accumulate(rule.pmf_at(n))), stream.random()), n)
+        k = _draw_size(rule, n, stream)
         if k == 0:
             return EMPTY
         left = state.left + stream.randbelow(n - k + 1)

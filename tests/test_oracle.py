@@ -587,6 +587,16 @@ def test_rational_size_pmf_conserves_mass_exactly():
     for t in (1, 2, 3):
         assert evolve(Span(0, 0), t, rule, Fraction(1, 2), TruncationPolicy(5), exact=True).total() == 1
     assert sum(contraction_outcome_pmf(Span(0, 4), rule, exact=True).values()) == 1
+    # A pmf of Fractions that sums to 1 only within the float tolerance is
+    # refused in exact arithmetic, where it would gain mass, and read as
+    # floats otherwise.
+    def heavy(k, n):
+        return Fraction(1, n + 1) * (1 + Fraction(1, 2 * 10**9) * (k == 0))
+
+    rule = SizeWeightedContraction(heavy)
+    with pytest.raises(ValueError, match="expected exactly 1"):
+        evolve(Span(0, 0), 2, rule, Fraction(1, 2), TruncationPolicy(4), exact=True)
+    assert evolve(Span(0, 0), 2, rule, 0.5, TruncationPolicy(4)).total() == pytest.approx(1)
 
 
 def test_rational_size_pmf_is_read_once_per_value():
