@@ -15,8 +15,8 @@ denominator, where mass conservation holds identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Union
@@ -59,14 +59,18 @@ Mass = Union[float, Fraction]
 # A grid is refused past this many bytes: 8 a cell for a float grid, and a
 # pointer and a Python int of bits(D)/8 bytes plus its header a cell for a
 # rational one, D being the common denominator that bounds every numerator.
-# An expansion holds about three float grids of its output size at once (the
-# output, its left-endpoint pass and one product temporary), beside its
-# input, so one at the limit peaks near 2 GiB.  A rational grid's count takes
-# every cell as nonzero: a law's upper-triangular grid holds about half of
-# it, and an expansion peaks at 1.3-2.2 times it (tracemalloc, extents
-# 61-481), so one at the limit peaks near 1 GiB.
+# An expansion holds one float grid of its output size and temporaries of a
+# block of rows or columns, beside its input: tracemalloc reads its peak at
+# 1.1-1.3 times its output (extents 241-961), and a contraction's at 1.1-1.5
+# times its grid, so one at the limit peaks near 1 GiB with its input.  A
+# rational grid's count takes every cell as nonzero: a law's upper-triangular
+# grid holds about half of it, and an expansion peaks at 0.7-1.7 times it
+# (tracemalloc, extents 61-481), so one at the limit peaks near 1 GiB.
 _GRID_BYTES = 2**29
 _INT_HEADER_BYTES = 28
+# The passes over a grid sweep its upper triangle, where every law's mass
+# lies, in square blocks of this many cells a side.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -132,9 +136,20 @@ class StateDist:
         cls, grid: np.ndarray, origin: int, empty_mass: Mass, lost: Mass, denom: Optional[int] = None
     ) -> "StateDist":
         """A law held as its endpoint grid: float masses, or with ``denom``
-        integer numerators (grid, empty mass and lost) over it."""
+        integer numerators (grid, empty mass and lost) over it.  The grid
+        must be square with no mass below its diagonal, where a span's
+        right end would lie left of its left end (every pass over a grid
+        sweeps only its upper triangle); otherwise ``ValueError``."""
+        if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+            raise ValueError(f"a law's grid must be square, got shape {grid.shape}")
+        if np.tril(grid, -1).any():
+            raise ValueError("a law's grid holds mass below its diagonal, where no span lies")
+        return cls._held(grid, origin, empty_mass, lost, denom)
+
+    @classmethod
+    def _held(cls, grid: np.ndarray, origin: int, empty_units, lost_units, denom: Optional[int]) -> "StateDist":
         dist = cls.__new__(cls)  # no dict to pack, so ``__init__`` is skipped
-        dist._hold(grid, origin, empty_mass, lost, denom)
+        dist._hold(grid, origin, empty_units, lost_units, denom)
         return dist
 
     def _hold(self, grid: np.ndarray, origin: int, empty_units, lost_units, denom: Optional[int]) -> None:
@@ -169,8 +184,8 @@ class StateDist:
         """The law a step makes of this one, its units over this law's
         denominator times ``scale``; a float law's units are Python floats."""
         if self.denom is None:
-            return StateDist.on_grid(grid, origin, float(empty_units), float(lost_units))
-        return StateDist.on_grid(grid, origin, empty_units, lost_units, self.denom * scale)
+            return StateDist._held(grid, origin, float(empty_units), float(lost_units), None)
+        return StateDist._held(grid, origin, empty_units, lost_units, self.denom * scale)
 
     def _mass(self, units) -> Mass:
         """The mass of ``units`` grid units."""
@@ -313,11 +328,48 @@ def _by_size(factor: np.ndarray) -> np.ndarray:
     return sliding_window_view(line, extent)[:0:-1]
 
 
-def _dominance(share: np.ndarray) -> np.ndarray:
-    """acc[a, b] = sum of share[i, j] over i <= a and j >= b, the cells
-    whose span contains [a, b]."""
-    acc = np.cumsum(share, axis=0)
-    return np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
+def _dominance(grid: np.ndarray, share=None, outcome=None) -> np.ndarray:
+    """acc[a, b] for a <= b: the sum of grid[i, j] share[j - i] over i <= a
+    and j >= b, the cells whose span contains [a, b], times outcome[b - a];
+    a factor not given is 1.
+
+    Only the upper triangle is swept, in blocks of ``_BLOCK``: each block
+    of columns is summed down to its last column's diagonal cell, then each
+    block of rows leftward to its first row's.  Below the diagonal, acc is
+    0 when ``outcome`` is given and has no meaning otherwise.  Each kept
+    cell takes the same sums in the same order as over the whole rectangle,
+    so its value is the same.
+    """
+    size = len(grid)
+    share = None if share is None else _by_size(share)
+    outcome = None if outcome is None else _by_size(outcome)
+    acc = np.zeros((size, size), dtype=grid.dtype)  # untouched pages are never faulted in
+    for j0 in range(0, size, _BLOCK):
+        cells = (slice(None, j0 + _BLOCK), slice(j0, j0 + _BLOCK))
+        np.cumsum(grid[cells] if share is None else grid[cells] * share[cells], axis=0, out=acc[cells])
+    for a0 in range(0, size, _BLOCK):
+        cells = (slice(a0, a0 + _BLOCK), slice(a0, None))
+        rows = acc[cells]
+        np.cumsum(rows[:, ::-1], axis=1, out=rows[:, ::-1])
+        if outcome is not None:
+            rows *= outcome[cells]
+    return acc
+
+
+def _death_mass(grid: np.ndarray, death: np.ndarray):
+    """The sum of grid[i, j] death[j - i] over the upper triangle.
+
+    Each row's sum starts at a multiple of ``_BLOCK`` columns, so the lanes
+    of numpy's vectorised sum, and its rounding, are those of the whole
+    row; the rows are then added in order, as ``np.einsum`` adds a whole
+    grid's rows.  So a float sum is the same as over the whole rectangle.
+    """
+    death, total = _by_size(death), 0
+    for r0 in range(0, len(grid), _BLOCK):
+        cells = (slice(r0, r0 + _BLOCK), slice(r0, None))
+        for row in np.einsum("ij,ij->i", grid[cells], death[cells]):
+            total += row
+    return total
 
 
 def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False) -> list[tuple]:
@@ -361,10 +413,10 @@ def _grid_factors(rule: ContractionRule, sizes: np.ndarray, exact: bool = False)
 def _contract_grid(grid: np.ndarray, empty: Mass, terms: list[tuple]) -> tuple[np.ndarray, Mass]:
     out = None  # the first term's grid itself, so that one term costs no sum
     for share, death, outcome in terms:
-        part = _dominance(grid * _by_size(share)) * _by_size(outcome)
+        part = _dominance(grid, share, outcome)
         out = part if out is None else out + part
         if death is not None:
-            empty += np.einsum("ij,ij->", grid, _by_size(death))
+            empty += _death_mass(grid, death)
     return (np.zeros_like(grid) if out is None else out), empty
 
 
@@ -428,11 +480,21 @@ def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
         num, den, homogeneous = p.numerator, p.denominator, p.denominator
         out = _zeros(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
         scale, retained = den ** (2 * terms), den**terms - num**terms
-    # Rows hold left endpoints, which move to lower rows: up the reversed rows.
+    # Rows hold left endpoints, which move to lower rows: up the reversed
+    # rows.  Column j holds mass in rows <= j only, so a block of columns
+    # sums from the first reversed row that its last column reaches.
     left = out[: size + n_max, n_max : n_max + size]
-    _geometric_sum(left[::-1], (den - num) ** 2 * grid[::-1], num, terms, axis=0, den=homogeneous)
-    # Columns hold right endpoints, which move to higher columns.
-    _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=homogeneous)
+    for j0 in range(0, size, _BLOCK):
+        j1 = min(j0 + _BLOCK, size)
+        cols = slice(j0, j1)
+        x = (den - num) ** 2 * grid[::-1][size - j1 :, cols]
+        _geometric_sum(left[::-1][size - j1 :, cols], x, num, terms, axis=0, den=homogeneous)
+    # Columns hold right endpoints, which move to higher columns.  Row r of
+    # the left pass holds mass in columns >= r - n_max only.
+    right = out[: size + n_max, n_max:]
+    for r0 in range(0, size + n_max, _BLOCK):
+        cells = (slice(r0, r0 + _BLOCK), slice(max(r0 - n_max, 0), None))
+        _geometric_sum(right[cells], left[cells].copy(), num, terms, axis=1, den=homogeneous)
     # A float kernel can sum past 1 by rounding; no step loses negative mass.
     return out, scale, max(grid.sum() * (scale - retained * retained), 0)
 
@@ -488,6 +550,10 @@ def evolve(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if exact:
         p = Fraction(p)
+    if isinstance(rule, SizeWeightedContraction):
+        # Every step reads the pmf at every size up to its grid's extent, and
+        # its values do not change: read each one once.
+        rule = replace(rule, size_pmf=cache(rule.size_pmf))
     dist = StateDist.point_mass(initial, exact=exact)
     for _ in range(horizon):
         dist = contraction_pushforward(dist, rule)

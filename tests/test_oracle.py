@@ -333,6 +333,109 @@ def test_exact_doubling_expansion_matches_shifted_add():
             assert lost_inc == grid.sum() * (scale - (den**terms - num**terms) ** 2)
 
 
+def whole_rectangle_expand(grid, p, n_max, den=None):
+    """The expansion's two doubling passes over the whole rectangle: the
+    reference that the triangle's blocks must match cell for cell."""
+    from boxchain.oracle import _geometric_sum
+
+    terms, size = n_max + 1, len(grid)
+    num, one = (float(p), 1.0) if den is None else (p.numerator, p.denominator)
+    out = np.zeros((size + 2 * n_max,) * 2, dtype=grid.dtype)
+    left = out[: size + n_max, n_max : n_max + size]
+    _geometric_sum(left[::-1], (one - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
+    _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=den)
+    return out
+
+
+def whole_rectangle_dominance(share):
+    acc = np.cumsum(share, axis=0)
+    return np.flip(np.cumsum(np.flip(acc, axis=1), axis=1), axis=1)
+
+
+def block_boundary_grids(rng, dtype):
+    """Upper-triangular grids, half their cells zero, at extents that the
+    sweeps' blocks split at and around their edges."""
+    from boxchain.oracle import _BLOCK
+
+    for extent in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        if dtype is object:
+            cells = rng.integers(1, 50, (extent, extent)).astype(object)
+        else:
+            cells = rng.random((extent, extent))
+        grid = np.triu(cells * (rng.random((extent, extent)) < 0.5))
+        grid[0, -1] = cells[0, -1]  # the widest span
+        yield grid
+
+
+def test_triangle_expansion_is_bit_identical_at_block_boundaries():
+    from boxchain.oracle import _expand
+
+    rng = np.random.default_rng(19)
+    for grid in block_boundary_grids(rng, float):
+        for n_max in (0, 1, 7, 120):
+            got = _expand(grid, 0.8, n_max, None)[0]
+            assert got.tobytes() == whole_rectangle_expand(grid, 0.8, n_max).tobytes()
+    p = Fraction(2, 7)
+    for grid in block_boundary_grids(rng, object):
+        for n_max in (0, 1, 7, 120):
+            got = _expand(grid, p, n_max, 1000)[0]
+            assert np.array_equal(got, whole_rectangle_expand(grid, p, n_max, p.denominator))
+
+
+def test_triangle_dominance_is_bit_identical_at_block_boundaries():
+    from boxchain.oracle import _by_size, _death_mass, _dominance
+
+    rng = np.random.default_rng(23)
+    for dtype in (float, object):
+        for grid in block_boundary_grids(rng, dtype):
+            share, death, outcome = (
+                rng.random(len(grid)) if dtype is float else rng.integers(0, 9, len(grid)).astype(object)
+                for _ in range(3)
+            )
+            got = _dominance(grid, share, outcome)
+            want = whole_rectangle_dominance(grid * _by_size(share)) * _by_size(outcome)
+            cover = np.diagonal(_dominance(grid))
+            want_cover = np.diagonal(whole_rectangle_dominance(grid))
+            dead = np.einsum("ij,ij->", grid, _by_size(death))
+            if dtype is float:
+                assert got.tobytes() == want.tobytes()
+                assert cover.tobytes() == want_cover.tobytes()
+            else:
+                assert np.array_equal(got, want) and np.array_equal(cover, want_cover)
+            assert _death_mass(grid, death) == dead
+
+
+def test_every_rule_keeps_the_lower_triangle_empty():
+    tri = SizeWeightedContraction(lambda k, n: Fraction(2 * (k + 1), (n + 1) * (n + 2)))
+    for rule in (UNIFORM, EndpointResampleContraction(), KillThenUniformContraction(), tri):
+        # Extents 3, 63 and 123, and 70 and 74: past one block of the sweeps.
+        for law in (
+            evolve(Span(0, 2), 2, rule, 0.5, TruncationPolicy(30)),
+            evolve(Span(0, 69), 1, rule, Fraction(1, 2), TruncationPolicy(2), exact=True),
+        ):
+            assert law.grid.any()
+            assert not np.tril(law.grid, -1).any()
+
+
+def test_on_grid_refuses_a_grid_off_the_triangle(monkeypatch):
+    below = np.array([[0.5, 0.0], [0.5, 0.0]])
+    for grid, denom, match in (
+        (np.zeros((2, 3)), None, "square"),
+        (np.zeros(4), None, "square"),
+        (below, None, "below its diagonal"),
+        (np.array([[1, 0], [1, 0]], dtype=object), 2, "below its diagonal"),
+        (np.array([[0.0, 0.0], [float("nan"), 1.0]]), None, "below its diagonal"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            StateDist.on_grid(grid, 0, 0, 0, denom)
+    law = StateDist.on_grid(below.T.copy(), 3, 0.0, 0.0)
+    assert law.span_rows() == [(3, 3, 0.5), (3, 4, 0.5)]
+    # A step builds its law from a grid that the oracle itself made, so it
+    # pays for no check.
+    monkeypatch.setattr(StateDist, "on_grid", None)
+    assert evolve(Span(0, 0), 2, p=0.5, policy=TruncationPolicy(4)).total() == pytest.approx(1)
+
+
 def test_grid_law_weights_match_reference_dict():
     law = evolve(Span(0, 0), 3, p=0.5, policy=TruncationPolicy(20))
     assert law.grid is not None
@@ -608,6 +711,31 @@ def test_rational_size_pmf_is_read_once_per_value():
 
     evolve(Span(0, 1), 1, SizeWeightedContraction(pmf), Fraction(1, 2), TruncationPolicy(2), exact=True)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_size_pmf_is_read_once_per_evolve():
+    calls = []
+
+    def tri(k, n):
+        calls.append((k, n))
+        return Fraction(2 * (k + 1), (n + 1) * (n + 2))
+
+    rule, policy, half = SizeWeightedContraction(tri), TruncationPolicy(8), Fraction(1, 2)
+    # Its three contractions read sizes up to 1, 17 and 33: 2 + 170 + 594
+    # values, of which the last step's 594 are all distinct.
+    evolve(Span(0, 0), 3, rule, 0.5, policy)
+    assert len(calls) == len(set(calls)) == 594
+    calls.clear()
+    law = evolve(Span(0, 0), 3, rule, half, policy, exact=True)
+    assert len(calls) == len(set(calls)) == 594
+    # The law is the one its steps make when each reads the pmf afresh.
+    stepped = StateDist.point_mass(Span(0, 0), exact=True)
+    for _ in range(3):
+        stepped = expansion_pushforward(contraction_pushforward(stepped, rule), half, policy)
+    assert len(calls) == 594 + 766
+    assert law.common_denominator() == stepped.common_denominator()
+    assert np.array_equal(law.grid, stepped.grid)
+    assert (law.origin, law.empty_mass, law.lost) == (stepped.origin, stepped.empty_mass, stepped.lost)
 
 
 def test_truncation_policy_validation():
