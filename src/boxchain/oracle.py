@@ -69,7 +69,7 @@ Mass = Union[float, Fraction]
 _GRID_BYTES = 2**29
 _INT_HEADER_BYTES = 28
 # The passes over a grid sweep its upper triangle, where every law's mass
-# lies, in square blocks of this many cells a side.
+# lies, in blocks of this many rows or columns.
 _BLOCK = 64
 
 
@@ -328,7 +328,9 @@ def _by_size(factor: np.ndarray) -> np.ndarray:
     return sliding_window_view(line, extent)[:0:-1]
 
 
-def _dominance(grid: np.ndarray, share=None, outcome=None) -> np.ndarray:
+def _dominance(
+    grid: np.ndarray, share: Optional[np.ndarray] = None, outcome: Optional[np.ndarray] = None
+) -> np.ndarray:
     """acc[a, b] for a <= b: the sum of grid[i, j] share[j - i] over i <= a
     and j >= b, the cells whose span contains [a, b], times outcome[b - a];
     a factor not given is 1.
@@ -482,13 +484,12 @@ def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
         scale, retained = den ** (2 * terms), den**terms - num**terms
     # Rows hold left endpoints, which move to lower rows: up the reversed
     # rows.  Column j holds mass in rows <= j only, so a block of columns
-    # sums from the first reversed row that its last column reaches.
+    # takes the rows down to its last column, and their n_max more images.
     left = out[: size + n_max, n_max : n_max + size]
     for j0 in range(0, size, _BLOCK):
-        j1 = min(j0 + _BLOCK, size)
-        cols = slice(j0, j1)
-        x = (den - num) ** 2 * grid[::-1][size - j1 :, cols]
-        _geometric_sum(left[::-1][size - j1 :, cols], x, num, terms, axis=0, den=homogeneous)
+        j1, cols = j0 + _BLOCK, slice(j0, j0 + _BLOCK)
+        x = (den - num) ** 2 * grid[:j1, cols][::-1]
+        _geometric_sum(left[: j1 + n_max, cols][::-1], x, num, terms, axis=0, den=homogeneous)
     # Columns hold right endpoints, which move to higher columns.  Row r of
     # the left pass holds mass in columns >= r - n_max only.
     right = out[: size + n_max, n_max:]
