@@ -339,10 +339,10 @@ def whole_rectangle_expand(grid, p, n_max, den=None):
     from boxchain.oracle import _geometric_sum
 
     terms, size = n_max + 1, len(grid)
-    num, one = (float(p), 1.0) if den is None else (p.numerator, p.denominator)
+    num, denominator = (float(p), 1.0) if den is None else (p.numerator, p.denominator)
     out = np.zeros((size + 2 * n_max,) * 2, dtype=grid.dtype)
     left = out[: size + n_max, n_max : n_max + size]
-    _geometric_sum(left[::-1], (one - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
+    _geometric_sum(left[::-1], (denominator - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
     _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=den)
     return out
 
