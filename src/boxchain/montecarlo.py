@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from statistics import NormalDist
 from typing import Callable, Iterable, Sequence
 
@@ -110,11 +110,18 @@ def _worst_margin(gaps) -> float:
     return worst
 
 
+@lru_cache(maxsize=64)
+def _normal_quantile(confidence: float) -> float:
+    """The two-sided standard normal quantile of ``confidence``, computed
+    once per level: an estimate asks for it at every site."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
 def wilson_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval; well behaved for extreme proportions."""
     _validate_counts(hits, trials)
     _validate_confidence(confidence)
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _normal_quantile(confidence)
     phat = hits / trials
     z2n = z * z / trials
     denom = 1.0 + z2n
@@ -182,28 +189,44 @@ class CheckReport:
 # through :meth:`_Batch.contract`, so no mask of dead rows is carried.
 
 
-def _unrank_offsets_vec(n: np.ndarray, i0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decode of ranks into (left, right) offsets within hosts.
+def _from_right(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized decode of sub-interval ranks counted from the last one.
 
-    Rank ``i0`` orders the sub-intervals of [0, n-1] by left end, then right
-    end, as :func:`unrank_subinterval` does.  Counted from the last one,
-    r = T(n) - 1 - i0 with T(m) = m(m+1)/2, and the block with left end
-    n-1-k holds r in [T(k), T(k+1)), where 8r + 1 lies in [(2k+1)^2,
-    (2k+3)^2).  Rounding 8r + 1 to float64 and the correctly rounded square
-    root move the root of a square by less than half an ulp, so the float
-    root lies in [2k+1, 2k+3]: the estimate of k is k or k + 1, and one
-    integer correction downward settles it.  Every operand is nonnegative,
-    so halving is a shift (numpy's floor division costs more).
+    Ranked by left end, then right end, as :func:`unrank_subinterval` does,
+    the sub-intervals of a host end with its right end; counted from that
+    last one, the block whose left end lies k sites left of the host's right
+    end holds the ranks ``r`` in [T(k), T(k+1)), T(m) = m(m+1)/2, and ``r``
+    picks the right end j = r - T(k) sites left of it.  Returns (k, j).
+
+    8r + 1 lies in [(2k+1)^2, (2k+3)^2).  Rounding it to float64 and the
+    correctly rounded square root move the root of a square by less than
+    half an ulp, so the float root lies in [2k+1, 2k+3]: the estimate of k
+    is k or k + 1.  It can be k + 1 only past 2**53, where 8r + 1 is not
+    exact: below, the block's largest 8r + 1, (2k+3)^2 - 8, has its root
+    about 4/(2k+3) below 2k+3, more than half an ulp.  So the integer
+    correction runs only for ranks that large.  Every operand is
+    nonnegative, so halving is a shift (numpy's floor division costs more).
     """
-    r = (n * (n + 1) >> 1) - 1 - i0
-    k = (np.sqrt(8 * r + 1).astype(np.int64) - 1) >> 1
-    k -= (k * (k + 1) >> 1) > r
-    return n - 1 - k, n - 1 - (r - (k * (k + 1) >> 1))
+    root = r * 8
+    root += 1
+    k = np.sqrt(root).astype(np.int64)
+    k -= 1
+    k >>= 1
+    t = k + 1
+    t *= k
+    t >>= 1
+    over = t > r
+    if over.any():
+        k -= over
+        t = k * (k + 1) >> 1
+    return k, np.subtract(r, t, out=t)
 
 
-# The int64 rank limit.  The decode above forms 8r + 1 < 8 n(n+1)/2, so an
-# axis may have fewer than 2**60 nonempty sub-intervals; one draw ranks all
-# sub-boxes, so their product must stay below 2**63.  Below these limits no
+# The int64 rank limit.  An axis's rank counted from its last sub-interval
+# is below n(n+1)/2 and the decode forms 8r + 1 from it, so an axis may have
+# fewer than 2**60 nonempty sub-intervals.  One draw ranks all sub-boxes plus
+# the empty outcome, and its complement is the product of the counts less
+# the draw, so that product must stay below 2**63.  Below these limits no
 # intermediate of a step wraps.
 
 
@@ -212,64 +235,68 @@ def _ranks_fit(sizes: Sequence[int]) -> bool:
     return max(ranks) < 1 << 60 and math.prod(ranks) < 1 << 63
 
 
-def _rank_counts(sizes: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Nonempty sub-intervals n(n+1)/2 per axis of each row; raises
-    ``ValueError`` before a count or their product could wrap in int64.
+def _rank_counts(sizes: np.ndarray) -> np.ndarray:
+    """Nonempty sub-intervals n(n+1)/2 of each side length in the (axes,
+    rows) array ``sizes``; raises ``ValueError`` before a count or the
+    product of a row's counts could wrap in int64.
 
     The largest size on each axis settles the common case; only when those
     do not fit are the rows checked one by one.
     """
-    if not _ranks_fit([int(n.max(initial=0)) for n in sizes]):
-        for row in zip(*(n.tolist() for n in sizes)):
+    if not _ranks_fit(sizes.max(axis=1, initial=0).tolist()):
+        for row in sizes.T.tolist():
             if not _ranks_fit(row):
                 raise ValueError(
-                    f"a state of side lengths {row} exceeds the int64 rank limit of the "
+                    f"a state of side lengths {tuple(row)} exceeds the int64 rank limit of the "
                     "sampler: n(n+1)/2 must stay below 2**60 per axis and its product below 2**63"
                 )
-    return [n * (n + 1) // 2 for n in sizes]
+    return sizes * (sizes + 1) >> 1
 
 
 def _contract_chunk(
     lo: np.ndarray, hi: np.ndarray, rule: ContractionRule, stream: Stream
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contract every box ``[lo, hi]``; returns the indices ``keep`` of the
-    boxes that stay nonempty, in their old order, and their new (left,
-    right) offsets within the host.
+    boxes that stay nonempty, in their old order, and their contracted
+    ends, each of shape (axes, survivors).
 
     The uniform rule draws one rank per box over its nonempty sub-boxes
     plus the empty outcome (rank 0) and splits the rest mixed-radix, last
-    axis fastest, as :func:`contract_uniform` does; an interval skips the
-    split and its copies.  The other rules contract intervals only.
+    axis fastest, as :func:`contract_uniform` does.  The complement of a
+    draw, its rank counted from the last sub-box, splits into the
+    complements of the digits, so each axis's rank counted from its last
+    sub-interval, which :func:`_from_right` decodes from the host's right
+    end.  The other rules contract intervals only.
     """
     sizes = hi - lo + 1
     n = sizes[0]
     if isinstance(rule, UniformContraction):
         ranks = _rank_counts(sizes)
         # ``start`` spares an interval the product's copy of its rank counts.
-        draw = stream.integers_upto(math.prod(ranks[1:], start=ranks[0]))
-        keep = draw.nonzero()[0]  # np.flatnonzero's ravel costs more on small chunks
-        rest = draw[keep] - 1
+        total = math.prod(ranks[1:], start=ranks[0])
+        draw = stream.integers_upto(total)
+        # A boolean mask's nonzero is twice as fast as an integer array's on
+        # full chunks, and np.flatnonzero's ravel costs more on small ones.
+        keep = (draw != 0).nonzero()[0]
+        rest = (total - draw).take(keep)
         if len(lo) == 1:
-            return (keep, *_unrank_offsets_vec(n[keep], rest))
-        left = np.empty((len(lo), rest.size), np.int64)
-        right = np.empty_like(left)
-        for axis in reversed(range(len(lo))):
-            if axis:
-                rest, digit = np.divmod(rest, ranks[axis][keep])
-            else:
-                digit = rest
-            left[axis], right[axis] = _unrank_offsets_vec(sizes[axis][keep], digit)
-        return keep, left, right
-    if len(lo) > 1:
+            r = rest[None]
+        else:
+            r = np.empty((len(lo), rest.size), np.int64)
+            for axis in range(len(lo) - 1, 0, -1):
+                rest, r[axis] = np.divmod(rest, ranks[axis, keep])
+            r[0] = rest
+    elif len(lo) > 1:
         raise ValueError(f"{type(rule).__name__} contracts intervals only; boxes contract uniformly")
-    if isinstance(rule, KillThenUniformContraction):
-        death = np.empty(n.size)
-        for nv in np.unique(n):
-            death[n == nv] = rule.death_at(int(nv))
-        keep = np.flatnonzero(stream.random_array(n.size) >= death)
-        (ranks,) = _rank_counts([n[keep]])
-        return (keep, *_unrank_offsets_vec(n[keep], stream.integers_upto(ranks - 1)))
-    if isinstance(rule, SizeWeightedContraction):
+    elif isinstance(rule, KillThenUniformContraction):
+        values, which = np.unique(n, return_inverse=True)
+        death = np.array([rule.death_at(nv) for nv in values.tolist()])
+        keep = np.flatnonzero(stream.random_array(n.size) >= death[which])
+        # The draw ranks from the first sub-interval; r counts from the last.
+        last = _rank_counts(sizes.take(keep, axis=1))
+        last -= 1
+        r = last - stream.integers_upto(last[0])
+    elif isinstance(rule, SizeWeightedContraction):
         u = stream.random_array(n.size)
         size = np.empty(n.size, np.int64)
         for nv in np.unique(n):
@@ -279,13 +306,17 @@ def _contract_chunk(
         size = np.minimum(size, n)
         keep = np.flatnonzero(size)
         size = size[keep]
-        left = stream.integers_upto(n[keep] - size)
-        return keep, left, left + size - 1
-    if isinstance(rule, EndpointResampleContraction):
+        left = lo[:, keep] + stream.integers_upto(n[keep] - size)
+        return keep, left, left + (size - 1)
+    elif isinstance(rule, EndpointResampleContraction):
         u = stream.integers_upto(n - 1)
         v = stream.integers_upto(n - 1)
-        return np.arange(n.size), np.minimum(u, v), np.maximum(u, v)  # never empty
-    raise TypeError(f"unknown contraction rule {rule!r}")
+        return np.arange(n.size), lo + np.minimum(u, v), lo + np.maximum(u, v)  # never empty
+    else:
+        raise TypeError(f"unknown contraction rule {rule!r}")
+    k, j = _from_right(r)
+    top = hi.take(keep, axis=1)
+    return keep, np.subtract(top, k, out=k), np.subtract(top, j, out=j)
 
 
 class _Batch:
@@ -325,11 +356,10 @@ class _Batch:
         draws nothing."""
         if not len(self):
             return self.lo[:axes], self.hi[:axes], np.empty((axes, faces, 0), np.int64)
-        keep, left, right = _contract_chunk(self.lo[:axes], self.hi[:axes], rule, stream)
+        keep, lo, hi = _contract_chunk(self.lo[:axes], self.hi[:axes], rule, stream)
         self.keep(keep)
-        base = self.lo[:axes]
         runs = stream.geometric_array(p, faces * axes * keep.size).reshape(axes, faces, keep.size)
-        return base + left, base + right, runs
+        return lo, hi, runs
 
     def step(
         self, p: float, stream: Stream, *, rule: ContractionRule = UNIFORM, one_sided: bool = False
@@ -721,18 +751,17 @@ class _Pairs(_Batch):
         shared step.  ``skip_antithetic_map`` copies the contraction, the
         fault injection of :func:`coupled_step`.
         """
-        lo, hi, runs = self.contract(1, UNIFORM, p, stream)
-        a, b, left_run, right_run = lo[0], hi[0], runs[0, 0], runs[0, 1]
+        (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
         if skip_antithetic_map:
             tl, tr = a, b
         else:
-            inside = a >= -1 - self.hi[0]
+            inside = a + self.hi[0] >= -1
             tl = np.where(inside, a, -1 - b)
             tr = np.where(inside, b, -1 - a)
         shared = self.coalesced | (right_run >= tr - b)
         self.coalescences += int(np.count_nonzero(shared)) - int(np.count_nonzero(self.coalesced))
-        self.lo[0] = a - left_run
-        self.hi[0] = b + right_run
+        np.subtract(a, left_run, out=self.lo[0])
+        np.add(b, right_run, out=self.hi[0])
         self.lo[1] = np.where(shared, self.lo[0], tl - right_run)
         self.hi[1] = np.where(shared, self.hi[0], tr + left_run)
         self.coalesced = shared
@@ -744,21 +773,21 @@ class _Pairs(_Batch):
         eta contracts to the reflection [-b, -a] and expands with the two
         runs swapped, or reused unswapped as fault injection.
         """
-        lo, hi, runs = self.contract(1, UNIFORM, p, stream)
-        a, b, left_run, right_run = lo[0], hi[0], runs[0, 0], runs[0, 1]
-        self.lo[0] = a - left_run
-        self.hi[0] = b + right_run
+        (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
+        np.subtract(a, left_run, out=self.lo[0])
+        np.add(b, right_run, out=self.hi[0])
         if swap_expansion_draws:
             right_run, left_run = left_run, right_run
-        self.lo[1] = -b - left_run
-        self.hi[1] = -a + right_run
+        np.subtract(-b, left_run, out=self.lo[1])
+        np.subtract(right_run, a, out=self.hi[1])
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Identical and antithetic masks, as :func:`classify_pair` decides
         them; pairs in neither are unrelated."""
         (ml, pl), (mr, pr) = self.lo, self.hi
         identical = (ml == pl) & (mr == pr)
-        antithetic = ~identical & (pl == -1 - mr) & (pr == -1 - ml) & (ml <= -1) & (mr + 1 <= -ml)
+        # ml <= mr, so ml + mr <= -1 also puts ml at or below -1.
+        antithetic = ~identical & (pl + mr == -1) & (pr + ml == -1) & (ml + mr <= -1)
         return identical, antithetic
 
     def dominates(self) -> np.ndarray:

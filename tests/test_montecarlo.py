@@ -289,15 +289,23 @@ def test_report_rows_are_stable():
     assert row_a == row_b
 
 
+def _decoded_offsets(n, ranks):
+    """Offsets within [0, n-1] of the sub-intervals of ``ranks`` (counted
+    from the first, as :func:`unrank_subinterval` does, less one), decoded
+    from their complements as the sampler does."""
+    from boxchain.montecarlo import _from_right
+
+    ranks = np.asarray(ranks, np.int64)
+    k, j = _from_right(n * (n + 1) // 2 - 1 - ranks)
+    return n - 1 - k, n - 1 - j
+
+
 def test_vector_unrank_matches_scalar():
     from boxchain import unrank_subinterval
-    from boxchain.montecarlo import _unrank_offsets_vec
 
     for n in range(1, 61):
         total = n * (n + 1) // 2
-        a, b = _unrank_offsets_vec(
-            np.full(total, n, np.int64), np.arange(total, dtype=np.int64)
-        )
+        a, b = _decoded_offsets(n, np.arange(total))
         for i0 in range(total):
             span = unrank_subinterval(Span(0, n - 1), i0 + 1)
             assert (a[i0], b[i0]) == (span.left, span.right)
@@ -305,7 +313,7 @@ def test_vector_unrank_matches_scalar():
     for n in (500, 5000, 100_000):
         total = n * (n + 1) // 2
         ranks = rng.integers(0, total, 200)
-        a, b = _unrank_offsets_vec(np.full(200, n, np.int64), ranks)
+        a, b = _decoded_offsets(n, ranks)
         for j in range(200):
             span = unrank_subinterval(Span(0, n - 1), int(ranks[j]) + 1)
             assert (int(a[j]), int(b[j])) == (span.left, span.right)
@@ -313,10 +321,9 @@ def test_vector_unrank_matches_scalar():
 
 def test_vector_unrank_at_the_int64_limit():
     # Near the rank limit 8r + 1 is not exact in float64, and the float root
-    # overshoots at the first rank of a block, where r = T(k+1) - 1; the last
-    # rank, where r = T(k), is where an undershoot would show.
-    from boxchain.montecarlo import _unrank_offsets_vec
-
+    # overshoots at the first rank of a block, where r = T(k+1) - 1 counted
+    # from the last; the last rank, where r = T(k), is where an undershoot
+    # would show.
     rng = np.random.default_rng(11)
     for n in (1_518_500_249, 2**30):
         total = n * (n + 1) // 2
@@ -326,10 +333,40 @@ def test_vector_unrank_at_the_int64_limit():
             first = left * n - left * (left - 1) // 2
             ranks += [first, first + (n - left) - 1]
         ranks += rng.integers(0, total, 200).tolist()
-        a, b = _unrank_offsets_vec(np.full(len(ranks), n, np.int64), np.array(ranks, np.int64))
+        a, b = _decoded_offsets(n, ranks)
         for j, rank in enumerate(ranks):
             span = unrank_subinterval(Span(0, n - 1), rank + 1)
             assert (int(a[j]), int(b[j])) == (span.left, span.right), (n, rank)
+
+
+def test_box_contraction_decodes_every_axis_of_recorded_draws():
+    # The complement of a draw splits into the complements of its
+    # mixed-radix digits: three axes, each decoded from its host's right end,
+    # must give the sub-intervals of the draw's own digits.
+    import math
+
+    from conftest import VectorStubStream
+
+    from boxchain import UNIFORM, count_nonempty_subintervals
+    from boxchain.montecarlo import _contract_chunk
+
+    rng = np.random.default_rng(23)
+    sizes = np.concatenate([rng.integers(1, 5, (3, 300)), rng.integers(1, 2000, (3, 300))], axis=1)
+    lo = rng.integers(-50, 50, sizes.shape)
+    hi = lo + sizes - 1
+    counts = [[count_nonempty_subintervals(int(n)) for n in axis] for axis in sizes]
+    totals = [math.prod(row) for row in zip(*counts)]
+    draws = []
+    for i, total in enumerate(totals):
+        draws.append([0, 1, total, total - 1, int(rng.integers(0, total + 1))][i % 5])
+    keep, left, right = _contract_chunk(lo, hi, UNIFORM, VectorStubStream(integers=[draws]))
+    assert keep.tolist() == [i for i, draw in enumerate(draws) if draw]
+    for column, i in enumerate(keep.tolist()):
+        rest = draws[i] - 1
+        for axis in reversed(range(3)):
+            rest, digit = divmod(rest, counts[axis][i])
+            want = unrank_subinterval(Span(int(lo[axis, i]), int(hi[axis, i])), digit + 1)
+            assert (left[axis, column], right[axis, column]) == (want.left, want.right), (i, axis)
 
 
 def test_uniform_contraction_marginal_four_sigma():
@@ -881,9 +918,9 @@ def test_rank_limit_checks_each_row():
     # Each row fits though the per-axis maxima together would not.
     big = 1_000_000_000
     sizes = [np.array([big, 1]), np.array([1, big])]
-    assert [k.tolist() for k in _rank_counts(sizes)] == [[big * (big + 1) // 2, 1], [1, big * (big + 1) // 2]]
+    assert _rank_counts(np.array(sizes)).tolist() == [[big * (big + 1) // 2, 1], [1, big * (big + 1) // 2]]
     with pytest.raises(ValueError, match="int64 rank limit"):
-        _rank_counts([np.array([big, 1]), np.array([10, big])])
+        _rank_counts(np.array([[big, 1], [10, big]]))
 
 
 def test_pair_engine_rank_count_is_guarded():
