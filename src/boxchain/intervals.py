@@ -79,6 +79,17 @@ def validate_expansion_param(p) -> None:
         raise ValueError(f"expansion parameter must lie in (0, 1), got {p!r}")
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int; a value that is not an integer raises ValueError."""
+    try:
+        number = int(value)
+        if number == value:
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # contraction rules
 

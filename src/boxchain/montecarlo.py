@@ -49,6 +49,7 @@ from .intervals import (
     Span,
     UNIFORM,
     UniformContraction,
+    _integral,
     validate_expansion_param,
 )
 from .stream import Stream
@@ -495,17 +496,6 @@ def _run_chunks(
 # occupancy estimators
 
 
-def _integral(value, what: str) -> int:
-    """``value`` as an int; a value that is not an integer raises ValueError."""
-    try:
-        number = int(value)
-        if number == value:
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be integers, got {value!r}")
-
-
 def _estimate(
     label: str, initial: Sequence[Span], t: int, sites: list, trials: int,
     rule: ContractionRule, p: float, seed: int, confidence: float, method: str, jobs: int,
@@ -558,7 +548,7 @@ def estimate_occupancy(
     give identical estimates regardless of ``jobs``.
     """
     return _estimate(
-        "mc-interval", (initial,), t, [_integral(x, "sites") for x in sites], trials,
+        "mc-interval", (initial,), t, [_integral(x, "site") for x in sites], trials,
         rule, p, seed, confidence, method, jobs, one_sided_expansion,
     )
 
@@ -580,7 +570,7 @@ def estimate_occupancy_2d(
         raise ValueError("estimate_occupancy_2d needs a two-dimensional box")
     return _estimate(
         "mc-box", initial.spans, t,
-        [(_integral(x, "point coordinates"), _integral(y, "point coordinates")) for x, y in points],
+        [(_integral(x, "point coordinate"), _integral(y, "point coordinate")) for x, y in points],
         trials,
         UNIFORM, p, seed, confidence, method, jobs, False,
     )

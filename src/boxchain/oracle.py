@@ -34,6 +34,7 @@ from .intervals import (
     Span,
     UNIFORM,
     UniformContraction,
+    _integral,
     count_nonempty_subintervals,
     unrank_subinterval,
     validate_expansion_param,
@@ -80,6 +81,7 @@ class TruncationPolicy:
     n_max: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_max", _integral(self.n_max, "n_max"))
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
@@ -567,7 +569,9 @@ def evolve(
 
 
 def occupancy_bounds(dist: StateDist, site: int) -> OccupancyBounds:
-    """lo = mass of spans containing ``site``; hi = lo + lost."""
+    """lo = mass of spans containing ``site``; hi = lo + lost.  A site equal
+    to an integer is that integer, and any other value raises ValueError."""
+    site = _integral(site, "site")
     lo = dist._coverage(site)
     return OccupancyBounds(site, lo, lo + dist.lost)
 

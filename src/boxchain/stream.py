@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 
 import numpy as np
 
@@ -66,12 +67,14 @@ class Stream:
     __slots__ = ("seed", "_spawn_key", "_gen", "_floats", "_fpos", "_words", "_wpos")
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()) -> None:
-        seed = int(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        self.seed = seed
+        try:
+            self.seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self._spawn_key = tuple(_spawn_key)
-        seq = np.random.SeedSequence(seed, spawn_key=self._spawn_key)
+        seq = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(seq))
         self._floats = np.empty(0)
         self._fpos = 0

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-from scipy import stats
 
 
 class StubStream:
@@ -73,7 +72,24 @@ def chi_square_pvalue(counts, probabilities, total):
     dof = len(observed) - 1
     if dof <= 0:
         return 1.0
-    return float(stats.chi2.sf(statistic, dof))
+    return chi2_sf(statistic, dof)
+
+
+def chi2_sf(x, k):
+    """Upper tail P(X > x) of a chi-square law with integer ``k`` degrees of
+    freedom, from the closed form of Q(k/2, x/2) at integer and half-integer
+    shape.  With y = x/2, an even k sums exp(-y) y**i / i! over i < k/2, and
+    an odd k adds exp(-y) y**(i+1/2) / Gamma(i+3/2) over i < (k-1)/2 to
+    erfc(sqrt(y)).  Each term is formed in log space, so a large x gives a
+    small tail rather than an exp(-y) that underflows to 0."""
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    if k % 2 == 0:
+        return math.fsum(math.exp(i * log_y - y - math.lgamma(i + 1)) for i in range(k // 2))
+    terms = (math.exp((i + 0.5) * log_y - y - math.lgamma(i + 1.5)) for i in range(k // 2))
+    return math.erfc(math.sqrt(y)) + math.fsum(terms)
 
 
 def assert_close(a, b, tol=1e-12):

@@ -1,8 +1,7 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from boxchain import (
     BernoulliSurface,
@@ -32,10 +31,9 @@ from boxchain import (
 
 from conftest import StubStream
 
-intervals = st.one_of(
-    st.none(),
-    st.builds(lambda l, e: Span(l, l + e), st.integers(-20, 20), st.integers(0, 20)),
-)
+# The empty state and every span with left end in -20..20 and extent
+# 0..20: 862 states, checked one by one by the map properties below.
+INTERVALS = [EMPTY] + [Span(left, left + e) for left in range(-20, 21) for e in range(21)]
 
 
 def antithetic_hosts(max_size):
@@ -67,9 +65,9 @@ def test_reflect_examples():
     assert reflect_origin(EMPTY) is EMPTY
 
 
-@given(intervals)
-def test_reflect_involution(interval):
-    assert reflect_origin(reflect_origin(interval)) == interval
+def test_reflect_involution():
+    for interval in INTERVALS:
+        assert reflect_origin(reflect_origin(interval)) == interval
 
 
 def test_mirror_examples():
@@ -78,9 +76,9 @@ def test_mirror_examples():
     assert antithetic_mirror(EMPTY) is EMPTY
 
 
-@given(intervals)
-def test_mirror_involution(interval):
-    assert antithetic_mirror(antithetic_mirror(interval)) == interval
+def test_mirror_involution():
+    for interval in INTERVALS:
+        assert antithetic_mirror(antithetic_mirror(interval)) == interval
 
 
 def test_relabel_roundtrip_and_skip():
@@ -115,9 +113,16 @@ def test_classify_examples():
     assert classify_pair(Span(-2, 1), Span(-2, 1)) is PairClass.IDENTICAL
 
 
-@given(intervals, intervals)
-def test_classify_total(minus, plus):
-    assert classify_pair(minus, plus) in PairClass
+def test_classify_total():
+    # Every pair of states that sit in -6..5, a window symmetric about the
+    # mirror point -1/2, so every class occurs; then pairs drawn from all
+    # 862 states.
+    near = [EMPTY] + [Span(left, left + e) for left in range(-6, 6) for e in range(6 - left)]
+    pairs = [(minus, plus) for minus in near for plus in near]
+    draw = random.Random(20).choice
+    pairs += [(draw(INTERVALS), draw(INTERVALS)) for _ in range(20_000)]
+    # Every pair gets a class, and every class occurs.
+    assert {classify_pair(minus, plus) for minus, plus in pairs} == set(PairClass)
 
 
 # ---------------------------------------------------------------------------

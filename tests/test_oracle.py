@@ -251,6 +251,22 @@ def test_occupancy_table_matches_pointwise():
         assert entry.hi == pytest.approx(direct.hi, abs=1e-12)
 
 
+def test_occupancy_sites_must_be_integers():
+    # A float site used to index the coverage row: 2.0 and 1.5 raised
+    # numpy's IndexError, and -100.0 gave a bracket labelled -100.0.
+    dist = evolve(Span(0, 0), 2, p=0.5, policy=TruncationPolicy(10))
+    for site in (2.0, np.int64(2), -100.0):
+        bounds = occupancy_bounds(dist, site)
+        assert bounds == occupancy_bounds(dist, int(site))
+        assert type(bounds.site) is int
+    assert occupancy_table(dist, [np.int64(-1), 3.0]) == occupancy_table(dist, [-1, 3])
+    for site in (1.5, "2", float("nan"), None):
+        with pytest.raises(ValueError, match=f"site must be an integer, got {site!r}"):
+            occupancy_bounds(dist, site)
+        with pytest.raises(ValueError, match=f"site must be an integer, got {site!r}"):
+            occupancy_table(dist, [0, site])
+
+
 # ---------------------------------------------------------------------------
 # the float law on its grid
 
@@ -741,6 +757,12 @@ def test_size_pmf_is_read_once_per_evolve():
 def test_truncation_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(-1)
+    # A fractional n_max used to construct and then fail inside the expansion.
+    with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
+        TruncationPolicy(2.5)
+    for n_max in (3.0, np.int64(3)):
+        assert type(TruncationPolicy(n_max).n_max) is int
+        assert TruncationPolicy(n_max) == TruncationPolicy(3)
     assert TruncationPolicy(3).per_step_loss_bound(0.5) == pytest.approx(1 - (1 - 0.5**4) ** 2)
 
 

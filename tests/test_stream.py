@@ -33,6 +33,18 @@ def test_negative_seed_rejected():
         Stream(-1)
 
 
+def test_non_integer_seed_rejected():
+    # A float or a string seed used to be truncated: Stream(1.5) drew as
+    # Stream(1), and Stream("7") as Stream(7).
+    for seed in (1.5, 2.0, "7", None):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            Stream(seed)
+    a = Stream(np.int64(7))
+    b = Stream(7)
+    assert type(a.seed) is int
+    assert [a.random() for _ in range(50)] == [b.random() for _ in range(50)]
+
+
 def test_randbelow_bounds_and_uniformity():
     stream = Stream(123)
     n = 7
