@@ -27,13 +27,13 @@ _EXPORTS = {
         "contract_uniform",
         "count_nonempty_subrects",
         "expand_faces",
+        "l1_ball",
         "l1_norm",
         "simulate_path_rect",
         "step_rect",
         "unit_box",
     ),
     "coupling": (
-        "BernoulliSurface",
         "CoupledState",
         "PairClass",
         "antithetic_image",
@@ -73,6 +73,7 @@ _EXPORTS = {
         "simulate_path",
         "size_of",
         "step",
+        "uniform_death_probability",
         "unrank_subinterval",
     ),
     "montecarlo": (
@@ -93,6 +94,7 @@ _EXPORTS = {
     ),
     "oracle": (
         "CouplingTransitionReport",
+        "Mass",
         "OccupancyBounds",
         "StateDist",
         "TruncationPolicy",

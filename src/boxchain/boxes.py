@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intervals import Span, count_nonempty_subintervals, expand, unrank_subinterval, validate_expansion_param
+from .intervals import (
+    Span,
+    _at_least,
+    count_nonempty_subintervals,
+    expand,
+    unrank_subinterval,
+    validate_expansion_param,
+)
 from .stream import Stream
 
 __all__ = [
@@ -107,8 +114,7 @@ def step_rect(state: HyperRect, p: float, stream: Stream) -> HyperRect:
 
 def simulate_path_rect(initial: HyperRect, horizon: int, p: float, stream: Stream) -> list[HyperRect]:
     """States at times 0..horizon, starting from ``initial``."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _at_least("horizon", horizon, 0)
     path = [initial]
     state = initial
     for _ in range(horizon):

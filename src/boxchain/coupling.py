@@ -15,32 +15,33 @@ antithetic mirror is the map x -> -1 - x.  A zero-skipping relabeling
 zero; it is provided as a documented conversion for the endpoint gap and
 for tests, but no interval arithmetic is performed in label space.
 
-The expansion phase uses a surface representation: a geometric amount is
-the run of 1s before the first 0 in a lazily drawn Bernoulli(p) sequence.
-Coupling the two processes' surfaces index-by-index either coalesces the
-pair exactly (when the first ``offset`` entries of the minus right surface
-are all 1) or swaps the surfaces so the mirror relation is preserved.
+The expansion phase is pictured on surfaces: a geometric amount is the
+run of 1s before the first 0 in an i.i.d. Bernoulli(p) sequence.  Coupling
+the two processes' surfaces index-by-index either coalesces the pair
+exactly (when the minus right run reaches the right-endpoint offset, so
+its first ``offset`` entries are all 1) or swaps the surfaces so the
+mirror relation is preserved.  Only the runs enter the step, so they are
+drawn directly as geometric amounts, left then right, as every other
+step draws them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
-from .intervals import EMPTY, Interval, Span, UNIFORM, contract, expand, validate_expansion_param
+from .intervals import EMPTY, Interval, Span, UNIFORM, _at_least, contract, expand, validate_expansion_param
 from .stream import Stream
 
 __all__ = [
     "PairClass",
     "CoupledState",
-    "BernoulliSurface",
     "reflect_origin",
     "antithetic_mirror",
     "relabel_site",
     "unrelabel_site",
     "classify_pair",
-    "overlap",
     "antithetic_image",
     "endpoint_gap",
     "right_offset",
@@ -169,47 +170,6 @@ def right_offset(tilde_minus: Span, tilde_plus: Span) -> int:
     return tilde_plus.right - tilde_minus.right
 
 
-class BernoulliSurface:
-    """Lazily materialized i.i.d. Bernoulli(p) sequence w(1), w(2), ...
-
-    Entries are drawn on first read and memoized, so branch logic and the
-    run-length extraction observe consistent values.  The run of 1s before
-    the first 0 has pmf (1-p) * p**n on n = 0, 1, ...
-    """
-
-    __slots__ = ("p", "_stream", "_bits")
-
-    def __init__(self, p: float, stream: Optional[Stream] = None, bits: Sequence[int] = ()) -> None:
-        validate_expansion_param(p)
-        self.p = p
-        self._stream = stream
-        self._bits: list[int] = list(bits)
-        if stream is None and not self._bits:
-            raise ValueError("a surface needs a stream or explicit bits")
-
-    @classmethod
-    def from_bits(cls, p: float, bits: Sequence[int]) -> "BernoulliSurface":
-        """A surface with a fixed finite prefix, for deterministic traces."""
-        return cls(p, None, bits)
-
-    def value(self, n: int) -> int:
-        """w(n) for n >= 1."""
-        if n < 1:
-            raise ValueError(f"surface indices start at 1, got {n}")
-        while len(self._bits) < n:
-            if self._stream is None:
-                raise ValueError(f"fixed surface prefix exhausted at index {n}")
-            self._bits.append(self._stream.bernoulli(self.p))
-        return self._bits[n - 1]
-
-    def run_length(self) -> int:
-        """min{n >= 1 : w(n) = 0} - 1, the geometric expansion amount."""
-        n = 1
-        while self.value(n) == 1:
-            n += 1
-        return n - 1
-
-
 @dataclass(frozen=True, slots=True)
 class CoupledState:
     """Ordered pair of coupled states plus the coalescence flag.
@@ -270,30 +230,17 @@ def coupled_expansion_amounts(
 
 
 def coupled_expansion(
-    tilde_minus: Span,
-    tilde_plus: Span,
-    p: float,
-    stream: Optional[Stream] = None,
-    *,
-    surfaces: Optional[tuple[BernoulliSurface, BernoulliSurface]] = None,
+    tilde_minus: Span, tilde_plus: Span, right_run: int, left_run: int
 ) -> CoupledState:
     """One coupled expansion of an antithetic contracted pair.
 
-    Materializes independent right and left surfaces for the minus process
-    (in that order) and applies :func:`coupled_expansion_amounts`.  The
-    result is either an exactly coalesced identical pair or a pair that is
-    again antithetic; any other result raises ``ValueError``.
+    Applies :func:`coupled_expansion_amounts` to the minus process's right
+    and left runs.  The result is either an exactly coalesced identical
+    pair or a pair that is again antithetic; any other result raises
+    ``ValueError``.
     """
-    offset = right_offset(tilde_minus, tilde_plus)
-    if surfaces is None:
-        if stream is None:
-            raise ValueError("coupled_expansion needs a stream or explicit surfaces")
-        right_surface = BernoulliSurface(p, stream)
-        left_surface = BernoulliSurface(p, stream)
-    else:
-        right_surface, left_surface = surfaces
     coalesced, m_left, m_right, p_left, p_right = coupled_expansion_amounts(
-        right_surface.run_length(), left_surface.run_length(), offset
+        right_run, left_run, right_offset(tilde_minus, tilde_plus)
     )
     new_minus = Span(tilde_minus.left - m_left, tilde_minus.right + m_right)
     new_plus = Span(tilde_plus.left - p_left, tilde_plus.right + p_right)
@@ -314,6 +261,8 @@ def coupled_step(
     Identical pairs (and anything after coalescence) take one shared
     standard step; the empty pair is absorbing; antithetic pairs contract
     through the bijection and then expand through the coupled surfaces.
+    Every branch draws one contraction rank, then the left run, then the
+    right run.
 
     ``skip_antithetic_map`` is deliberate fault injection for verification:
     it copies the minus contraction verbatim instead of mirroring it, which
@@ -328,17 +277,17 @@ def coupled_step(
         return CoupledState(shared, shared, True)
     if kind is not PairClass.ANTITHETIC:
         raise ValueError(f"state {state} violates the coupling invariant")
-    tilde_minus = contract(state.minus, UNIFORM, stream)
+    tilde_minus, tilde_plus = coupled_contraction(state, stream)
     if skip_antithetic_map:
         tilde_plus = tilde_minus
-    else:
-        tilde_plus = antithetic_image(state.minus, tilde_minus)
     if tilde_minus is None:
         return CoupledState(EMPTY, EMPTY, False)
     if tilde_plus == tilde_minus:
         shared = expand(tilde_minus, p, stream)
         return CoupledState(shared, shared, True)
-    return coupled_expansion(tilde_minus, tilde_plus, p, stream)
+    left_run = stream.geometric(p)
+    right_run = stream.geometric(p)
+    return coupled_expansion(tilde_minus, tilde_plus, right_run, left_run)
 
 
 def run_coupled(
@@ -350,8 +299,7 @@ def run_coupled(
     skip_antithetic_map: bool = False,
 ) -> list[CoupledState]:
     """Coupled trajectory from the canonical pair, times 0..horizon."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _at_least("horizon", horizon, 0)
     if stream is None:
         stream = Stream(seed)
     state = initial_coupled_state()
@@ -421,8 +369,7 @@ def run_reflection(
     swap_expansion_draws: bool = True,
 ) -> list[tuple[Interval, Interval]]:
     """Mirror-pair trajectory from (initial, reflect(initial))."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _at_least("horizon", horizon, 0)
     if stream is None:
         stream = Stream(seed)
     pair = (initial, reflect_origin(initial))

@@ -21,7 +21,6 @@ __all__ = [
     "Interval",
     "EMPTY",
     "size_of",
-    "validate_expansion_param",
     "UniformContraction",
     "UNIFORM",
     "SizeWeightedContraction",
@@ -43,12 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True, order=True, slots=True)
 class Span:
-    """A nonempty integer interval {left, ..., right}."""
+    """A nonempty integer interval {left, ..., right}.
+
+    An end equal to an integer is stored as that int, and any other value
+    raises ``ValueError``, as a site does.
+    """
 
     left: int
     right: int
 
     def __post_init__(self) -> None:
+        # Two ints skip the conversion: the oracle builds a Span per cell.
+        if type(self.left) is not int or type(self.right) is not int:
+            object.__setattr__(self, "left", _integral(self.left, "span left end"))
+            object.__setattr__(self, "right", _integral(self.right, "span right end"))
         if self.left > self.right:
             raise ValueError(f"span requires left <= right, got [{self.left}, {self.right}]")
 
@@ -88,6 +95,16 @@ def _integral(value, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _at_least(what: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``: a count of steps, runs or
+    sites, read once where a public routine takes it.  A value that is not
+    an integer, or one below ``least``, raises ValueError naming ``what``."""
+    number = _integral(value, what)
+    if number < least:
+        raise ValueError(f"{what} must be >= {least}, got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +343,7 @@ def simulate_path(
     stream: Stream,
 ) -> list[Interval]:
     """States at times 0..horizon, starting from ``initial``."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _at_least("horizon", horizon, 0)
     path = [initial]
     state = initial
     for _ in range(horizon):

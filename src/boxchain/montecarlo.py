@@ -49,6 +49,7 @@ from .intervals import (
     Span,
     UNIFORM,
     UniformContraction,
+    _at_least,
     _integral,
     validate_expansion_param,
 )
@@ -92,13 +93,6 @@ def _validate_counts(hits: int, trials: int) -> None:
         raise ValueError("trials must be >= 1")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must lie in [0, {trials}], got {hits!r}")
-
-
-def _at_least(what: str, value: int, least: int) -> None:
-    """Refuse ``value`` below ``least``, where a check would pass vacuously
-    over no runs, no steps or no comparisons."""
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}, got {value!r}")
 
 
 def _worst_margin(gaps) -> float:
@@ -504,10 +498,8 @@ def _estimate(
     """Occupancy estimates of the chain started at the box with spans
     ``initial``, chunk ``i`` drawn from the substream ``(label, i)``."""
     validate_expansion_param(p)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    trials = _at_least("trials", trials, 1)
+    t = _at_least("t", t, 0)
     _validate_confidence(confidence)
     if method not in _CI_METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(_CI_METHODS)}")
@@ -617,7 +609,7 @@ def check_even(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy symmetry: estimates at x and -x must agree within CIs."""
-    _at_least("x_range", x_range, 1)
+    x_range = _at_least("x_range", x_range, 1)
     return _occupancy_check(
         "occupancy-even-1d",
         {"t": t, "p": p, "x_range": x_range, "trials": trials, "seed": seed},
@@ -643,7 +635,7 @@ def check_monotone_1d(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy decrease away from the origin on the right half line."""
-    _at_least("x_max", x_max, 1)
+    x_max = _at_least("x_max", x_max, 1)
     return _occupancy_check(
         "occupancy-monotone-1d",
         {"t": t, "p": p, "x_max": x_max, "trials": trials, "seed": seed},
@@ -679,7 +671,7 @@ def check_monotone_l1(
     """
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
-    _at_least("radius", radius, 1)
+    radius = _at_least("radius", radius, 1)
     points = l1_ball(radius, d)
     norms = {point: l1_norm(point) for point in points}
     ordered = [(a, b) for a in points for b in points if a != b and norms[a] <= norms[b]]
@@ -821,7 +813,6 @@ def _pathwise_run(
     violating run (or None), and the number of runs that ended coalesced:
     a run keeps the flag it had when it died or stopped.
     """
-    _at_least("trials", trials, 1)
 
     def work(start: int, stream: Stream, count: int):
         pairs = _Pairs(count, initial)
@@ -894,10 +885,10 @@ def coupling_marginal_test(
     Occupancy profiles at times 1..t over a site window are compared by
     per-site two-sample chi-square tests at a union-bounded significance.
     """
-    _at_least("t", t, 1)
+    t = _at_least("t", t, 1)
     validate_expansion_param(p)
-    _at_least("trials", trials, 1)
-    _at_least("x_window", x_window, 0)
+    trials = _at_least("trials", trials, 1)
+    x_window = _at_least("x_window", x_window, 0)
     if not 0 < significance < 1:
         raise ValueError(f"significance must lie in (0, 1), got {significance!r}")
     sites = list(range(-x_window, x_window + 1))
@@ -955,7 +946,8 @@ def coupling_invariant_check(
     from 1.
     """
     validate_expansion_param(p)
-    _at_least("horizon", horizon, 1)
+    horizon = _at_least("horizon", horizon, 1)
+    trials = _at_least("trials", trials, 1)
     stops, first_violation, coalesced_runs = _pathwise_run(
         "coupled-invariants",
         horizon,
@@ -986,7 +978,8 @@ def reflection_identity_check(
     (run, step, zeta, eta)``, steps counted from 1.
     """
     validate_expansion_param(p)
-    _at_least("horizon", horizon, 1)
+    horizon = _at_least("horizon", horizon, 1)
+    trials = _at_least("trials", trials, 1)
     stops, first_violation, _ = _pathwise_run(
         "reflection",
         horizon,
@@ -1031,7 +1024,8 @@ def coalescence_stats(
     made about finiteness of the coupling time.
     """
     validate_expansion_param(p)
-    _at_least("horizon", horizon, 0)
+    horizon = _at_least("horizon", horizon, 0)
+    trials = _at_least("trials", trials, 1)
     # A run stops at absorption (it dies) or at coalescence (it fails the
     # predicate); the runs still coupled and alive at the horizon are censored.
     (absorbed, coalesced), _, _ = _pathwise_run(

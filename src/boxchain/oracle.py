@@ -34,6 +34,7 @@ from .intervals import (
     Span,
     UNIFORM,
     UniformContraction,
+    _at_least,
     _integral,
     count_nonempty_subintervals,
     unrank_subinterval,
@@ -549,8 +550,7 @@ def evolve(
     of every occupancy value.
     """
     validate_expansion_param(p)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _at_least("horizon", horizon, 0)
     if exact:
         p = Fraction(p)
     if isinstance(rule, SizeWeightedContraction):
@@ -607,20 +607,14 @@ def _max_gap(law: dict[Interval, Fraction], reference: dict[Interval, Fraction])
 def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransitionReport:
     """Enumerate every coupled one-step transition from an antithetic pair.
 
-    All contraction indices are crossed with all surface run lengths below
-    ``surface_len``; the induced marginal laws are compared against the
-    standard one-step law with the same truncation.  The minus marginal
-    matches identically; the plus marginal can differ only by redistributed
-    tail mass.
+    All contraction indices are crossed with every pair of run lengths
+    0..surface_len-1, the runs the audit resolves, and each antithetic
+    core is expanded by :func:`coupled_expansion` itself.  The induced
+    marginal laws are compared against the standard one-step law with the
+    same truncation.  The minus marginal matches identically; the plus
+    marginal can differ only by redistributed tail mass.
     """
-    from .coupling import (
-        PairClass,
-        antithetic_image,
-        antithetic_mirror,
-        classify_pair,
-        coupled_expansion_amounts,
-        right_offset,
-    )
+    from .coupling import PairClass, antithetic_image, antithetic_mirror, classify_pair, coupled_expansion
 
     plus_host = antithetic_mirror(host)
     if classify_pair(host, plus_host) is not PairClass.ANTITHETIC:
@@ -629,9 +623,8 @@ def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransi
         raise ValueError("surface_len must be >= 1")
     p = Fraction(p)
     validate_expansion_param(p)
-    runs = surface_len  # run lengths 0..surface_len-1 are fully resolved
-    kernel = [(1 - p) * p**a for a in range(runs)]
-    policy = TruncationPolicy(runs - 1)
+    kernel = [(1 - p) * p**a for a in range(surface_len)]
+    policy = TruncationPolicy(surface_len - 1)
     oracle_minus = evolve(host, 1, UNIFORM, p, policy, exact=True)
     oracle_plus = evolve(plus_host, 1, UNIFORM, p, policy, exact=True)
 
@@ -659,15 +652,12 @@ def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransi
                     put(minus_law, outcome, unit * qa * qb)
                     put(plus_law, outcome, unit * qa * qb)
             continue
-        offset = right_offset(tilde_minus, tilde_plus)
         for n_right, q_right in enumerate(kernel):
             for n_left, q_left in enumerate(kernel):
                 mass = unit * q_right * q_left
-                _, m_left, m_right, p_left, p_right = coupled_expansion_amounts(
-                    n_right, n_left, offset
-                )
-                put(minus_law, Span(tilde_minus.left - m_left, tilde_minus.right + m_right), mass)
-                put(plus_law, Span(tilde_plus.left - p_left, tilde_plus.right + p_right), mass)
+                after = coupled_expansion(tilde_minus, tilde_plus, n_right, n_left)
+                put(minus_law, after.minus, mass)
+                put(plus_law, after.plus, mass)
 
     enum_lost = 1 - sum(minus_law.values())
     tail_bound = enum_lost + oracle_minus.lost + oracle_plus.lost

@@ -6,10 +6,9 @@ import numpy as np
 class StubStream:
     """Scripted stand-in for Stream: replays queued draws for hand traces."""
 
-    def __init__(self, randbelow=(), geometric=(), random=()):
+    def __init__(self, randbelow=(), geometric=()):
         self._randbelow = list(randbelow)
         self._geometric = list(geometric)
-        self._random = list(random)
 
     def randbelow(self, n):
         value = self._randbelow.pop(0)
@@ -19,11 +18,8 @@ class StubStream:
     def geometric(self, p):
         return self._geometric.pop(0)
 
-    def random(self):
-        return self._random.pop(0)
-
-    def bernoulli(self, p):
-        return 1 if self.random() < p else 0
+    def exhausted(self):
+        return not self._randbelow and not self._geometric
 
 
 class VectorStubStream:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from boxchain import (
-    BernoulliSurface,
     CoupledState,
     EMPTY,
     PairClass,
@@ -213,37 +212,6 @@ def test_right_offset_is_step_distance():
 
 
 # ---------------------------------------------------------------------------
-# surfaces
-
-
-def test_surface_memoized_and_run_length():
-    surface = BernoulliSurface(0.5, Stream(3))
-    values = [surface.value(n) for n in range(1, 30)]
-    assert values == [surface.value(n) for n in range(1, 30)]
-    run = surface.run_length()
-    assert values[run] == 0
-    assert all(v == 1 for v in values[:run])
-
-
-def test_surface_from_bits():
-    surface = BernoulliSurface.from_bits(0.5, (1, 1, 0))
-    assert surface.run_length() == 2
-    with pytest.raises(ValueError):
-        BernoulliSurface.from_bits(0.5, (1, 1)).run_length()
-
-
-def test_surface_run_length_law():
-    stream = Stream(8)
-    draws = 50_000
-    counts = {}
-    for _ in range(draws):
-        run = BernoulliSurface(0.3, stream).run_length()
-        counts[run] = counts.get(run, 0) + 1
-    assert abs(counts.get(0, 0) / draws - 0.7) < 0.01
-    assert abs(counts.get(1, 0) / draws - 0.21) < 0.01
-
-
-# ---------------------------------------------------------------------------
 # coupled contraction
 
 
@@ -283,38 +251,22 @@ def test_coupled_expansion_amounts_branches():
 
 
 def test_coupled_expansion_coalescing_trace():
-    # right surface (1,1,0), left surface (0,...): minus grows to [-1,1] and
-    # the plus side lands on exactly the same interval.
-    result = coupled_expansion(
-        Span(-1, -1),
-        Span(0, 0),
-        0.5,
-        surfaces=(
-            BernoulliSurface.from_bits(0.5, (1, 1, 0)),
-            BernoulliSurface.from_bits(0.5, (0,)),
-        ),
-    )
+    # Right run 2, left run 0: minus grows to [-1, 1] and the plus side
+    # lands on exactly the same interval.
+    result = coupled_expansion(Span(-1, -1), Span(0, 0), 2, 0)
     assert result == CoupledState(Span(-1, 1), Span(-1, 1), True)
 
 
 def test_coupled_expansion_antithetic_trace():
-    # right surface (0,...), left surface (1,0): the pair stays antithetic.
-    result = coupled_expansion(
-        Span(-1, -1),
-        Span(0, 0),
-        0.5,
-        surfaces=(
-            BernoulliSurface.from_bits(0.5, (0,)),
-            BernoulliSurface.from_bits(0.5, (1, 0)),
-        ),
-    )
+    # Right run 0, left run 1: the pair stays antithetic.
+    result = coupled_expansion(Span(-1, -1), Span(0, 0), 0, 1)
     assert result == CoupledState(Span(-2, -1), Span(0, 1), False)
     assert result.plus == antithetic_mirror(result.minus)
 
 
 def test_coalescing_branch_probability():
-    # The coalescing branch fires exactly when the right surface run reaches
-    # the offset, so its probability is p**offset.
+    # The coalescing branch fires exactly when the right run reaches the
+    # offset, so its probability is p**offset.
     p = 0.6
     stream = Stream(50)
     draws = 60_000
@@ -322,14 +274,15 @@ def test_coalescing_branch_probability():
         offset = right_offset(tilde_minus, tilde_plus)
         hits = 0
         for _ in range(draws):
-            result = coupled_expansion(tilde_minus, tilde_plus, p, stream)
-            hits += result.coalesced
+            left_run = stream.geometric(p)
+            right_run = stream.geometric(p)
+            hits += coupled_expansion(tilde_minus, tilde_plus, right_run, left_run).coalesced
         assert abs(hits / draws - p**offset) < 0.01
 
 
 def test_coupled_expansion_requires_antithetic():
     with pytest.raises(ValueError):
-        coupled_expansion(Span(0, 0), Span(0, 0), 0.5, Stream(0))
+        coupled_expansion(Span(0, 0), Span(0, 0), 0, 0)
 
 
 @pytest.mark.parametrize("amounts", [(True, 0, 0, 1, 0), (False, 0, 0, 1, 0)])
@@ -341,7 +294,7 @@ def test_coupled_expansion_fails_closed_on_inconsistent_amounts(amounts, monkeyp
 
     monkeypatch.setattr(coupling, "coupled_expansion_amounts", lambda *_: amounts)
     with pytest.raises(ValueError, match="coupled expansion gave"):
-        coupled_expansion(Span(-1, -1), Span(0, 0), 0.5, Stream(0))
+        coupled_expansion(Span(-1, -1), Span(0, 0), 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boxchain import (
@@ -47,6 +48,20 @@ def test_span_invariant():
     assert size_of(Span(-2, 4)) == 7
     assert 0 in Span(-1, 1)
     assert 5 not in Span(-1, 1)
+
+
+def test_span_ends_must_be_integers():
+    # Span(0.5, 2) used to construct with size 2.5: the oracle and the
+    # estimators returned numbers for it, and simulate_path died in range.
+    for left, right in ((2.0, 3), (np.int64(-1), np.int64(4)), (True, 2.0)):
+        span = Span(left, right)
+        assert span == Span(int(left), int(right))
+        assert type(span.left) is int and type(span.right) is int
+    for bad in (0.5, "2", float("nan"), None):
+        with pytest.raises(ValueError, match=f"span left end must be an integer, got {bad!r}"):
+            Span(bad, 2)
+        with pytest.raises(ValueError, match=f"span right end must be an integer, got {bad!r}"):
+            Span(-3, bad)
 
 
 def test_expansion_param_validated():

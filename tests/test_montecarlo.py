@@ -167,6 +167,46 @@ def test_empty_check_inputs_fail_closed():
     assert check_monotone_1d(1, 0.5, 1, 100).worst_margin > -math.inf
 
 
+def test_horizons_and_trial_counts_must_be_integers():
+    # A float count used to die deep inside with a bare TypeError from range.
+    from boxchain import UNIFORM, evolve, run_coupled, run_reflection, simulate_path, simulate_path_rect
+
+    entries = {
+        "horizon": [
+            lambda v: evolve(Span(0, 0), v).weights,
+            lambda v: simulate_path(Span(0, 0), v, UNIFORM, 0.5, Stream(0)),
+            lambda v: simulate_path_rect(unit_box(2), v, 0.5, Stream(0)),
+            lambda v: run_coupled(v, 0.5),
+            lambda v: run_reflection(v, 0.5),
+            lambda v: coupling_invariant_check(v, 0.5, 10),
+            lambda v: reflection_identity_check(v, 0.5, 10),
+            lambda v: coalescence_stats(0.5, v, 10),
+        ],
+        "t": [
+            lambda v: estimate_occupancy(Span(0, 0), v, [0], 100),
+            lambda v: estimate_occupancy_2d(unit_box(2), v, [(0, 0)], 100),
+            lambda v: coupling_marginal_test(v, 0.5, 100),
+        ],
+        "trials": [
+            lambda v: estimate_occupancy(Span(0, 0), 2, [0], v),
+            lambda v: estimate_occupancy_2d(unit_box(2), 2, [(0, 0)], v),
+            lambda v: coupling_marginal_test(2, 0.5, v),
+            lambda v: coupling_invariant_check(2, 0.5, v),
+            lambda v: reflection_identity_check(2, 0.5, v),
+            lambda v: coalescence_stats(0.5, 2, v),
+        ],
+    }
+    for what, calls in entries.items():
+        for call in calls:
+            for bad in (2.5, "2", None):
+                with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad!r}"):
+                    call(bad)
+            # An integral value of another type runs as its int, a bool too,
+            # as for a site, n_max or a seed.
+            assert call(2.0) == call(np.int64(2)) == call(2)
+            assert call(True) == call(1)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_fail_closed(jobs):
     calls = [
@@ -424,14 +464,12 @@ def _rows_by_case(pairs):
     return {int(run): row for row, run in enumerate(pairs.run)}
 
 
-def _surface_stream(rank, right, left):
-    """Stub draws for the scalar coupled step: the contraction rank, the
-    minus right and left Bernoulli surfaces (runs of 1s ended by a 0), and
-    geometric amounts (left, right) for a shared expansion."""
+def _scalar_stream(rank, right, left):
+    """Stub draws for one scalar coupled step: the contraction rank, then
+    the left and right runs when the contraction survives."""
     from conftest import StubStream
 
-    bits = [0.0] * right + [0.99] + [0.0] * left + [0.99]
-    return StubStream(randbelow=[rank], geometric=[left, right], random=bits)
+    return StubStream(randbelow=[rank], geometric=[left, right] if rank else [])
 
 
 def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
@@ -445,12 +483,11 @@ def test_batched_antithetic_step_matches_scalar_on_fixed_draws():
         assert stream.exhausted()
         rows = _rows_by_case(pairs)
         for i, (host, rank, right, left) in enumerate(cases):
+            scalar = _scalar_stream(rank, right, left)
             want = coupled_step(
-                CoupledState(host, antithetic_mirror(host), False),
-                0.5,
-                _surface_stream(rank, right, left),
-                skip_antithetic_map=skip,
+                CoupledState(host, antithetic_mirror(host), False), 0.5, scalar, skip_antithetic_map=skip
             )
+            assert scalar.exhausted()
             if rank == 0:
                 assert i not in rows and (want.minus, want.plus) == (EMPTY, EMPTY)
                 continue
@@ -479,7 +516,9 @@ def test_batched_coalesced_step_matches_scalar_on_fixed_draws():
     assert stream.exhausted()
     rows = _rows_by_case(pairs)
     for i, (host, rank, right, left) in enumerate(cases):
-        want = coupled_step(CoupledState(host, host, True), 0.5, _surface_stream(rank, right, left))
+        scalar = _scalar_stream(rank, right, left)
+        want = coupled_step(CoupledState(host, host, True), 0.5, scalar)
+        assert scalar.exhausted()
         assert (i in rows) == (rank != 0)
         if rank == 0:
             assert (want.minus, want.plus) == (EMPTY, EMPTY)
@@ -489,8 +528,6 @@ def test_batched_coalesced_step_matches_scalar_on_fixed_draws():
 
 
 def test_batched_reflection_step_matches_scalar_on_fixed_draws():
-    from conftest import StubStream
-
     hosts = [Span(left, left + size - 1) for left in range(-4, 3) for size in range(1, 7)]
     cases = _fixed_draw_cases(hosts)
     for swap in (True, False):
@@ -500,10 +537,11 @@ def test_batched_reflection_step_matches_scalar_on_fixed_draws():
         rows = _rows_by_case(pairs)
         mirrored = pairs.mirrored()
         for i, (host, rank, right, left) in enumerate(cases):
-            stream = StubStream(randbelow=[rank], geometric=[left, right])
+            scalar = _scalar_stream(rank, right, left)
             want = reflection_coupled_step(
-                host, reflect_origin(host), 0.5, stream, swap_expansion_draws=swap
+                host, reflect_origin(host), 0.5, scalar, swap_expansion_draws=swap
             )
+            assert scalar.exhausted()
             if rank == 0:
                 assert i not in rows and want == (EMPTY, EMPTY)
                 continue
