@@ -619,8 +619,7 @@ def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransi
     plus_host = antithetic_mirror(host)
     if classify_pair(host, plus_host) is not PairClass.ANTITHETIC:
         raise ValueError(f"host {host} does not sit in the antithetic class")
-    if surface_len < 1:
-        raise ValueError("surface_len must be >= 1")
+    surface_len = _at_least("surface_len", surface_len, 1)
     p = Fraction(p)
     validate_expansion_param(p)
     kernel = [(1 - p) * p**a for a in range(surface_len)]

@@ -169,7 +169,17 @@ def test_empty_check_inputs_fail_closed():
 
 def test_horizons_and_trial_counts_must_be_integers():
     # A float count used to die deep inside with a bare TypeError from range.
-    from boxchain import UNIFORM, evolve, run_coupled, run_reflection, simulate_path, simulate_path_rect
+    from fractions import Fraction
+
+    from boxchain import (
+        UNIFORM,
+        coupling_transition_check,
+        evolve,
+        run_coupled,
+        run_reflection,
+        simulate_path,
+        simulate_path_rect,
+    )
 
     entries = {
         "horizon": [
@@ -195,6 +205,7 @@ def test_horizons_and_trial_counts_must_be_integers():
             lambda v: reflection_identity_check(2, 0.5, v),
             lambda v: coalescence_stats(0.5, 2, v),
         ],
+        "surface_len": [lambda v: coupling_transition_check(Span(-1, -1), Fraction(1, 2), v)],
     }
     for what, calls in entries.items():
         for call in calls:
