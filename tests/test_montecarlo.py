@@ -476,8 +476,8 @@ def _rows_by_case(pairs):
 
 
 def _scalar_stream(rank, right, left):
-    """Stub draws for one scalar coupled step: the contraction rank, then
-    the left and right runs when the contraction survives."""
+    """Stub draws for one scalar step of a coupled pair: the contraction
+    rank, then the left and right runs when the contraction survives."""
     from conftest import StubStream
 
     return StubStream(randbelow=[rank], geometric=[left, right] if rank else [])
