@@ -18,7 +18,8 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The public names, by the module that defines them.
+# The public names, by the module that defines them: the one list, which
+# each module reads as its ``__all__``.
 _EXPORTS = {
     "boxes": (
         "Box",

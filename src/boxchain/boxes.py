@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import _EXPORTS
 from .intervals import (
     Span,
     _at_least,
@@ -23,19 +24,7 @@ from .intervals import (
 )
 from .stream import Stream
 
-__all__ = [
-    "Box",
-    "HyperRect",
-    "EMPTY_BOX",
-    "count_nonempty_subrects",
-    "contract_uniform",
-    "expand_faces",
-    "step_rect",
-    "simulate_path_rect",
-    "l1_norm",
-    "l1_ball",
-    "unit_box",
-]
+__all__ = _EXPORTS["boxes"]
 
 
 @dataclass(frozen=True, order=True, slots=True)

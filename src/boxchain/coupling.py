@@ -31,30 +31,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from . import _EXPORTS
 from .intervals import EMPTY, Interval, Span, UNIFORM, _at_least, contract, expand, validate_expansion_param
 from .stream import Stream
 
-__all__ = [
-    "PairClass",
-    "CoupledState",
-    "reflect_origin",
-    "antithetic_mirror",
-    "relabel_site",
-    "unrelabel_site",
-    "classify_pair",
-    "antithetic_image",
-    "endpoint_gap",
-    "right_offset",
-    "coupled_expansion_amounts",
-    "coupled_contraction",
-    "coupled_expansion",
-    "coupled_step",
-    "initial_coupled_state",
-    "run_coupled",
-    "reflection_coupled_step",
-    "run_reflection",
-    "dominates_nonnegative",
-]
+__all__ = _EXPORTS["coupling"]
 
 
 def reflect_origin(interval: Interval) -> Interval:

@@ -14,30 +14,10 @@ from math import isqrt
 from numbers import Rational
 from typing import Callable, Optional, Union
 
+from . import _EXPORTS
 from .stream import Stream
 
-__all__ = [
-    "Span",
-    "Interval",
-    "EMPTY",
-    "size_of",
-    "UniformContraction",
-    "UNIFORM",
-    "SizeWeightedContraction",
-    "KillThenUniformContraction",
-    "EndpointResampleContraction",
-    "ContractionRule",
-    "uniform_death_probability",
-    "geometric_pmf",
-    "geometric_sample",
-    "count_nonempty_subintervals",
-    "unrank_subinterval",
-    "rank_subinterval",
-    "contract",
-    "expand",
-    "step",
-    "simulate_path",
-]
+__all__ = _EXPORTS["intervals"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -82,8 +62,15 @@ def size_of(interval: Interval) -> int:
 
 def validate_expansion_param(p) -> None:
     """Expansion parameters must lie strictly between 0 and 1."""
-    if not 0 < p < 1:
-        raise ValueError(f"expansion parameter must lie in (0, 1), got {p!r}")
+    _in_open_unit("expansion parameter", p)
+
+
+def _in_open_unit(what: str, value) -> None:
+    """Refuse ``value`` unless 0 < value < 1, NaN included, with a
+    ValueError naming ``what``: an expansion parameter, a confidence level
+    or a significance."""
+    if not 0 < value < 1:
+        raise ValueError(f"{what} must lie in (0, 1), got {value!r}")
 
 
 def _integral(value, what: str) -> int:
@@ -218,9 +205,7 @@ def geometric_pmf(p, n: int):
     Exact when ``p`` is a Fraction.
     """
     validate_expansion_param(p)
-    if n < 0:
-        raise ValueError(f"geometric pmf requires n >= 0, got {n}")
-    return (1 - p) * p**n
+    return (1 - p) * p ** _at_least("n", n, 0)
 
 
 def geometric_sample(p: float, stream: Stream) -> int:
@@ -231,8 +216,7 @@ def geometric_sample(p: float, stream: Stream) -> int:
 
 def count_nonempty_subintervals(n: int) -> int:
     """Number of nonempty integer sub-intervals of an interval of size n."""
-    if n < 1:
-        raise ValueError(f"count_nonempty_subintervals requires n >= 1, got {n}")
+    n = _at_least("n", n, 1)
     return n * (n + 1) // 2
 
 
@@ -256,6 +240,7 @@ def unrank_subinterval(host: Span, index: int) -> Interval:
     if host is None:
         raise ValueError("unrank_subinterval requires a nonempty host")
     total = count_nonempty_subintervals(host.size)
+    index = _integral(index, "index")
     if not 0 <= index <= total:
         raise ValueError(f"index {index} out of range 0..{total} for host {host}")
     if index == 0:

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .boxes import Box, l1_ball, l1_norm, unit_box
 
 # The scalar coupled steps and pair predicates are the reference the
@@ -50,27 +51,13 @@ from .intervals import (
     UNIFORM,
     UniformContraction,
     _at_least,
+    _in_open_unit,
     _integral,
     validate_expansion_param,
 )
 from .stream import Stream
 
-__all__ = [
-    "OccupancyEstimate",
-    "CheckReport",
-    "CoalescenceSummary",
-    "wilson_interval",
-    "hoeffding_interval",
-    "estimate_occupancy",
-    "estimate_occupancy_2d",
-    "check_even",
-    "check_monotone_1d",
-    "check_monotone_l1",
-    "coupling_marginal_test",
-    "coupling_invariant_check",
-    "reflection_identity_check",
-    "coalescence_stats",
-]
+__all__ = _EXPORTS["montecarlo"]
 
 _CHUNK = 8192
 # Cells in one block of the coverage sweep (8 bytes each, 2 MiB).
@@ -81,18 +68,15 @@ _SWEEP_CELLS = 2**18
 # confidence intervals
 
 
-def _validate_confidence(confidence: float) -> None:
-    """Confidence levels must lie strictly between 0 and 1 (NaN is refused)."""
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-
-
-def _validate_counts(hits: int, trials: int) -> None:
-    """A proportion needs trials >= 1 and 0 <= hits <= trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _proportion(hits: int, trials: int, confidence: float) -> tuple[int, int]:
+    """``hits`` and ``trials`` as ints with trials >= 1 and 0 <= hits <=
+    trials, and ``confidence`` in (0, 1); anything else raises ValueError."""
+    trials = _at_least("trials", trials, 1)
+    hits = _integral(hits, "hits")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must lie in [0, {trials}], got {hits!r}")
+    _in_open_unit("confidence", confidence)
+    return hits, trials
 
 
 def _worst_margin(gaps) -> float:
@@ -114,8 +98,7 @@ def _normal_quantile(confidence: float) -> float:
 
 def wilson_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval; well behaved for extreme proportions."""
-    _validate_counts(hits, trials)
-    _validate_confidence(confidence)
+    hits, trials = _proportion(hits, trials, confidence)
     z = _normal_quantile(confidence)
     phat = hits / trials
     z2n = z * z / trials
@@ -131,8 +114,7 @@ def wilson_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[f
 
 def hoeffding_interval(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Distribution-free interval from Hoeffding's inequality (conservative)."""
-    _validate_counts(hits, trials)
-    _validate_confidence(confidence)
+    hits, trials = _proportion(hits, trials, confidence)
     alpha = 1.0 - confidence
     half = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
     phat = hits / trials
@@ -467,8 +449,7 @@ def _run_chunks(
     of ``seed``; so the results do not depend on ``jobs``, the number of
     threads the chunks run on.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    jobs = _at_least("jobs", jobs, 1)
     root = Stream(seed)
 
     def chunk(i: int):
@@ -500,7 +481,7 @@ def _estimate(
     validate_expansion_param(p)
     trials = _at_least("trials", trials, 1)
     t = _at_least("t", t, 0)
-    _validate_confidence(confidence)
+    _in_open_unit("confidence", confidence)
     if method not in _CI_METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(_CI_METHODS)}")
     ci = _CI_METHODS[method]
@@ -590,7 +571,7 @@ def _occupancy_check(
     """Run ``estimate`` at the Bonferroni per-site level for ``comparisons``
     two-sided comparisons; the check passes when every gap over the
     estimates, keyed by site, is <= 0 (a NaN gap fails)."""
-    _validate_confidence(confidence)
+    _in_open_unit("confidence", confidence)
     per_site = 1.0 - (1.0 - confidence) / (2.0 * comparisons)
     estimates = {e.site: e for e in estimate(per_site)}
     worst = _worst_margin(gaps(estimates))
@@ -609,6 +590,7 @@ def check_even(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy symmetry: estimates at x and -x must agree within CIs."""
+    t, trials = _at_least("t", t, 0), _at_least("trials", trials, 1)
     x_range = _at_least("x_range", x_range, 1)
     return _occupancy_check(
         "occupancy-even-1d",
@@ -635,6 +617,7 @@ def check_monotone_1d(
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy decrease away from the origin on the right half line."""
+    t, trials = _at_least("t", t, 0), _at_least("trials", trials, 1)
     x_max = _at_least("x_max", x_max, 1)
     return _occupancy_check(
         "occupancy-monotone-1d",
@@ -671,6 +654,7 @@ def check_monotone_l1(
     """
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
+    t, trials = _at_least("t", t, 0), _at_least("trials", trials, 1)
     radius = _at_least("radius", radius, 1)
     points = l1_ball(radius, d)
     norms = {point: l1_norm(point) for point in points}
@@ -889,8 +873,7 @@ def coupling_marginal_test(
     validate_expansion_param(p)
     trials = _at_least("trials", trials, 1)
     x_window = _at_least("x_window", x_window, 0)
-    if not 0 < significance < 1:
-        raise ValueError(f"significance must lie in (0, 1), got {significance!r}")
+    _in_open_unit("significance", significance)
     sites = list(range(-x_window, x_window + 1))
     index = _SiteIndex(sites)
 

@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _EXPORTS
 from .intervals import (
     EMPTY,
     ContractionRule,
@@ -41,20 +42,7 @@ from .intervals import (
     validate_expansion_param,
 )
 
-__all__ = [
-    "Mass",
-    "TruncationPolicy",
-    "StateDist",
-    "OccupancyBounds",
-    "contraction_outcome_pmf",
-    "contraction_pushforward",
-    "expansion_pushforward",
-    "evolve",
-    "occupancy_bounds",
-    "occupancy_table",
-    "CouplingTransitionReport",
-    "coupling_transition_check",
-]
+__all__ = _EXPORTS["oracle"]
 
 Mass = Union[float, Fraction]
 
@@ -82,9 +70,7 @@ class TruncationPolicy:
     n_max: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_max", _integral(self.n_max, "n_max"))
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        object.__setattr__(self, "n_max", _at_least("n_max", self.n_max, 0))
 
     def per_step_loss_bound(self, p: float) -> float:
         """Mass discarded per expansion step is at most this."""

@@ -8,7 +8,9 @@ import operator
 
 import numpy as np
 
-__all__ = ["Stream"]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["stream"]
 
 _BLOCK = 512
 _WORD_MAX = (1 << 64) - 1
@@ -113,7 +115,14 @@ class Stream:
         return int(word)
 
     def randbelow(self, n: int) -> int:
-        """Exact uniform integer in [0, n), unbiased via rejection sampling."""
+        """Exact uniform integer in [0, n), unbiased via rejection sampling.
+
+        ``n`` is read as the seed is, by ``operator.index``: an int or a
+        numpy integer of at least 1, else ``ValueError``."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"randbelow requires an integer n, got {n!r}") from None
         if n <= 0:
             raise ValueError(f"randbelow requires n >= 1, got {n}")
         if n == 1:

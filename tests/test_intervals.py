@@ -275,6 +275,26 @@ def test_size_weighted_reproducing_uniform():
             assert got[outcome] == pytest.approx(want[outcome], abs=1e-12)
 
 
+def test_size_weighted_contract_matches_enumeration_chi_square():
+    # The scalar sampler's size draw and uniform placement, against the
+    # exact law; a pmf with all its mass at k = 0 always empties.
+    host = Span(-1, 2)
+    rule = SizeWeightedContraction(lambda k, n: (k + 1) / ((n + 1) * (n + 2) / 2))
+    expected = contraction_outcome_pmf(host, rule)
+    outcomes = list(expected)
+    stream = Stream(9)
+    draws = 60_000
+    counts = {o: 0 for o in outcomes}
+    for _ in range(draws):
+        counts[contract(host, rule, stream)] += 1
+    pvalue = chi_square_pvalue(
+        [counts[o] for o in outcomes], [expected[o] for o in outcomes], draws
+    )
+    assert pvalue > 1e-3
+    doomed = SizeWeightedContraction(lambda k, n: float(k == 0))
+    assert all(contract(host, doomed, stream) is EMPTY for _ in range(100))
+
+
 def test_size_weighted_bad_pmf_rejected():
     rule = SizeWeightedContraction(lambda k, n: 0.4)
     with pytest.raises(ValueError):

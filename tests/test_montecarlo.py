@@ -218,6 +218,68 @@ def test_horizons_and_trial_counts_must_be_integers():
             assert call(True) == call(1)
 
 
+def test_other_public_counts_must_be_integers():
+    # Each of these used to run on a fractional count, or died with a bare
+    # TypeError: wilson_interval(0.5, 100.5) gave (0.00033, 0.0709),
+    # geometric_pmf(0.5, 1.5) 0.177 and count_nonempty_subintervals(2.5) 4.0.
+    import re
+
+    from boxchain import TruncationPolicy, count_nonempty_subintervals, geometric_pmf
+
+    for call, what, bad in [
+        (lambda: wilson_interval(0.5, 100.5), "trials", 100.5),
+        (lambda: hoeffding_interval(2.5, 10.5), "trials", 10.5),
+        (lambda: geometric_pmf(0.5, 1.5), "n", 1.5),
+        (lambda: count_nonempty_subintervals(2.5), "n", 2.5),
+        (lambda: unrank_subinterval(Span(0, 3), 1.5), "index", 1.5),
+        (lambda: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=2.5), "jobs", 2.5),
+    ]:
+        with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad!r}"):
+            call()
+    entries = {
+        "hits": [lambda v: wilson_interval(v, 100), lambda v: hoeffding_interval(v, 100)],
+        "trials": [lambda v: wilson_interval(2, v), lambda v: hoeffding_interval(2, v)],
+        "n": [lambda v: geometric_pmf(0.5, v), lambda v: count_nonempty_subintervals(v)],
+        "index": [lambda v: unrank_subinterval(Span(0, 3), v)],
+        "jobs": [lambda v: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=v)],
+        "n_max": [lambda v: TruncationPolicy(v).n_max],
+    }
+    for what, calls in entries.items():
+        for call in calls:
+            for bad in (2.5, "2", None):
+                with pytest.raises(ValueError, match=f"{what} must be an integer, got {re.escape(repr(bad))}"):
+                    call(bad)
+            assert call(2.0) == call(np.int64(2)) == call(2)
+    assert type(unrank_subinterval(Span(0, 3), 2.0).left) is int
+
+
+def test_open_unit_parameters_keep_their_messages():
+    import math
+
+    calls = {
+        "expansion parameter": lambda v: estimate_occupancy(Span(0, 0), 1, [0], 100, p=v),
+        "confidence": lambda v: wilson_interval(50, 100, v),
+        "significance": lambda v: coupling_marginal_test(1, 0.5, 100, significance=v),
+    }
+    for what, call in calls.items():
+        for bad in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match=rf"{what} must lie in \(0, 1\), got {bad!r}"):
+                call(bad)
+
+
+def test_checks_record_the_counts_they_ran():
+    # check_even(2.0, 0.5, 1, 100.0).params used to record t=2.0, trials=100.0.
+    reports = [
+        check_even(2.0, 0.5, 1, 100.0),
+        check_monotone_1d(np.int64(2), 0.5, 1, 100.0),
+        check_monotone_l1(2, 2.0, 0.5, 1, np.int64(100)),
+    ]
+    for report in reports:
+        assert type(report.params["t"]) is int and report.params["t"] == 2
+        assert type(report.params["trials"]) is int and report.params["trials"] == 100
+    assert check_even(2.0, 0.5, 1, 100.0) == check_even(2, 0.5, 1, 100)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_fail_closed(jobs):
     calls = [

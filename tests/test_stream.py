@@ -65,6 +65,20 @@ def test_randbelow_edge_cases():
     assert all(0 <= v < big for v in values)
 
 
+def test_randbelow_reads_n_as_an_integer():
+    # randbelow(2.5) used to return the float 1.0.
+    import re
+
+    for bad in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"randbelow requires an integer n, got {re.escape(repr(bad))}"):
+            Stream(5).randbelow(bad)
+    a = Stream(5)
+    b = Stream(5)
+    draws = [a.randbelow(np.int64(97)) for _ in range(50)]
+    assert all(type(value) is int for value in draws)
+    assert draws == [b.randbelow(97) for _ in range(50)]
+
+
 def test_geometric_law_matches_pmf():
     stream = Stream(11)
     p = 0.3
