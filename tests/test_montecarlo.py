@@ -168,13 +168,19 @@ def test_empty_check_inputs_fail_closed():
 
 
 def test_horizons_and_trial_counts_must_be_integers():
-    # A float count used to die deep inside with a bare TypeError from range.
+    # A float count used to die deep inside with a bare TypeError from range,
+    # or ran: wilson_interval(0.5, 100.5) gave (0.00033, 0.0709),
+    # geometric_pmf(0.5, 1.5) 0.177 and count_nonempty_subintervals(2.5) 4.0.
+    import re
     from fractions import Fraction
 
     from boxchain import (
         UNIFORM,
+        TruncationPolicy,
+        count_nonempty_subintervals,
         coupling_transition_check,
         evolve,
+        geometric_pmf,
         run_coupled,
         run_reflection,
         simulate_path,
@@ -204,41 +210,11 @@ def test_horizons_and_trial_counts_must_be_integers():
             lambda v: coupling_invariant_check(2, 0.5, v),
             lambda v: reflection_identity_check(2, 0.5, v),
             lambda v: coalescence_stats(0.5, 2, v),
+            lambda v: wilson_interval(1, v),
+            lambda v: hoeffding_interval(1, v),
         ],
         "surface_len": [lambda v: coupling_transition_check(Span(-1, -1), Fraction(1, 2), v)],
-    }
-    for what, calls in entries.items():
-        for call in calls:
-            for bad in (2.5, "2", None):
-                with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad!r}"):
-                    call(bad)
-            # An integral value of another type runs as its int, a bool too,
-            # as for a site, n_max or a seed.
-            assert call(2.0) == call(np.int64(2)) == call(2)
-            assert call(True) == call(1)
-
-
-def test_other_public_counts_must_be_integers():
-    # Each of these used to run on a fractional count, or died with a bare
-    # TypeError: wilson_interval(0.5, 100.5) gave (0.00033, 0.0709),
-    # geometric_pmf(0.5, 1.5) 0.177 and count_nonempty_subintervals(2.5) 4.0.
-    import re
-
-    from boxchain import TruncationPolicy, count_nonempty_subintervals, geometric_pmf
-
-    for call, what, bad in [
-        (lambda: wilson_interval(0.5, 100.5), "trials", 100.5),
-        (lambda: hoeffding_interval(2.5, 10.5), "trials", 10.5),
-        (lambda: geometric_pmf(0.5, 1.5), "n", 1.5),
-        (lambda: count_nonempty_subintervals(2.5), "n", 2.5),
-        (lambda: unrank_subinterval(Span(0, 3), 1.5), "index", 1.5),
-        (lambda: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=2.5), "jobs", 2.5),
-    ]:
-        with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad!r}"):
-            call()
-    entries = {
         "hits": [lambda v: wilson_interval(v, 100), lambda v: hoeffding_interval(v, 100)],
-        "trials": [lambda v: wilson_interval(2, v), lambda v: hoeffding_interval(2, v)],
         "n": [lambda v: geometric_pmf(0.5, v), lambda v: count_nonempty_subintervals(v)],
         "index": [lambda v: unrank_subinterval(Span(0, 3), v)],
         "jobs": [lambda v: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=v)],
@@ -249,8 +225,10 @@ def test_other_public_counts_must_be_integers():
             for bad in (2.5, "2", None):
                 with pytest.raises(ValueError, match=f"{what} must be an integer, got {re.escape(repr(bad))}"):
                     call(bad)
+            # An integral value of another type runs as its int, a bool too,
+            # as for a site, n_max or a seed.
             assert call(2.0) == call(np.int64(2)) == call(2)
-    assert type(unrank_subinterval(Span(0, 3), 2.0).left) is int
+            assert call(True) == call(1)
 
 
 def test_open_unit_parameters_keep_their_messages():
