@@ -17,6 +17,7 @@ from . import _EXPORTS
 from .intervals import (
     Span,
     _at_least,
+    _integral,
     count_nonempty_subintervals,
     expand,
     unrank_subinterval,
@@ -57,7 +58,7 @@ EMPTY_BOX: HyperRect = None
 
 def unit_box(dim: int) -> Box:
     """The box {0}^dim."""
-    return Box(tuple(Span(0, 0) for _ in range(dim)))
+    return Box(tuple(Span(0, 0) for _ in range(_integral(dim, "dim"))))
 
 
 def count_nonempty_subrects(sizes: Sequence[int]) -> int:
@@ -119,5 +120,6 @@ def l1_norm(point: Sequence[int]) -> int:
 def l1_ball(radius: int, dim: int) -> list[tuple[int, ...]]:
     """The lattice points of L1 norm at most ``radius`` in ``dim``
     dimensions, in lexicographic order."""
+    radius, dim = _integral(radius, "radius"), _at_least("dim", dim, 0)
     axis = range(-radius, radius + 1)
     return [point for point in itertools.product(axis, repeat=dim) if l1_norm(point) <= radius]

@@ -652,6 +652,7 @@ def check_monotone_l1(
     reading.  The ordering that holds is the coordinatewise one,
     |x_i| <= |y_i| on every axis.
     """
+    d = _integral(d, "d")
     if d != 2:
         raise ValueError(f"only d=2 is implemented, got d={d}")
     t, trials = _at_least("t", t, 0), _at_least("trials", trials, 1)

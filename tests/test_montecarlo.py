@@ -181,6 +181,7 @@ def test_horizons_and_trial_counts_must_be_integers():
         coupling_transition_check,
         evolve,
         geometric_pmf,
+        l1_ball,
         run_coupled,
         run_reflection,
         simulate_path,
@@ -219,6 +220,8 @@ def test_horizons_and_trial_counts_must_be_integers():
         "index": [lambda v: unrank_subinterval(Span(0, 3), v)],
         "jobs": [lambda v: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=v)],
         "n_max": [lambda v: TruncationPolicy(v).n_max],
+        "dim": [lambda v: unit_box(v), lambda v: l1_ball(1, v)],
+        "radius": [lambda v: l1_ball(v, 2)],
     }
     for what, calls in entries.items():
         for call in calls:
@@ -246,16 +249,20 @@ def test_open_unit_parameters_keep_their_messages():
 
 
 def test_checks_record_the_counts_they_ran():
-    # check_even(2.0, 0.5, 1, 100.0).params used to record t=2.0, trials=100.0.
+    # check_even(2.0, 0.5, 1, 100.0).params used to record t=2.0, trials=100.0,
+    # and check_monotone_l1(2.0, ...) died with a TypeError inside l1_ball.
     reports = [
         check_even(2.0, 0.5, 1, 100.0),
         check_monotone_1d(np.int64(2), 0.5, 1, 100.0),
-        check_monotone_l1(2, 2.0, 0.5, 1, np.int64(100)),
+        check_monotone_l1(2.0, 2.0, 0.5, 1, np.int64(100)),
     ]
     for report in reports:
         assert type(report.params["t"]) is int and report.params["t"] == 2
         assert type(report.params["trials"]) is int and report.params["trials"] == 100
+    assert type(reports[2].params["d"]) is int
     assert check_even(2.0, 0.5, 1, 100.0) == check_even(2, 0.5, 1, 100)
+    with pytest.raises(ValueError, match="d must be an integer, got 2.5"):
+        check_monotone_l1(2.5, 1, 0.5, 1, 100)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
