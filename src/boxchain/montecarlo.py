@@ -231,11 +231,13 @@ def _rank_counts(sizes: np.ndarray) -> np.ndarray:
 
 
 def _contract_chunk(
-    lo: np.ndarray, hi: np.ndarray, rule: ContractionRule, stream: Stream
+    lo: np.ndarray, hi: np.ndarray, rule: ContractionRule, stream: Stream,
+    size_cdfs: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contract every box ``[lo, hi]``; returns the indices ``keep`` of the
     boxes that stay nonempty, in their old order, and their contracted
-    ends, each of shape (axes, survivors).
+    ends, each of shape (axes, survivors).  ``size_cdfs`` keeps a
+    size-weighted rule's cumulative pmfs by source size between calls.
 
     The uniform rule draws one rank per box over its nonempty sub-boxes
     plus the empty outcome (rank 0) and splits the rest mixed-radix, last
@@ -274,13 +276,24 @@ def _contract_chunk(
         last -= 1
         r = last - stream.integers_upto(last[0])
     elif isinstance(rule, SizeWeightedContraction):
+        if size_cdfs is None:
+            size_cdfs = {}
         u = stream.random_array(n.size)
+        # The rows grouped by size, each group a slice of ``order``; any
+        # grouping serves, since each row draws from its own u.
+        values, which = np.unique(n, return_inverse=True)
+        order = np.argsort(which)
+        u = u.take(order)
+        grouped = np.empty(n.size, np.int64)
+        start = 0
+        for nv, stop in zip(values.tolist(), np.cumsum(np.bincount(which)).tolist()):
+            if nv not in size_cdfs:
+                size_cdfs[nv] = np.cumsum(rule.pmf_at(nv))
+            grouped[start:stop] = np.searchsorted(size_cdfs[nv], u[start:stop], side="right")
+            start = stop
         size = np.empty(n.size, np.int64)
-        for nv in np.unique(n):
-            mask = n == nv
-            cum = np.cumsum(rule.pmf_at(int(nv)))
-            size[mask] = np.searchsorted(cum, u[mask], side="right")
-        size = np.minimum(size, n)
+        size[order] = grouped
+        np.minimum(size, n, out=size)
         keep = np.flatnonzero(size)
         size = size[keep]
         left = lo[:, keep] + stream.integers_upto(n[keep] - size)
@@ -310,6 +323,9 @@ class _Batch:
     def __init__(self, size: int, initial: Sequence[Span]) -> None:
         self.lo = np.repeat(np.array([[span.left] for span in initial], np.int64), size, axis=1)
         self.hi = np.repeat(np.array([[span.right] for span in initial], np.int64), size, axis=1)
+        # A size-weighted rule's cumulative pmf by source size, read once
+        # per chunk.
+        self.size_cdfs: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.lo.shape[1]
@@ -322,32 +338,46 @@ class _Batch:
 
     def contract(
         self, axes: int, rule: ContractionRule, p: float, stream: Stream, faces: int = 2
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The one draw protocol of every step: contract the first ``axes``
-        sides of each row as one box under ``rule``, drop the rows that die,
-        and draw the survivors' geometric(p) runs as one array of faces *
+        sides of each row as one box under ``rule``, find the rows that
+        survive, and draw their geometric(p) runs as one array of faces *
         axes * survivors values, axis by axis, low face first (``faces=1``
-        draws the high faces only).  Returns the contracted boxes, shape
-        (axes, survivors), and the runs, shape (axes, faces, survivors);
-        ``lo, hi`` still hold the surviving hosts.  A batch with no rows
-        draws nothing."""
+        draws the high faces only).  Returns the surviving rows ``keep``,
+        in their order, the contracted boxes, shape (axes, survivors), and
+        the runs, shape (axes, faces, survivors).  The batch is unchanged: a
+        chain step replaces its arrays, and only a step that reads the hosts
+        keeps their surviving rows.  A batch with no rows draws nothing."""
         if not len(self):
-            return self.lo[:axes], self.hi[:axes], np.empty((axes, faces, 0), np.int64)
-        keep, lo, hi = _contract_chunk(self.lo[:axes], self.hi[:axes], rule, stream)
-        self.keep(keep)
+            return np.empty(0, np.intp), self.lo[:axes], self.hi[:axes], np.empty((axes, faces, 0), np.int64)
+        keep, lo, hi = _contract_chunk(self.lo[:axes], self.hi[:axes], rule, stream, self.size_cdfs)
         runs = stream.geometric_array(p, faces * axes * keep.size).reshape(axes, faces, keep.size)
-        return lo, hi, runs
+        return keep, lo, hi, runs
 
     def step(
         self, p: float, stream: Stream, *, rule: ContractionRule = UNIFORM, one_sided: bool = False
     ) -> None:
         """One chain step of every box: contract under ``rule``, then push
         each face out by its run (``one_sided`` keeps the low faces)."""
-        lo, hi, runs = self.contract(len(self.lo), rule, p, stream, 1 if one_sided else 2)
+        _, lo, hi, runs = self.contract(len(self.lo), rule, p, stream, 1 if one_sided else 2)
         if not one_sided:
             lo -= runs[:, 0]
         hi += runs[:, -1]
         self.lo, self.hi = lo, hi
+
+
+def _count_table(coords: np.ndarray) -> tuple[int, int, np.ndarray] | None:
+    """``(first, last, below)`` with ``below[v - first]`` the number of
+    ``coords`` below v, for every v from one site before the sorted
+    coordinates to two past them; None if they span more than
+    ``_SWEEP_CELLS`` sites (or reach the ends of int64), which leaves them
+    to binary search."""
+    if not coords.size or int(coords[-1]) - int(coords[0]) >= _SWEEP_CELLS:
+        return None
+    first, last = int(coords[0]) - 1, int(coords[-1]) + 1
+    if first < -(2**63) or last + 1 >= 2**63:
+        return None
+    return first, last, np.searchsorted(coords, np.arange(first, last + 2))
 
 
 class _SiteIndex:
@@ -365,6 +395,7 @@ class _SiteIndex:
         self.coords = [coords for coords, _ in unique]
         order = [order for _, order in unique]
         self.shape = tuple(coords.size + 1 for coords in self.coords)
+        self.tables = [_count_table(coords) for coords in self.coords]
         # Each corner picks the start (0) or the stop (1) end on every axis;
         # corners with an odd number of stops subtract.
         self.corners = [(ends, sum(ends) % 2) for ends in itertools.product((0, 1), repeat=dim)]
@@ -378,6 +409,23 @@ class _SiteIndex:
             mine = np.flatnonzero((order[0] >= first) & (order[0] < first + rows.size))
             self.blocks.append((rows, mine, (order[0][mine] - first, *(o[mine] for o in order[1:]))))
 
+    def _cover_ends(self, axis: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per box, how many coordinates of ``axis`` lie below its start and
+        how many up to its end: the indices of the first coordinate the box
+        covers and of the one just past the last."""
+        coords, table = self.coords[axis], self.tables[axis]
+        if table is None:
+            return np.searchsorted(coords, lo, side="left"), np.searchsorted(coords, hi, side="right")
+        first, last, below = table
+        ends = []
+        # Clipping to [first, last] keeps every count; ``below[1:]`` counts
+        # the coordinates up to v.
+        for values, counts in ((lo, below), (hi, below[1:])):
+            index = np.clip(values, first, last)
+            index -= first
+            ends.append(counts.take(index, out=index, mode="clip"))
+        return ends[0], ends[1]
+
     def cover_counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """How many boxes [lo, hi] contain each site.
 
@@ -389,28 +437,29 @@ class _SiteIndex:
 
         The grid is swept along axis 0 one block of rows at a time, so at
         most about ``_SWEEP_CELLS`` cells are held however many points are
-        scattered.  A block finds the axis-0 ends in its own slice of the
-        coordinates: an end before the block lands on its first row, which
-        makes that row the running (d-1)-dimensional slab of the sweep, and
-        an end after it lands on an extra last row that is never read.
+        scattered.  A block offsets the axis-0 ends to its own rows and
+        clips them there: an end before the block lands on its first row,
+        which makes that row the running (d-1)-dimensional slab of the
+        sweep, and an end after it lands on an extra last row that is never
+        read.
         """
         if lo.ndim == 1:
             lo, hi = lo[None], hi[None]
-
-        def cover_ends(coords: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-            return np.searchsorted(coords, lo[axis], side="left"), np.searchsorted(coords, hi[axis], side="right")
-
-        rest = [cover_ends(coords, axis) for axis, coords in enumerate(self.coords) if axis > 0]
+        ends = [self._cover_ends(axis, lo[axis], hi[axis]) for axis in range(len(self.coords))]
         counts = np.empty(self.size, np.int64)
+        first = 0
         for rows, mine, cells in self.blocks:
             shape = (rows.size + 1, *self.shape[1:])
             size = math.prod(shape)
-            ends = [cover_ends(rows, 0), *rest]
+            block = ends
+            if len(self.blocks) > 1:
+                block = [tuple(np.clip(end - first, 0, rows.size) for end in ends[0]), *ends[1:]]
+            first += rows.size
             diff = np.zeros(size, np.int64)
             for corner, odd in self.corners:
-                flat = ends[0][corner[0]]
-                for axis in range(1, len(ends)):
-                    flat = flat * shape[axis] + ends[axis][corner[axis]]
+                flat = block[0][corner[0]]
+                for axis in range(1, len(block)):
+                    flat = flat * shape[axis] + block[axis][corner[axis]]
                 if odd:
                     diff -= np.bincount(flat, minlength=size)
                 else:
@@ -718,7 +767,8 @@ class _Pairs(_Batch):
         shared step.  ``skip_antithetic_map`` copies the contraction, the
         fault injection of :func:`coupled_step`.
         """
-        (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
+        keep, (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
+        self.keep(keep)
         if skip_antithetic_map:
             tl, tr = a, b
         else:
@@ -740,7 +790,8 @@ class _Pairs(_Batch):
         eta contracts to the reflection [-b, -a] and expands with the two
         runs swapped, or reused unswapped as fault injection.
         """
-        (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
+        keep, (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
+        self.keep(keep)
         np.subtract(a, left_run, out=self.lo[0])
         np.add(b, right_run, out=self.hi[0])
         if swap_expansion_draws:

@@ -55,6 +55,34 @@ def _runs_at_half(u: np.ndarray) -> np.ndarray:
 # 1 - U; E = 1023 is U = 0, whose run is 0.
 _RUN_BY_EXPONENT = np.maximum(1022 - np.arange(1024, dtype=np.int64), 0)
 
+# numpy's ``random_geometric`` searches at a success probability of at least
+# this double, the C literal 0.333333333333333333333333, and inverts below it.
+_SEARCH_FROM = 0.333333333333333333333333
+
+
+def _check_p(p: float) -> None:
+    """Refuse a failure probability ``p`` outside (0, 1), NaN included."""
+    if not 0 < p < 1:
+        raise ValueError(f"expansion parameter must lie in (0, 1), got {p!r}")
+
+
+def _count(what: str, value) -> int:
+    """A draw's size read as an integer, else ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _bounds(highs):
+    """Inclusive upper bounds as integers: an integer array as it is, a
+    scalar read by ``operator.index``; anything else raises ``ValueError``."""
+    if isinstance(highs, np.ndarray):
+        if highs.dtype.kind not in "iu":
+            raise ValueError(f"highs must be integers, got an array of {highs.dtype}")
+        return highs
+    return _count("highs", highs)
+
 
 class Stream:
     """A seeded PCG64 stream with reproducible labeled substreams.
@@ -146,39 +174,60 @@ class Stream:
                 return value
 
     def geometric(self, p: float) -> int:
-        """Number of failures before the first success, pmf (1-p) * p**n.
+        """Number of failures before the first success, pmf (1-p) * p**n,
+        for ``p`` in (0, 1).
 
         Uses inversion, so exactly one uniform draw is consumed.
         """
+        _check_p(p)
         v = 1.0 - self.random()
         if v >= 1.0:
             return 0
         return int(math.log(v) / math.log(p))
 
     # ------------------------------------------------------------------
-    # vector draws
+    # vector draws: a size is read by ``operator.index``, and a bound must be
+    # an integer or an integer array
 
     def random_array(self, size: int) -> np.ndarray:
-        return self._gen.random(size)
+        return self._gen.random(_count("size", size))
 
     def integers_upto(self, highs, size=None) -> np.ndarray:
         """Uniform integers in [0, high] inclusive; ``highs`` may be an array."""
-        return self._gen.integers(0, highs, size=size, endpoint=True)
+        if size is not None:
+            size = _count("size", size)
+        return self._gen.integers(0, _bounds(highs), size=size, endpoint=True)
 
     def geometric_array(self, p: float, size: int) -> np.ndarray:
-        """Vector of failure counts before first success, pmf (1-p) * p**n.
+        """Vector of failure counts before first success, pmf (1-p) * p**n,
+        for ``p`` in (0, 1).
 
         The values, and the generator's state after the call, are exactly
-        those of numpy's ``geometric(1 - p, size) - 1``.  At p = 1/2 they
-        come in closed form from the uniforms numpy's search loop would
-        consume (:func:`_runs_at_half`), a few array passes in place of a
-        loop per value.  Every other p is numpy's own draw: past 2/3 numpy
-        inverts an exponential drawn by ziggurat, which no single uniform
-        reproduces.
+        those of numpy's ``geometric(1 - p, size) - 1``, a few whole-array
+        passes in place of numpy's loop per value where its draw allows:
+
+        - At p = 1/2 they come in closed form from the uniforms numpy's
+          search loop would consume (:func:`_runs_at_half`).
+        - Past p = 2/3 numpy's success probability q = 1 - p is below 1/3,
+          and numpy inverts one standard exponential E per value: the count
+          is ``ceil(-E / log1p(-q))``.  Here one ``standard_exponential``
+          fill draws the same E, since numpy's fill and its per-value draw
+          are the same ziggurat, and -q is p - 1 exactly (Sterbenz).  numpy
+          caps a count of 2**63 or more at INT64_MAX before its cast, but no
+          count reaches 2**60: the ziggurat's E is below 45 and
+          ``-log1p(-q)`` is at least q >= 2**-53.
+        - Every other p is numpy's own draw, a search over one uniform each.
         """
+        _check_p(p)
+        size = _count("size", size)
         if p == 0.5:
             return _runs_at_half(self._gen.random(size))
-        runs = self._gen.geometric(1.0 - p, size=size)  # already int64
+        if 1.0 - p < _SEARCH_FROM:
+            counts = self._gen.standard_exponential(size)
+            counts /= -math.log1p(p - 1.0)
+            runs = np.ceil(counts, out=counts).astype(np.int64)
+        else:
+            runs = self._gen.geometric(1.0 - p, size=size)  # already int64
         runs -= 1
         return runs
 

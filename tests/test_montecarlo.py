@@ -710,6 +710,7 @@ def test_cover_counts_match_per_site_counting():
     for _ in range(20):
         left = rng.integers(-30, 30, 3000)
         right = left + rng.geometric(0.2, 3000) - 1
+        left[0], right[1] = -(2**40), 2**40  # ends far past the sites
         sites = rng.integers(-40, 40, rng.integers(0, 60)).tolist()
         sites += sites[: len(sites) // 3]  # duplicates
         rng.shuffle(sites)
@@ -728,6 +729,25 @@ def test_cover_counts_match_per_site_counting():
             column = np.array(point)[:, None]
             want.append(np.count_nonzero(np.all((lo <= column) & (column <= hi), axis=0)))
         assert got.tolist() == want
+    # Sites spanning more than the dense bound are searched, and planar
+    # points scattered wider than one block sweep in several; the other
+    # axes and the narrow cases above count by table lookup.
+    from boxchain import montecarlo
+
+    wide = [-montecarlo._SWEEP_CELLS, -7, 0, 3, 3, 50, montecarlo._SWEEP_CELLS]
+    left = rng.integers(-60, 60, 3000)
+    right = left + rng.geometric(0.02, 3000) - 1
+    left[:4], right[:4] = -montecarlo._SWEEP_CELLS - 1, [-2, montecarlo._SWEEP_CELLS, 2**40, 0]
+    index = _SiteIndex(wide)
+    assert index.tables == [None]
+    want = [np.count_nonzero((left <= x) & (x <= right)) for x in wide]
+    assert index.cover_counts(left, right).tolist() == want
+    points = [tuple(p) for p in rng.integers(-10**4, 10**4, (2000, 2)).tolist()]
+    lo = rng.integers(-10**4, 10**4, (2, 300))
+    hi = lo + rng.integers(0, 6000, (2, 300))
+    index = _SiteIndex(points, 2)
+    assert len(index.blocks) > 1 and None not in index.tables
+    assert index.cover_counts(lo, hi).tolist() == brute_force_cover(points, lo, hi)
     # No points, and no boxes.
     for dim in (1, 2, 3):
         lo = rng.integers(-6, 6, (dim, 50))

@@ -108,10 +108,20 @@ def _numpy_generator(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-@pytest.mark.parametrize("p", [0.5, 0.3, 0.8])
+# numpy searches a success probability 1 - p of at least 1/3 and inverts
+# below it, so p = 2/3 and its float neighbours straddle the switch.
+_TWO_THIRDS = 2 / 3
+
+
+@pytest.mark.parametrize(
+    "p",
+    [0.5, 0.3, 0.8, _TWO_THIRDS, np.nextafter(_TWO_THIRDS, 0.0), np.nextafter(_TWO_THIRDS, 1.0),
+     0.7, 0.95, 0.999],
+)
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
 def test_geometric_array_is_numpys_draw(seed, p):
     # Every value, and the state the call leaves behind, is numpy's.
+    p = float(p)
     stream = Stream(seed)
     gen = _numpy_generator(seed)
     for size in (0, 1, 7, 8192, 100003):
@@ -145,3 +155,52 @@ def test_runs_at_half_follow_numpys_search_loop():
     expected = [_numpy_search_at_half(float(v)) for v in u]
     assert _runs_at_half(u.copy()).tolist() == expected
     assert expected[:5] == [0, 0, 0, 1, 52]
+
+
+def test_geometric_draws_refuse_p_outside_the_open_unit_interval():
+    # Stream(0).geometric(1.5) used to return -2, 0, 0, 0, -4.
+    for bad in (1.5, 1.0, 0.0, -0.2, float("nan")):
+        message = f"expansion parameter must lie in \\(0, 1\\), got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            Stream(0).geometric(bad)
+        with pytest.raises(ValueError, match=message):
+            Stream(0).geometric_array(bad, 3)
+
+
+def test_vector_draws_read_sizes_and_bounds_as_integers():
+    # integers_upto(2.5, 3) used to draw in [0, 2], and a float size raised
+    # numpy's bare TypeError.
+    import re
+
+    stream = Stream(0)
+    # (draws, values they refuse) by the argument named in the message
+    bad_draws = {
+        "size": (
+            [
+                lambda size: stream.random_array(size),
+                lambda size: stream.geometric_array(0.5, size),
+                lambda size: stream.geometric_array(0.8, size),
+                lambda size: stream.integers_upto(3, size),
+            ],
+            (2.5, 2.0, "3", [3]),
+        ),
+        "highs": (
+            [lambda highs: stream.integers_upto(highs, 3), lambda highs: stream.integers_upto(highs)],
+            (2.5, 2.0, "3", None, [3, 4]),
+        ),
+    }
+    for what, (draws, values) in bad_draws.items():
+        for draw in draws:
+            for bad in values:
+                with pytest.raises(ValueError, match=f"{what} must be an integer, got {re.escape(repr(bad))}"):
+                    draw(bad)
+    for highs in (np.array([2.5, 3.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match=f"highs must be integers, got an array of {highs.dtype}"):
+            stream.integers_upto(highs)
+    # Integers of any kind draw as numpy does.
+    a, b = Stream(4), _numpy_generator(4)
+    assert a.random_array(np.int64(5)).tolist() == b.random(5).tolist()
+    assert a.integers_upto(np.uint8(9), np.int32(6)).tolist() == b.integers(0, 9, 6, endpoint=True).tolist()
+    highs = np.array([0, 7, 2**40], np.uint64)
+    assert a.integers_upto(highs).tolist() == b.integers(0, highs, endpoint=True).tolist()
+    assert a.geometric_array(0.8, np.int16(4)).tolist() == (b.geometric(1.0 - 0.8, 4) - 1).tolist()
