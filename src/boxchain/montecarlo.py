@@ -330,12 +330,6 @@ class _Batch:
     def __len__(self) -> int:
         return self.lo.shape[1]
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only ``rows``, in their order."""
-        # ``take`` of row indices is several times faster here than a mask.
-        self.lo = self.lo.take(rows, axis=1)
-        self.hi = self.hi.take(rows, axis=1)
-
     def contract(
         self, axes: int, rule: ContractionRule, p: float, stream: Stream, faces: int = 2
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -749,7 +743,10 @@ class _Pairs(_Batch):
         self.coalescences = 0
 
     def keep(self, rows: np.ndarray) -> None:
-        super().keep(rows)
+        """Keep only ``rows``, in their order."""
+        # ``take`` of row indices is several times faster here than a mask.
+        self.lo = self.lo.take(rows, axis=1)
+        self.hi = self.hi.take(rows, axis=1)
         self.coalesced = self.coalesced.take(rows)
         self.run = self.run.take(rows)
 

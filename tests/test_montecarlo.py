@@ -742,6 +742,15 @@ def test_cover_counts_match_per_site_counting():
     assert index.tables == [None]
     want = [np.count_nonzero((left <= x) & (x <= right)) for x in wide]
     assert index.cover_counts(left, right).tolist() == want
+    # A table one site past a coordinate at an end of int64 would not fit.
+    for edge in (-(2**63), 2**63 - 1):
+        sites = [edge, edge - 3 if edge > 0 else edge + 3]
+        left = np.array([edge, sites[1], 0, -(2**62)], np.int64)
+        right = np.array([edge, sites[1], 2**62, 2**62], np.int64)
+        index = _SiteIndex(sites)
+        assert index.tables == [None]
+        want = [np.count_nonzero((left <= x) & (x <= right)) for x in sites]
+        assert index.cover_counts(left, right).tolist() == want
     points = [tuple(p) for p in rng.integers(-10**4, 10**4, (2000, 2)).tolist()]
     lo = rng.integers(-10**4, 10**4, (2, 300))
     hi = lo + rng.integers(0, 6000, (2, 300))
