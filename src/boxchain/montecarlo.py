@@ -324,7 +324,7 @@ class _Batch:
         self.lo = np.repeat(np.array([[span.left] for span in initial], np.int64), size, axis=1)
         self.hi = np.repeat(np.array([[span.right] for span in initial], np.int64), size, axis=1)
         # A size-weighted rule's cumulative pmf by source size, read once
-        # per chunk.
+        # per chunk, which steps under one rule.
         self.size_cdfs: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
