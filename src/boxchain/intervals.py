@@ -15,7 +15,7 @@ from numbers import Rational
 from typing import Callable, Optional, Union
 
 from . import _EXPORTS
-from .stream import Stream
+from .stream import Stream, _in_open_unit
 
 __all__ = _EXPORTS["intervals"]
 
@@ -63,14 +63,6 @@ def size_of(interval: Interval) -> int:
 def validate_expansion_param(p) -> None:
     """Expansion parameters must lie strictly between 0 and 1."""
     _in_open_unit("expansion parameter", p)
-
-
-def _in_open_unit(what: str, value) -> None:
-    """Refuse ``value`` unless 0 < value < 1, NaN included, with a
-    ValueError naming ``what``: an expansion parameter, a confidence level
-    or a significance."""
-    if not 0 < value < 1:
-        raise ValueError(f"{what} must lie in (0, 1), got {value!r}")
 
 
 def _integral(value, what: str) -> int:

@@ -51,11 +51,10 @@ from .intervals import (
     UNIFORM,
     UniformContraction,
     _at_least,
-    _in_open_unit,
     _integral,
     validate_expansion_param,
 )
-from .stream import Stream
+from .stream import Stream, _in_open_unit
 
 __all__ = _EXPORTS["montecarlo"]
 
@@ -232,12 +231,13 @@ def _rank_counts(sizes: np.ndarray) -> np.ndarray:
 
 def _contract_chunk(
     lo: np.ndarray, hi: np.ndarray, rule: ContractionRule, stream: Stream,
-    size_cdfs: dict[int, np.ndarray] | None = None,
+    size_cdfs: dict[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contract every box ``[lo, hi]``; returns the indices ``keep`` of the
     boxes that stay nonempty, in their old order, and their contracted
-    ends, each of shape (axes, survivors).  ``size_cdfs`` keeps a
-    size-weighted rule's cumulative pmfs by source size between calls.
+    ends, each of shape (axes, survivors).  ``size_cdfs`` keeps the
+    cumulative pmfs of ``rule``, if size-weighted, by source size between
+    calls; it is read and filled for that rule alone.
 
     The uniform rule draws one rank per box over its nonempty sub-boxes
     plus the empty outcome (rank 0) and splits the rest mixed-radix, last
@@ -276,8 +276,6 @@ def _contract_chunk(
         last -= 1
         r = last - stream.integers_upto(last[0])
     elif isinstance(rule, SizeWeightedContraction):
-        if size_cdfs is None:
-            size_cdfs = {}
         u = stream.random_array(n.size)
         # The rows grouped by size, each group a slice of ``order``; any
         # grouping serves, since each row draws from its own u.
@@ -323,8 +321,10 @@ class _Batch:
     def __init__(self, size: int, initial: Sequence[Span]) -> None:
         self.lo = np.repeat(np.array([[span.left] for span in initial], np.int64), size, axis=1)
         self.hi = np.repeat(np.array([[span.right] for span in initial], np.int64), size, axis=1)
-        # A size-weighted rule's cumulative pmf by source size, read once
-        # per chunk, which steps under one rule.
+        # The cumulative pmfs of ``cdf_rule``, if size-weighted, by source
+        # size, each read once per chunk: n + 1 floats for each size n the
+        # chunk meets, one per ``size_pmf`` call that reading it costs.
+        self.cdf_rule: ContractionRule | None = None
         self.size_cdfs: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -344,6 +344,8 @@ class _Batch:
         keeps their surviving rows.  A batch with no rows draws nothing."""
         if not len(self):
             return np.empty(0, np.intp), self.lo[:axes], self.hi[:axes], np.empty((axes, faces, 0), np.int64)
+        if rule is not self.cdf_rule:
+            self.cdf_rule, self.size_cdfs = rule, {}
         keep, lo, hi = _contract_chunk(self.lo[:axes], self.hi[:axes], rule, stream, self.size_cdfs)
         runs = stream.geometric_array(p, faces * axes * keep.size).reshape(axes, faces, keep.size)
         return keep, lo, hi, runs

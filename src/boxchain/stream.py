@@ -60,10 +60,12 @@ _RUN_BY_EXPONENT = np.maximum(1022 - np.arange(1024, dtype=np.int64), 0)
 _SEARCH_FROM = 0.333333333333333333333333
 
 
-def _check_p(p: float) -> None:
-    """Refuse a failure probability ``p`` outside (0, 1), NaN included."""
-    if not 0 < p < 1:
-        raise ValueError(f"expansion parameter must lie in (0, 1), got {p!r}")
+def _in_open_unit(what: str, value) -> None:
+    """Refuse ``value`` unless 0 < value < 1, NaN included, with a
+    ValueError naming ``what``: an expansion parameter, a confidence level
+    or a significance."""
+    if not 0 < value < 1:
+        raise ValueError(f"{what} must lie in (0, 1), got {value!r}")
 
 
 def _count(what: str, value) -> int:
@@ -179,7 +181,7 @@ class Stream:
 
         Uses inversion, so exactly one uniform draw is consumed.
         """
-        _check_p(p)
+        _in_open_unit("expansion parameter", p)
         v = 1.0 - self.random()
         if v >= 1.0:
             return 0
@@ -218,7 +220,7 @@ class Stream:
           ``-log1p(-q)`` is at least q >= 2**-53.
         - Every other p is numpy's own draw, a search over one uniform each.
         """
-        _check_p(p)
+        _in_open_unit("expansion parameter", p)
         size = _count("size", size)
         if p == 0.5:
             return _runs_at_half(self._gen.random(size))

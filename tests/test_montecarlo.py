@@ -457,7 +457,7 @@ def test_box_contraction_decodes_every_axis_of_recorded_draws():
     draws = []
     for i, total in enumerate(totals):
         draws.append([0, 1, total, total - 1, int(rng.integers(0, total + 1))][i % 5])
-    keep, left, right = _contract_chunk(lo, hi, UNIFORM, VectorStubStream(integers=[draws]))
+    keep, left, right = _contract_chunk(lo, hi, UNIFORM, VectorStubStream(integers=[draws]), {})
     assert keep.tolist() == [i for i, draw in enumerate(draws) if draw]
     for column, i in enumerate(keep.tolist()):
         rest = draws[i] - 1
@@ -701,6 +701,21 @@ def test_every_batched_step_draws_one_contraction_then_the_survivors_runs():
         stream.draws.clear()
         step(make(0), stream)
         assert stream.draws == [], name
+
+
+def test_a_batch_reads_each_size_weighted_rules_own_pmfs():
+    # A batch keeps the cumulative pmfs of the rule it last contracted under;
+    # a new rule must read its own, even at a size the old rule has read.
+    from boxchain.intervals import SizeWeightedContraction
+    from boxchain.montecarlo import _Batch
+
+    keep_size = SizeWeightedContraction(lambda k, n: float(k == n))
+    empty = SizeWeightedContraction(lambda k, n: float(k == 0))
+    batch = _Batch(50, (Span(0, 3),))
+    for rule, survivors in ((keep_size, 50), (empty, 0), (keep_size, 50)):
+        keep, lo, hi, _ = batch.contract(1, rule, 0.5, Stream(3))
+        assert keep.size == survivors
+        assert (lo == 0).all() and (hi == 3).all()
 
 
 def test_cover_counts_match_per_site_counting():
