@@ -53,19 +53,19 @@ VERIFY_FAILURE = 1
 # the mutant it injects.
 _SUITES = {
     "even": (
-        lambda mc, a, m: mc.check_even(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
+        lambda mc, a, m: mc.check_even(a.t, a.p, 10, a.trials, a.seed, one_sided_expansion=m),
         (1, None), "one-sided-expansion",
     ),
     "monotone-1d": (
-        lambda mc, a, m: mc.check_monotone_1d(a.t, a.p, 10, a.trials, a.seed, jobs=a.jobs, one_sided_expansion=m),
+        lambda mc, a, m: mc.check_monotone_1d(a.t, a.p, 10, a.trials, a.seed, one_sided_expansion=m),
         (1, None), "one-sided-expansion",
     ),
     "monotone-l1": (
-        lambda mc, a, _: mc.check_monotone_l1(2, a.t, a.p, a.radius, a.trials, a.seed, jobs=a.jobs),
+        lambda mc, a, _: mc.check_monotone_l1(2, a.t, a.p, a.radius, a.trials, a.seed),
         (1, 3), None,
     ),
     "coupling-marginals": (
-        lambda mc, a, m: mc.coupling_marginal_test(a.t, a.p, a.trials, a.seed, jobs=a.jobs, skip_antithetic_map=m),
+        lambda mc, a, m: mc.coupling_marginal_test(a.t, a.p, a.trials, a.seed, skip_antithetic_map=m),
         (1, 3), "skip-antithetic-map",
     ),
     "coupling-invariants": (
@@ -193,9 +193,9 @@ def cmd_simulate(args) -> int:
         spans_of = lambda box: box.spans
         columns = ["left0", "right0", "left1", "right1"]
     rows = []
+    root = Stream(args.seed)
     for trial in range(args.trials):
-        stream = Stream(args.seed).substream("simulate", trial)
-        for when, state in enumerate(simulate(stream)):
+        for when, state in enumerate(simulate(root.substream("simulate", trial))):
             if state is None:
                 cells = ["EMPTY"] * len(columns)
             else:
@@ -293,7 +293,6 @@ def cmd_mc(args) -> int:
         seed=args.seed,
         confidence=args.confidence,
         method=args.ci,
-        jobs=args.jobs,
     )
     rows = [
         (*cells_of(e.site), repr(e.estimate), repr(e.ci_lo), repr(e.ci_hi))
@@ -355,11 +354,9 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", type=str, default=None, help="output CSV path (required)")
 
 
-def _add_sampling(sub, jobs: bool = True) -> None:
+def _add_sampling(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base seed")
     sub.add_argument("--trials", type=int, default=100_000, help="number of Monte Carlo trials")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1, help="worker threads for chunked trials")
 
 
 def _add_process(sub) -> None:
@@ -405,7 +402,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="sample trajectories to CSV")
     _add_common(sim)
-    _add_sampling(sim, jobs=False)
+    _add_sampling(sim)
     _add_process(sim)
     sim.set_defaults(func=cmd_simulate, trials=1)
 
@@ -497,7 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError(f"--p must lie in (0, 1), got {args.p}")
         if args.t < 0:
             raise UsageError(f"--t must be >= 0, got {args.t}")
-        for flag, least in (("trials", 1), ("seed", 0), ("jobs", 1)):
+        for flag, least in (("trials", 1), ("seed", 0)):
             value = vars(args).get(flag)  # None where the subcommand has no such flag
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be >= {least}, got {value}")

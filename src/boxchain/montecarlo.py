@@ -2,14 +2,13 @@
 
 Every estimator and check simulates its trials in vectorized chunks of
 at most ``_CHUNK`` runs through one driver, :func:`_run_chunks`, which
-gives chunk ``i`` the labeled substream ``(label, i)``; so results are
-reproducible and independent of how chunks are scheduled across
-workers.  A chunk is one batch of live rows, chains of boxes or coupled
-pairs, and every step of either draws through one protocol,
-:meth:`_Batch.contract`.  The estimators and the marginal test count
-coverage through one loop, :func:`_coverage`; the pathwise checks and
-:func:`coalescence_stats` step their pairs through another,
-:func:`_pathwise_run`.  All sites of one check are counted from the same
+runs chunk ``i`` in order on the labeled substream ``(label, i)``; so
+results depend only on the seed and the inputs.  A chunk is one batch of
+live rows, chains of boxes or coupled pairs, and every step of either
+draws through one protocol, :meth:`_Batch.contract`.  The estimators and
+the marginal test count coverage through one loop, :func:`_coverage`;
+the pathwise checks and :func:`coalescence_stats` step their pairs
+through another, :func:`_pathwise_run`.  All sites of one check are counted from the same
 trial paths (common random numbers), which shrinks the variance of the
 differences the checks look at; the confidence intervals used as
 margins are therefore conservative.
@@ -483,49 +482,48 @@ def _coverage(
     return np.array(counts)
 
 
-def _run_chunks(
-    label: str, trials: int, seed: int, work: Callable[[int, Stream, int], object], jobs: int = 1
-) -> list:
-    """``work(start, stream, count)`` of each chunk of ``trials`` runs, in
-    chunk order.
+def _run_chunks(label: str, trials: int, seed: int, work: Callable[[int, Stream, int], object]) -> list:
+    """``work(start, stream, count)`` of each chunk of ``trials`` runs, run
+    in chunk order on the calling thread.
 
     Chunk ``i`` holds the ``count`` runs from ``start = i * _CHUNK``, at
     most ``_CHUNK`` of them, and draws from the substream ``(label, i)``
-    of ``seed``; so the results do not depend on ``jobs``, the number of
-    threads the chunks run on.
+    of ``seed``.
     """
-    jobs = _at_least("jobs", jobs, 1)
     root = Stream(seed)
-
-    def chunk(i: int):
-        start = i * _CHUNK
-        return work(start, root.substream(label, i), min(_CHUNK, trials - start))
-
-    chunks = range((trials + _CHUNK - 1) // _CHUNK)
-    if jobs > 1:
-        # Imported here: concurrent.futures loads threading, queue and
-        # logging, which no single-threaded run needs.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(chunk, chunks))
-    return [chunk(i) for i in chunks]
+    return [
+        work(start, root.substream(label, i), min(_CHUNK, trials - start))
+        for i, start in enumerate(range(0, trials, _CHUNK))
+    ]
 
 
 # ---------------------------------------------------------------------------
 # occupancy estimators
 
 
+def _int64(value, what: str) -> int:
+    """``value`` read by :func:`_integral`, refused unless it fits int64."""
+    value = _integral(value, what)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} {value} lies outside int64")
+    return value
+
+
 def _estimate(
     label: str, initial: Sequence[Span], t: int, sites: list, trials: int,
-    rule: ContractionRule, p: float, seed: int, confidence: float, method: str, jobs: int,
-    one_sided: bool,
+    rule: ContractionRule, p: float, seed: int, confidence: float, method: str, one_sided: bool,
 ) -> list[OccupancyEstimate]:
     """Occupancy estimates of the chain started at the box with spans
     ``initial``, chunk ``i`` drawn from the substream ``(label, i)``."""
     validate_expansion_param(p)
     trials = _at_least("trials", trials, 1)
     t = _at_least("t", t, 0)
+    # Ends are int64.  A run is below 2**60 (Stream.geometric_array), and a
+    # side of 2**31 sites fails the next contraction's rank guard, so every
+    # run but the last is below 2**31: from +-2**62 no end wraps before t = 2**30.
+    for span in initial:
+        if span.left < -(2**62) or span.right > 2**62:
+            raise ValueError(f"initial state {span} has an end outside the sampler's range [-2**62, 2**62]")
     _in_open_unit("confidence", confidence)
     if method not in _CI_METHODS:
         raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(_CI_METHODS)}")
@@ -537,7 +535,6 @@ def _estimate(
             _Batch(count, initial), t, lambda chains: chains.step(p, stream, rule=rule, one_sided=one_sided),
             index, False,
         ),
-        jobs,
     ))[0, 0]
     out = []
     for site, hits in zip(sites, counts.tolist()):
@@ -562,12 +559,13 @@ def estimate_occupancy(
 ) -> list[OccupancyEstimate]:
     """Estimate the occupancy probability of each site at time ``t``.
 
-    All sites are counted from the same simulated paths.  Identical seeds
-    give identical estimates regardless of ``jobs``.
+    All sites are counted from the same simulated paths.  ``jobs`` is
+    read only to refuse a value below 1.
     """
+    _at_least("jobs", jobs, 1)
     return _estimate(
-        "mc-interval", (initial,), t, [_integral(x, "site") for x in sites], trials,
-        rule, p, seed, confidence, method, jobs, one_sided_expansion,
+        "mc-interval", (initial,), t, [_int64(x, "site") for x in sites], trials,
+        rule, p, seed, confidence, method, one_sided_expansion,
     )
 
 
@@ -583,14 +581,16 @@ def estimate_occupancy_2d(
     method: str = "wilson",
     jobs: int = 1,
 ) -> list[OccupancyEstimate]:
-    """Occupancy estimates over a set of lattice points of the planar process."""
+    """Occupancy estimates over a set of lattice points of the planar
+    process.  ``jobs`` is read only to refuse a value below 1."""
+    _at_least("jobs", jobs, 1)
     if initial.dim != 2:
         raise ValueError("estimate_occupancy_2d needs a two-dimensional box")
     return _estimate(
         "mc-box", initial.spans, t,
-        [(_integral(x, "point coordinate"), _integral(y, "point coordinate")) for x, y in points],
+        [(_int64(x, "point coordinate"), _int64(y, "point coordinate")) for x, y in points],
         trials,
-        UNIFORM, p, seed, confidence, method, jobs, False,
+        UNIFORM, p, seed, confidence, method, False,
     )
 
 
@@ -631,7 +631,6 @@ def check_even(
     seed: int = 0,
     *,
     confidence: float = 0.99,
-    jobs: int = 1,
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy symmetry: estimates at x and -x must agree within CIs."""
@@ -644,7 +643,7 @@ def check_even(
         x_range,
         lambda level: estimate_occupancy(
             Span(0, 0), t, range(-x_range, x_range + 1), trials, p=p, seed=seed,
-            confidence=level, jobs=jobs, one_sided_expansion=one_sided_expansion,
+            confidence=level, one_sided_expansion=one_sided_expansion,
         ),
         lambda est: (_pair_gap(est[x], est[-x]) for x in range(1, x_range + 1)),
     )
@@ -658,7 +657,6 @@ def check_monotone_1d(
     seed: int = 0,
     *,
     confidence: float = 0.99,
-    jobs: int = 1,
     one_sided_expansion: bool = False,
 ) -> CheckReport:
     """Occupancy decrease away from the origin on the right half line."""
@@ -671,7 +669,7 @@ def check_monotone_1d(
         x_max,
         lambda level: estimate_occupancy(
             Span(0, 0), t, range(0, x_max + 1), trials, p=p, seed=seed,
-            confidence=level, jobs=jobs, one_sided_expansion=one_sided_expansion,
+            confidence=level, one_sided_expansion=one_sided_expansion,
         ),
         lambda est: (_order_gap(est[x], est[x + 1]) for x in range(x_max)),
     )
@@ -686,7 +684,6 @@ def check_monotone_l1(
     seed: int = 0,
     *,
     confidence: float = 0.99,
-    jobs: int = 1,
 ) -> CheckReport:
     """Test the planar L1 ordering with ties: f_t(x) >= f_t(y) if ||x||_1 <= ||y||_1.
 
@@ -711,7 +708,7 @@ def check_monotone_l1(
         confidence,
         len(ordered),
         lambda level: estimate_occupancy_2d(
-            unit_box(2), t, points, trials, p=p, seed=seed, confidence=level, jobs=jobs
+            unit_box(2), t, points, trials, p=p, seed=seed, confidence=level
         ),
         lambda est: (_order_gap(est[near], est[far]) for near, far in ordered),
     )
@@ -842,7 +839,7 @@ def _pathwise_run(
     """Step every run up to ``horizon`` times; a run stops when it dies or
     ``holds`` fails on it.
 
-    Returns the stops, shape (2, horizon): at column ``step - 1``, the
+    Returns the stops, shape (2, steps run): at column ``step - 1``, the
     runs that died at that step and the runs that failed ``holds`` there.
     Then the first violation ``(run, step, first, second)`` of the lowest
     violating run (or None), and the number of runs that ended coalesced:
@@ -851,7 +848,7 @@ def _pathwise_run(
 
     def work(start: int, stream: Stream, count: int):
         pairs = _Pairs(count, initial)
-        died, failed = [0] * horizon, [0] * horizon
+        steps = []  # (died, failed) of each step run, however far the horizon
         first_violation = None
         for time in range(1, horizon + 1):
             if not len(pairs):
@@ -860,19 +857,22 @@ def _pathwise_run(
             step(pairs, p, stream)
             ok = holds(pairs)
             bad = (~ok).nonzero()[0]
-            died[time - 1], failed[time - 1] = before - len(pairs), bad.size
+            steps.append((before - len(pairs), bad.size))
             if bad.size:
                 run = start + int(pairs.run[bad[0]])
                 if first_violation is None or run < first_violation[0]:
                     first_violation = (run, time, *pairs.states(bad[0]))
                 pairs.keep(ok.nonzero()[0])
-        return np.array([died, failed], np.int64), first_violation, pairs.coalescences
+        return np.array(steps, np.int64).reshape(-1, 2).T, first_violation, pairs.coalescences
 
     parts = _run_chunks(label, trials, seed, work)
+    stops = np.zeros((2, max(part.shape[1] for part, _, _ in parts)), np.int64)
+    for part, _, _ in parts:
+        stops[:, : part.shape[1]] += part
     # Chunks come in run order, so the first chunk with a violation holds
     # the lowest violating run.
     first_violation = next((first for _, first, _ in parts if first is not None), None)
-    return sum(stops for stops, _, _ in parts), first_violation, sum(runs for _, _, runs in parts)
+    return stops, first_violation, sum(runs for _, _, runs in parts)
 
 
 def _pathwise_report(
@@ -912,7 +912,6 @@ def coupling_marginal_test(
     *,
     significance: float = 1e-3,
     x_window: int = 8,
-    jobs: int = 1,
     skip_antithetic_map: bool = False,
 ) -> CheckReport:
     """Both coupled marginals must match standalone simulations in law.
@@ -935,7 +934,6 @@ def coupling_marginal_test(
             lambda _, stream, count: _coverage(
                 batch(count, initial), t, lambda rows: step(rows, p, stream), index, True
             ),
-            jobs,
         ))
 
     # Side 0 is the minus side and side 1 the plus side, coupled and alone.

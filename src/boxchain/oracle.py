@@ -106,8 +106,10 @@ class StateDist:
         over the lcm of every mass's denominator for a rational one."""
         spans = [(iv.left, iv.right, w) for iv, w in weights.items() if iv is not None]
         lefts, rights, masses = zip(*spans) if spans else ((), (), ())
-        lefts, rights = np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
-        origin, extent = (int(lefts.min()), int(rights.max() - lefts.min()) + 1) if spans else (0, 0)
+        # Python ints, and int64 only relative to the origin: so a law past
+        # int64 packs, and one too wide for a grid reaches its size check.
+        origin = min(lefts, default=0)
+        extent = max(rights) - origin + 1 if spans else 0
         empty = weights.get(EMPTY, 0)
         if exact:
             values = [Fraction(m) for m in (*masses, empty, lost)]
@@ -117,7 +119,7 @@ class StateDist:
         else:
             grid, denom = _zeros(extent), None
             masses, empty, lost = [float(m) for m in masses], float(empty), float(lost)
-        grid[lefts - origin, rights - origin] = masses
+        grid[[left - origin for left in lefts], [right - origin for right in rights]] = masses
         self._hold(grid, origin, empty, lost, denom)
 
     @classmethod
@@ -187,7 +189,7 @@ class StateDist:
         masses = self.grid[rows, cols].tolist()
         if self.denom is not None:
             masses = [Fraction(m, self.denom) for m in masses]
-        return (rows + self.origin).tolist(), (cols + self.origin).tolist(), masses
+        return [r + self.origin for r in rows.tolist()], [c + self.origin for c in cols.tolist()], masses
 
     def span_rows(self) -> list[tuple[int, int, Mass]]:
         """``(left, right, mass)`` for every span with mass, sorted, read

@@ -52,6 +52,8 @@ def test_box_invariants():
     assert box.sizes == (2, 3)
     assert (1, -1) in box
     assert (2, 0) not in box
+    with pytest.raises(ValueError, match="wrong dimension"):
+        box.__contains__((1, -1, 0))
     assert l1_norm((0, 0)) == 0
     assert l1_norm((1, -2)) == 3
     assert l1_norm((-1, 0)) == 1

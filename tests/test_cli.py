@@ -221,6 +221,23 @@ def test_exact_dist_out_pinned(tmp_path):
         assert dist_out.read_bytes() == PINNED_DIST.replace("\n", "\r\n").encode()
 
 
+def test_exact_near_the_top_of_int64_is_the_translated_law(tmp_path):
+    # Its span rows used to wrap to negative right ends.
+    def run(initial, x_min, name):
+        out, dist_out = tmp_path / f"{name}.csv", tmp_path / f"{name}-dist.csv"
+        assert main([
+            "exact", f"--initial={initial}:{initial + 1}", "--t", "1", "--n-max", "5",
+            f"--x-min={x_min}", f"--x-max={x_min + 7}", "--dist-out", str(dist_out), "--out", str(out),
+        ]) == 0
+        return read_csv(out)[1:], read_csv(dist_out)[2:]
+
+    top, top_dist = run(2**63 - 5, 2**63 - 8, "top")
+    origin, origin_dist = run(0, -3, "origin")
+    assert [row[1:] for row in top] == [row[1:] for row in origin]
+    shifted = [[str(int(left) - 2**63 + 5), str(int(right) - 2**63 + 5), mass] for left, right, mass in top_dist]
+    assert shifted == origin_dist and len(shifted) == 48
+
+
 def test_exact_t0_pinned(tmp_path):
     # The point mass as given, read without a push: values of the law as
     # written before dict laws were packed onto their grid.
@@ -250,6 +267,8 @@ def test_exact_t0_pinned(tmp_path):
     ("exact", "--trials=5"),
     ("exact", "--jobs=2"),
     ("simulate", "--jobs=2"),
+    ("mc", "--jobs=2"),
+    ("verify", "--jobs=2"),
 ])
 def test_subcommands_refuse_flags_they_do_not_read(tmp_path, command, flag):
     out = tmp_path / "r.csv"
@@ -297,24 +316,6 @@ def test_mc_matches_library(tmp_path):
         assert row[3] == repr(est.ci_hi)
 
 
-def test_mc_jobs_invariant(tmp_path):
-    out_serial = tmp_path / "s.csv"
-    out_threaded = tmp_path / "t.csv"
-    base = ["mc", "--t", "2", "--trials", "30000", "--seed", "9", "--x-min", "-3", "--x-max", "3"]
-    assert main(base + ["--out", str(out_serial)]) == 0
-    assert main(base + ["--jobs", "4", "--out", str(out_threaded)]) == 0
-    assert out_serial.read_bytes() == out_threaded.read_bytes()
-
-
-@pytest.mark.parametrize("command", ["mc", "verify"])
-def test_jobs_below_one_is_a_usage_error(tmp_path, command, capsys):
-    out = tmp_path / "r.csv"
-    assert main([command, "--t", "3", "--trials", "1000", "--jobs", "-3", "--out", str(out)]) == 2
-    assert "--jobs must be >= 1, got -3" in capsys.readouterr().err
-    assert not out.exists()
-    assert not (tmp_path / "r.csv.meta.json").exists()
-
-
 def test_mc_2d_schema(tmp_path):
     out = tmp_path / "mc2.csv"
     assert main([
@@ -351,12 +352,23 @@ def test_mc_hoeffding_intervals_wider(tmp_path):
     assert float(h[3]) - float(h[2]) > float(w[3]) - float(w[2])
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert main(["simulate"]) == 2  # missing --out
     assert main(["simulate", "--p", "1.5", "--out", "x.csv"]) == 2
     assert main(["simulate", "--t", "-1", "--out", "x.csv"]) == 2
     assert main(["nonsense"]) == 2
     assert main([]) == 2
+    out = str(tmp_path / "x.csv")
+    assert main(["mc", "--sites=1,x", "--out", out]) == 2
+    # Past the ends of int64: these used to raise OverflowError and exit 1.
+    assert main(["mc", "--sites=99999999999999999999", "--out", out]) == 2
+    assert main(["mc", "--initial=-99999999999999999999:0", "--out", out]) == 2
+    assert main(["exact", "--initial=0:99999999999999999999", "--out", out]) == 2
+    config = tmp_path / "config.json"
+    assert main(["--config", str(config), "simulate", "--out", out]) == 2  # no such file
+    config.write_text("[1, 2]")
+    assert main(["--config", str(config), "simulate", "--out", out]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_fast_suites_pass(tmp_path, capsys):

@@ -75,14 +75,6 @@ def test_estimates_reproducible_and_schedule_independent():
     assert other_seed != one
 
 
-def test_coupling_marginals_schedule_independent():
-    # 20000 trials make three chunks; the coupled and both standalone
-    # halves draw from per-chunk substreams, whatever the threads.
-    one = coupling_marginal_test(2, 0.5, 20_000, seed=9)
-    threaded = coupling_marginal_test(2, 0.5, 20_000, seed=9, jobs=2)
-    assert one.as_row() == threaded.as_row()
-
-
 def test_estimate_2d_t1_closed_form():
     points = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
     estimates = estimate_occupancy_2d(unit_box(2), 1, points, 400_000, p=0.5, seed=3)
@@ -270,10 +262,6 @@ def test_jobs_below_one_fail_closed(jobs):
     calls = [
         lambda: estimate_occupancy(Span(0, 0), 1, [0], 100, jobs=jobs),
         lambda: estimate_occupancy_2d(unit_box(2), 1, [(0, 0)], 100, jobs=jobs),
-        lambda: check_even(1, 0.5, 2, 100, jobs=jobs),
-        lambda: check_monotone_1d(1, 0.5, 2, 100, jobs=jobs),
-        lambda: check_monotone_l1(2, 1, 0.5, 1, 100, jobs=jobs),
-        lambda: coupling_marginal_test(1, 0.5, 100, jobs=jobs),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
@@ -1052,6 +1040,30 @@ def test_int64_rank_limit_raises_before_wrapping():
     estimate_occupancy_2d(Box((Span(0, 69_999), Span(0, 69_999))), 1, [(0, 0)], 10)
 
 
+def test_chains_near_the_ends_of_int64_refuse_or_run_unwrapped():
+    from boxchain import Box
+
+    # These starts and sites used to wrap past the ends of int64, or raise
+    # OverflowError, instead of being refused.
+    with pytest.raises(ValueError, match=rf"Span\({2**63 - 4}, {2**63 - 3}\) has an end outside"):
+        estimate_occupancy(Span(2**63 - 4, 2**63 - 3), 3, [2**63 - 3, 2**63 - 2, 2**63 - 1], 1000, seed=1)
+    with pytest.raises(ValueError, match=rf"Span\({-(2**63)}, {-(2**63) + 1}\) has an end outside"):
+        estimate_occupancy(Span(-(2**63), -(2**63) + 1), 3, [-(2**63), -(2**63) + 1], 1000, seed=1)
+    with pytest.raises(ValueError, match=f"site {2**63} lies outside int64"):
+        estimate_occupancy(Span(0, 1), 3, [0, 2**63], 1000, seed=1)
+    with pytest.raises(ValueError, match=f"point coordinate {-(2**63) - 1} lies outside int64"):
+        estimate_occupancy_2d(unit_box(2), 3, [(0, -(2**63) - 1)], 1000, seed=1)
+    with pytest.raises(ValueError, match=rf"Span\(0, {2**62 + 1}\) has an end outside"):
+        estimate_occupancy_2d(Box((Span(0, 0), Span(0, 2**62 + 1))), 3, [(0, 0)], 1000, seed=1)
+
+    # From +-2**62 a chain still runs, on the draws of its translate.
+    def hits(initial, sites):
+        return [e.hits for e in estimate_occupancy(initial, 3, sites, 20_000, seed=1)]
+
+    for shift in (2**62 - 1, -(2**62)):
+        assert hits(Span(shift, shift + 1), [shift + 1, shift + 2, shift + 3]) == hits(Span(0, 1), [1, 2, 3])
+
+
 def test_rank_limit_checks_each_row():
     from boxchain.montecarlo import _rank_counts
 
@@ -1092,6 +1104,15 @@ def test_import_does_not_load_scipy():
     probe = "import sys, boxchain; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_pathwise_runs_stop_when_every_run_ends():
+    # At p = 1/2 every run ends within a few dozen steps, so a horizon of
+    # 10**12 costs what those steps cost.
+    assert reflection_identity_check(10**12, 0.5, 200, seed=1).passed
+    far = coalescence_stats(0.5, 10**12, 200, seed=1)
+    assert far.censored == 0
+    assert far.first_event_times == coalescence_stats(0.5, 1000, 200, seed=1).first_event_times
 
 
 def test_shorter_horizon_replays_a_prefix():

@@ -503,6 +503,19 @@ def test_span_rows_are_the_sorted_weights():
     assert StateDist(dict(law.weights), law.lost).span_rows() == rows
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_laws_at_and_past_the_ends_of_int64_are_translates(exact):
+    # Span ends were packed and read back as int64, which wrapped near the
+    # ends of int64 and raised OverflowError past them.
+    base = evolve(Span(0, 1), 1, policy=TruncationPolicy(5), exact=exact)
+    for start in (2**63 - 5, 2**63, -(2**63) - 2):
+        law = evolve(Span(start, start + 1), 1, policy=TruncationPolicy(5), exact=exact)
+        assert [(left - start, right - start, w) for left, right, w in law.span_rows()] == base.span_rows()
+        assert occupancy_bounds(law, start + 4).lo == occupancy_bounds(base, 4).lo
+    with pytest.raises(ValueError, match="extent 100000000000000000000 "):
+        StateDist({Span(0, 10**20 - 1): 1.0}, 0.0, exact)
+
+
 def test_kill_rule_grid_matches_rational():
     policy = TruncationPolicy(5)
     rule = KillThenUniformContraction(lambda n: 0.1 + 0.8 / n)

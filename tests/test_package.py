@@ -140,11 +140,6 @@ def test_each_entry_point_loads_only_what_it_runs(argv, absent, tmp_path):
     assert not probe["futures"]
 
 
-def test_threaded_runs_still_load_the_pool(tmp_path):
-    probe = loaded(["mc", "--t", "1", "--trials", "20000", "--jobs", "2"], tmp_path)
-    assert probe["futures"]
-
-
 def test_every_perfbench_trace_target_exists():
     # The tracer wraps each target by name, in its owner's own namespace;
     # a refactor that deletes or moves one of those names breaks the
