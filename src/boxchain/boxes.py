@@ -18,6 +18,7 @@ from .intervals import (
     Span,
     _at_least,
     _integral,
+    _subinterval_count,
     count_nonempty_subintervals,
     expand,
     unrank_subinterval,
@@ -70,7 +71,7 @@ def contract_uniform(state: HyperRect, stream: Stream) -> HyperRect:
     """Uniform draw over all nonempty sub-boxes plus one empty outcome."""
     if state is None:
         return EMPTY_BOX
-    axis_counts = [count_nonempty_subintervals(n) for n in state.sizes]
+    axis_counts = [_subinterval_count(n) for n in state.sizes]
     index = stream.randbelow(math.prod(axis_counts) + 1)
     if index == 0:
         return EMPTY_BOX

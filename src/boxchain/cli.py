@@ -18,7 +18,11 @@ time and the versions for reproduction.
 Each subcommand imports the modules it runs inside its own function, so a
 fresh process pays only for those: ``simulate`` loads ``intervals`` and
 ``stream`` (and ``boxes`` in 2-D), ``exact`` adds ``oracle``, and ``mc``
-and ``verify`` add ``montecarlo``, ``boxes`` and ``coupling``.
+and ``verify`` add ``montecarlo``, ``boxes`` and ``coupling``.  Those
+three load numpy too.  ``simulate`` loads it only for a trial that draws
+more than 512 values of one kind (floats or words).  Otherwise every draw
+comes from the stream's port of numpy's generator, and the sidecar records
+numpy's version as null.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -153,10 +157,11 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def _write_meta(path: str, command: str, args, extra: Optional[dict] = None, wall_time: float = 0.0) -> None:
-    import numpy
-
     from . import __version__
 
+    # numpy's version only if the run loaded it: importing it here would
+    # cost a run that never needs it most of its start-up.
+    numpy = sys.modules.get("numpy")
     payload = {
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)},
@@ -164,7 +169,7 @@ def _write_meta(path: str, command: str, args, extra: Optional[dict] = None, wal
         "versions": {
             "boxchain": __version__,
             "python": "{}.{}.{}".format(*sys.version_info),
-            "numpy": numpy.__version__,
+            "numpy": None if numpy is None else numpy.__version__,
         },
     }
     if extra:

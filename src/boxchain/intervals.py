@@ -208,7 +208,12 @@ def geometric_sample(p: float, stream: Stream) -> int:
 
 def count_nonempty_subintervals(n: int) -> int:
     """Number of nonempty integer sub-intervals of an interval of size n."""
-    n = _at_least("n", n, 1)
+    return _subinterval_count(_at_least("n", n, 1))
+
+
+def _subinterval_count(n: int) -> int:
+    """:func:`count_nonempty_subintervals` of a size already read, such as
+    a span's: the draws count on every step and skip the reader."""
     return n * (n + 1) // 2
 
 
@@ -231,7 +236,7 @@ def unrank_subinterval(host: Span, index: int) -> Interval:
     sub-intervals of ``host`` sorted by (left, right)."""
     if host is None:
         raise ValueError("unrank_subinterval requires a nonempty host")
-    total = count_nonempty_subintervals(host.size)
+    total = _subinterval_count(host.size)
     index = _integral(index, "index")
     if not 0 <= index <= total:
         raise ValueError(f"index {index} out of range 0..{total} for host {host}")
@@ -273,7 +278,7 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         return EMPTY
     n = state.size
     if isinstance(rule, UniformContraction):
-        total = count_nonempty_subintervals(n)
+        total = _subinterval_count(n)
         return unrank_subinterval(state, stream.randbelow(total + 1))
     if isinstance(rule, SizeWeightedContraction):
         k = _draw_size(rule, n, stream)
@@ -285,7 +290,7 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         death = rule.death_at(n)
         if stream.random() < death:
             return EMPTY
-        total = count_nonempty_subintervals(n)
+        total = _subinterval_count(n)
         return unrank_subinterval(state, 1 + stream.randbelow(total))
     if isinstance(rule, EndpointResampleContraction):
         u = state.left + stream.randbelow(n)

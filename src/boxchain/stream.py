@@ -1,63 +1,171 @@
-"""Deterministic pseudorandom streams with labeled substream derivation."""
+"""Deterministic pseudorandom streams with labeled substream derivation.
+
+A stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``, and
+every draw is the value numpy's ``Generator`` gives for it.  Scalar draws
+read the generator's raw 64-bit words in blocks of 512, and the first
+block of each kind (floats, words) comes from a pure-Python port of
+numpy's ``SeedSequence`` and PCG64, a word at a time.  numpy builds the
+generator only when a stream needs it, for a vector draw or for a later
+block, so a process that makes only a few scalar draws never loads numpy.
+``tests/test_stream.py`` pins the port against numpy.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import operator
-
-import numpy as np
+import sys
+from functools import lru_cache
 
 from . import _EXPORTS
 
 __all__ = _EXPORTS["stream"]
 
 _BLOCK = 512
-_WORD_MAX = (1 << 64) - 1
+
+# The numpy side of the draws (``_vector``), imported by the first stream
+# that builds numpy's generator (:meth:`Stream._generator`).
+_vector = None
 
 
 def _label_entropy(label: object) -> int:
-    """Stable 64-bit key for a substream label (platform independent)."""
+    """Stable 64-bit key for a substream label (platform independent).
+
+    A numpy integer keys as the equal int, as its repr changed in numpy 2
+    (NEP 51); a process that has not loaded numpy holds no numpy integer.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(label, numpy.integer):
+        label = int(label)
     data = f"{type(label).__name__}:{label!r}".encode()
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
-def _runs_at_half(u: np.ndarray) -> np.ndarray:
-    """Geometric(1/2) failure counts from uniforms ``u`` in [0, 1), exactly as
-    numpy draws them; ``u`` is overwritten and its buffer returned as int64.
+# ---------------------------------------------------------------------------
+# numpy's SeedSequence and PCG64 in Python ints
 
-    At success probability 1/2 numpy's ``random_geometric_search`` takes
-    one ``next_double`` U, the same double ``Generator.random`` returns
-    for the same generator state, and returns X = 1 + #{k >= 1 : U > S_k},
-    where S_k = 1/2 + 1/4 + ... + 2**-k is accumulated in binary64.  Each
-    S_k = 1 - 2**-k is exact for k <= 53, and S_54 rounds to 1.0, which no
-    U reaches.  U is a multiple of 2**-53, so 1 - U is exact too, and
-    U > S_k reads 1 - U < 2**-k.  Write 1 - U = f * 2**e with f in
-    [1/2, 1), the binary exponent that ``np.frexp`` returns.  Then
-    2**(e-1) <= 1 - U < 2**e, so 1 - U < 2**-k holds exactly for
-    k <= -e, and the run X - 1 is -e when 1 - U < 1.  When U = 0, 1 - U
-    is 1 = (1/2) * 2**1 and the run is 0, not -1.
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
-    The exponent is read from the bit pattern: a double in (0, 1] with
-    biased exponent field E has e = E - 1022, so the run is
-    max(1022 - E, 0), which :data:`_RUN_BY_EXPONENT` tabulates.
+# SeedSequence's pool size in 32-bit words, and its hash constants.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(value: int) -> list[int]:
+    """A nonnegative int as SeedSequence splits it: its 32-bit words, least
+    significant first, one word for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mix_in(pool: list[int], hash_const: int, words: list[int]) -> int:
+    """SeedSequence's mix of entropy ``words`` past the pool's first fill:
+    each word, hashed afresh per pool word, mixed into every pool word.
+    ``pool`` is updated in place; returns the hash constant after it."""
+    for word in words:
+        for dst in range(_POOL):
+            hashed = word ^ hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            hashed = hashed * hash_const & _MASK32
+            hashed ^= hashed >> 16
+            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+    return hash_const
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool once ``seed``'s words are mixed in, and its hash
+    constant then: all a substream of ``seed`` mixes its key words into.
+
+    numpy pads the seed's words with zeros to the pool size when a spawn
+    key follows them; without one, the pool's first fill hashes a 0 for
+    each missing word all the same, so one pool serves both.
     """
-    np.subtract(1.0, u, out=u)
-    runs = u.view(np.int64)
-    runs >>= 52
-    # In place, as a fresh array per pass costs twice the time on large
-    # draws: ``take`` reads each exponent before it writes that slot, and
-    # mode "clip" (every exponent is in range) skips the copy "raise" makes.
-    return _RUN_BY_EXPONENT.take(runs, out=runs, mode="clip")
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL - len(entropy))
+    pool = []
+    hash_const = _INIT_A
+    for word in entropy[:_POOL]:
+        word ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        word = word * hash_const & _MASK32
+        pool.append(word ^ word >> 16)
+    # Every pool word into every other, so late words reach early ones.
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed = pool[src] ^ hash_const
+                hash_const = hash_const * _MULT_A & _MASK32
+                hashed = hashed * hash_const & _MASK32
+                hashed ^= hashed >> 16
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    hash_const = _mix_in(pool, hash_const, entropy[_POOL:])
+    return tuple(pool), hash_const
 
 
-# The geometric(1/2) run of a uniform U, by the biased exponent field E of
-# 1 - U; E = 1023 is U = 0, whose run is 0.
-_RUN_BY_EXPONENT = np.maximum(1022 - np.arange(1024, dtype=np.int64), 0)
+def _pcg64_seed(seed: int, spawn_key: tuple[int, ...]) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` as numpy seeds it from
+    ``SeedSequence(seed, spawn_key=spawn_key)``."""
+    cached, hash_const = _seed_pool(seed)
+    pool = list(cached)
+    _mix_in(pool, hash_const, [word for entry in spawn_key for word in _words32(entry)])
+    # generate_state(4, uint64): eight hashed 32-bit words, cycling over the
+    # pool, paired little end first.
+    state = []
+    hash_const = _INIT_B
+    for i in range(2 * _POOL):
+        word = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ word >> 16)
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    # pcg64_set_seed: the first word of each pair of 64-bit words is the
+    # high half of a 128-bit value; the state starts at 0, steps, adds the
+    # seed and steps again.
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    return state, inc
 
-# numpy's ``random_geometric`` searches at a success probability of at least
-# this double, the C literal 0.333333333333333333333333, and inverts below it.
-_SEARCH_FROM = 0.333333333333333333333333
+
+# A block on, the LCG's state is _SKIP_STATE * state + _SKIP_INC * inc.
+# One step is (_PCG_MULT, 1), and n steps (a, b) twice are (a * a,
+# (a + 1) * b); _BLOCK is a power of two, so squaring gets there.
+_SKIP_STATE, _SKIP_INC = _PCG_MULT, 1
+for _ in range(_BLOCK.bit_length() - 1):
+    _SKIP_INC = (_SKIP_STATE + 1) * _SKIP_INC & _MASK128
+    _SKIP_STATE = _SKIP_STATE * _SKIP_STATE & _MASK128
+
+
+def _pcg64_words(state: int, inc: int):
+    """The next block of raw words from ``state``: each an LCG step, then
+    the XSL-RR output of the new state."""
+    for _ in range(_BLOCK):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        word = (state >> 64 ^ state) & _MASK64
+        yield (word >> rot | word << 64 - rot) & _MASK64
+
+
+# Each kind's block before the stream's first draw of that kind.
+_UNREAD = iter(())
+
+
+# ---------------------------------------------------------------------------
+# argument checks
 
 
 def _in_open_unit(what: str, value) -> None:
@@ -76,16 +184,6 @@ def _count(what: str, value) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _bounds(highs):
-    """Inclusive upper bounds as integers: an integer array as it is, a
-    scalar read by ``operator.index``; anything else raises ``ValueError``."""
-    if isinstance(highs, np.ndarray):
-        if highs.dtype.kind not in "iu":
-            raise ValueError(f"highs must be integers, got an array of {highs.dtype}")
-        return highs
-    return _count("highs", highs)
-
-
 class Stream:
     """A seeded PCG64 stream with reproducible labeled substreams.
 
@@ -96,7 +194,7 @@ class Stream:
     is part of every caller's contract.
     """
 
-    __slots__ = ("seed", "_spawn_key", "_gen", "_floats", "_fpos", "_words", "_wpos")
+    __slots__ = ("seed", "_spawn_key", "_origin", "_gen", "_claimed", "_floats", "_words")
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()) -> None:
         try:
@@ -106,43 +204,70 @@ class Stream:
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self._spawn_key = tuple(_spawn_key)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self._spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
-        self._floats = np.empty(0)
-        self._fpos = 0
-        self._words = np.empty(0, dtype=np.uint64)
-        self._wpos = 0
+        self._origin = None  # the port's (state, inc), once derived
+        self._gen = None  # numpy's generator, once built
+        self._claimed = 0  # scalar blocks claimed before it was built
+        self._floats = self._words = _UNREAD
 
     def substream(self, *labels: object) -> "Stream":
         """Derive the independent stream addressed by ``labels`` under this seed."""
         key = self._spawn_key + tuple(_label_entropy(lab) for lab in labels)
         return Stream(self.seed, key)
 
+    def _generator(self):
+        """numpy's generator, built on first need from numpy's own seeding
+        and moved past the scalar blocks claimed before it."""
+        global _vector
+        from . import _vector
+
+        self._gen = _vector.generator(self.seed, self._spawn_key, _BLOCK * self._claimed)
+        return self._gen
+
+    def _claim(self, unread: bool, floats: bool):
+        """An iterator over the stream's next block of scalar values.
+
+        A kind's first block, claimed before numpy's generator is built,
+        comes from the port, a word at a time; it is the stream's first or
+        second block, since the claims before the generator are those.
+        Every other block is a numpy fill at the same position.
+        """
+        if unread and self._gen is None:
+            if self._origin is None:
+                self._origin = _pcg64_seed(self.seed, self._spawn_key)
+            state, inc = self._origin
+            if self._claimed:
+                state = (_SKIP_STATE * state + _SKIP_INC * inc) & _MASK128
+            self._claimed += 1
+            words = _pcg64_words(state, inc)
+            # Generator.random's double: the top 53 bits over 2**53.
+            return ((word >> 11) * 2.0**-53 for word in words) if floats else words
+        gen = self._gen or self._generator()
+        if floats:
+            return iter(gen.random(_BLOCK).tolist())
+        # Over the full range numpy returns its raw words unbounded.
+        return iter(gen.integers(0, _MASK64, _BLOCK, dtype="uint64", endpoint=True).tolist())
+
     # ------------------------------------------------------------------
     # scalar draws (buffered; ~10x faster than one generator call each)
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        if self._fpos >= self._floats.size:
-            self._floats = self._gen.random(_BLOCK)
-            self._fpos = 0
-        value = self._floats[self._fpos]
-        self._fpos += 1
-        return float(value)
+        value = next(self._floats, None)
+        if value is None:
+            self._floats = self._claim(self._floats is _UNREAD, True)
+            value = next(self._floats)
+        return value
 
     def bernoulli(self, p: float) -> int:
         """One {0, 1} draw with success probability ``p``."""
         return 1 if self.random() < p else 0
 
     def _next_word(self) -> int:
-        if self._wpos >= self._words.size:
-            self._words = self._gen.integers(
-                0, _WORD_MAX, size=_BLOCK, dtype=np.uint64, endpoint=True
-            )
-            self._wpos = 0
-        word = self._words[self._wpos]
-        self._wpos += 1
-        return int(word)
+        word = next(self._words, None)
+        if word is None:
+            self._words = self._claim(self._words is _UNREAD, False)
+            word = next(self._words)
+        return word
 
     def randbelow(self, n: int) -> int:
         """Exact uniform integer in [0, n), unbiased via rejection sampling.
@@ -188,19 +313,21 @@ class Stream:
         return int(math.log(v) / math.log(p))
 
     # ------------------------------------------------------------------
-    # vector draws: a size is read by ``operator.index``, and a bound must be
-    # an integer or an integer array
+    # vector draws, from numpy's generator: a size is read by
+    # ``operator.index``, and a bound must be an integer or an integer array
 
-    def random_array(self, size: int) -> np.ndarray:
-        return self._gen.random(_count("size", size))
+    def random_array(self, size: int):
+        gen = self._gen or self._generator()
+        return gen.random(_count("size", size))
 
-    def integers_upto(self, highs, size=None) -> np.ndarray:
+    def integers_upto(self, highs, size=None):
         """Uniform integers in [0, high] inclusive; ``highs`` may be an array."""
+        gen = self._gen or self._generator()
         if size is not None:
             size = _count("size", size)
-        return self._gen.integers(0, _bounds(highs), size=size, endpoint=True)
+        return gen.integers(0, _vector.bounds(highs), size=size, endpoint=True)
 
-    def geometric_array(self, p: float, size: int) -> np.ndarray:
+    def geometric_array(self, p: float, size: int):
         """Vector of failure counts before first success, pmf (1-p) * p**n,
         for ``p`` in (0, 1).
 
@@ -209,7 +336,7 @@ class Stream:
         passes in place of numpy's loop per value where its draw allows:
 
         - At p = 1/2 they come in closed form from the uniforms numpy's
-          search loop would consume (:func:`_runs_at_half`).
+          search loop would consume (``_vector._runs_at_half``).
         - Past p = 2/3 numpy's success probability q = 1 - p is below 1/3,
           and numpy inverts one standard exponential E per value: the count
           is ``ceil(-E / log1p(-q))``.  Here one ``standard_exponential``
@@ -222,16 +349,8 @@ class Stream:
         """
         _in_open_unit("expansion parameter", p)
         size = _count("size", size)
-        if p == 0.5:
-            return _runs_at_half(self._gen.random(size))
-        if 1.0 - p < _SEARCH_FROM:
-            counts = self._gen.standard_exponential(size)
-            counts /= -math.log1p(p - 1.0)
-            runs = np.ceil(counts, out=counts).astype(np.int64)
-        else:
-            runs = self._gen.geometric(1.0 - p, size=size)  # already int64
-        runs -= 1
-        return runs
+        gen = self._gen or self._generator()
+        return _vector.geometric_runs(gen, p, size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(seed={self.seed}, path={self._spawn_key})"

@@ -100,7 +100,8 @@ def test_mutant_choices_are_montecarlo_mutants():
 
 
 # What a fresh process loads: run ``main(argv)`` (or nothing, for a bare
-# ``import boxchain``) and print the loaded boxchain modules.
+# ``import boxchain``) and print the loaded boxchain modules, with
+# "numpy" among them when the run loaded numpy.
 PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -109,26 +110,32 @@ if argv is not None:
     from boxchain.cli import main
     assert main(argv) in (0, 1)
 print(json.dumps({
-    "modules": sorted(m.split(".")[1] for m in sys.modules if m.startswith("boxchain.")),
+    "modules": sorted(m.split(".")[1] for m in sys.modules if m.startswith("boxchain."))
+    + ["numpy"] * ("numpy" in sys.modules),
     "futures": "concurrent.futures" in sys.modules,
 }))
 """
 
 
-def loaded(argv, tmp_path):
+def fresh_python(code, *args):
+    """The stdout of ``code`` run with ``args`` in a fresh interpreter."""
     src = str(Path(boxchain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def loaded(argv, tmp_path):
     if argv is not None:
         argv = [*argv, "--out", str(tmp_path / "out.csv")]
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    return json.loads(fresh_python(PROBE, json.dumps(argv)))
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (None, {"boxes", "cli", "coupling", "intervals", "montecarlo", "oracle", "stream"}),
-    (["simulate", "--t", "2"], {"boxes", "coupling", "montecarlo", "oracle"}),
-    (["simulate", "--dimension", "2", "--t", "2"], {"coupling", "montecarlo", "oracle"}),
+    (None, {"boxes", "cli", "coupling", "intervals", "montecarlo", "oracle", "stream", "numpy"}),
+    (["simulate", "--t", "2"], {"boxes", "coupling", "montecarlo", "oracle", "numpy"}),
+    (["simulate", "--dimension", "2", "--t", "2"], {"coupling", "montecarlo", "oracle", "numpy"}),
     (["exact", "--t", "2", "--n-max", "8"], {"boxes", "coupling", "montecarlo"}),
     (["mc", "--t", "2", "--trials", "2000"], {"oracle"}),
     (["mc", "--dimension", "2", "--t", "1", "--trials", "2000"], {"oracle"}),
@@ -138,6 +145,37 @@ def test_each_entry_point_loads_only_what_it_runs(argv, absent, tmp_path):
     probe = loaded(argv, tmp_path)
     assert not absent & set(probe["modules"]), probe["modules"]
     assert not probe["futures"]
+
+
+def test_scalar_draws_load_no_numpy():
+    # Twenty steps draw from the port's first blocks alone; a float past
+    # the first 512 comes from a numpy fill, which loads numpy.
+    code = """
+import sys
+from boxchain import Stream, Span, step, UNIFORM
+stream = Stream(5).substream("path", 0)
+state = Span(0, 3)
+for _ in range(20):
+    state = step(state, UNIFORM, 0.5, stream) or Span(0, 3)
+before = "numpy" in sys.modules
+[stream.random() for _ in range(1024)]
+print(before, "numpy" in sys.modules)
+"""
+    assert fresh_python(code).split() == ["False", "True"]
+
+
+def test_fresh_simulate_sidecar_records_numpy_as_null(tmp_path):
+    # A fresh `simulate --t 3` loads no numpy, so its sidecar has no numpy
+    # version to record; the in-process sidecar test has numpy loaded.
+    out = tmp_path / "sim.csv"
+    main = "import sys; from boxchain.cli import main; sys.exit(main())"
+    fresh_python(main, "simulate", "--t", "3", "--out", str(out))
+    meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
+    assert meta["versions"] == {
+        "boxchain": boxchain.__version__,
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "numpy": None,
+    }
 
 
 def test_every_perfbench_trace_target_exists():

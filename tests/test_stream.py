@@ -104,8 +104,84 @@ def test_vector_draws_shapes_and_ranges():
     assert abs(geo.mean() - 1.0) < 0.2  # mean p/(1-p) = 1
 
 
-def _numpy_generator(seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def _numpy_generator(seed, spawn_key=()):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+
+
+def _numpy_words(gen, size):
+    return gen.integers(0, 2**64 - 1, size, dtype=np.uint64, endpoint=True).tolist()
+
+
+# Seeds of one, two, three and five 32-bit words, with each path: the root,
+# a spawn key of one word (below 2**32), and nested substreams.
+PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 1]
+PORT_PATHS = {
+    "root": lambda seed: Stream(seed),
+    "one-word-key": lambda seed: Stream(seed, (5,)),
+    "nested": lambda seed: Stream(seed).substream("chunk", 3).substream(7),
+}
+
+
+@pytest.mark.parametrize("path", PORT_PATHS)
+@pytest.mark.parametrize("seed", PORT_SEEDS)
+def test_scalar_draws_are_numpys_words(seed, path):
+    # A stream's first block of each kind comes from the port of numpy's
+    # seeding and PCG64, its later ones from numpy: 1,100 words cross from
+    # the one to the other, and the floats' port block, claimed first,
+    # sits before them.
+    stream = PORT_PATHS[path](seed)
+    gen = _numpy_generator(seed, stream._spawn_key)
+    first = stream.random()
+    words = [stream._next_word() for _ in range(1100)]
+    floats = gen.random(512).tolist()
+    assert first == floats[0]
+    assert words == _numpy_words(gen, 1536)[:1100]
+    rest = [stream.random() for _ in range(600)]
+    assert rest == floats[1:] + gen.random(512).tolist()[:89]
+    assert stream._gen.bit_generator.state == gen.bit_generator.state
+
+
+@pytest.mark.parametrize("path", PORT_PATHS)
+@pytest.mark.parametrize("seed", PORT_SEEDS)
+def test_mixed_draws_match_numpy_alone(seed, path):
+    # Values and the generator's final state are those of numpy drawing
+    # each block and each vector in the same order.
+    stream = PORT_PATHS[path](seed)
+    gen = _numpy_generator(seed, stream._spawn_key)
+    floats = gen.random(1024).tolist()
+    assert [stream.random() for _ in range(600)] == floats[:600]
+    assert stream.random_array(5).tolist() == gen.random(5).tolist()
+    n = 3 * 2**62  # rejects a word of 3 * 2**62 or more, a quarter of them
+    accepted = []
+    while len(accepted) < 600:
+        accepted += [word % n for word in _numpy_words(gen, 512) if word < n]
+    assert [stream.randbelow(n) for _ in range(600)] == accepted[:600]
+    highs = np.array([0, 5, 2**40])
+    assert stream.integers_upto(highs).tolist() == gen.integers(0, highs, endpoint=True).tolist()
+    assert stream.geometric_array(0.5, 1000).tolist() == (gen.geometric(0.5, 1000) - 1).tolist()
+    assert stream.random() == floats[600]
+    assert stream._gen.bit_generator.state == gen.bit_generator.state
+
+
+def test_vector_only_stream_runs_no_port():
+    # A Monte Carlo chunk's stream: numpy seeds it, and the port derives
+    # nothing.
+    stream = Stream(3).substream("chunk", 0)
+    gen = _numpy_generator(3, stream._spawn_key)
+    assert stream.geometric_array(0.8, 10).tolist() == (gen.geometric(0.2, 10) - 1).tolist()
+    assert stream._origin is None
+    assert stream._gen.bit_generator.state == gen.bit_generator.state
+
+
+def test_numpy_integer_labels_key_as_ints():
+    # The label's repr went into its key, and numpy 2 changed it (NEP 51):
+    # np.int64(3) keyed as "int64:np.int64(3)" here and "int64:3" on numpy 1.
+    for label in (np.int64(3), np.uint8(3), np.int32(3)):
+        a = Stream(1).substream("x", label)
+        b = Stream(1).substream("x", 3)
+        assert a._spawn_key == b._spawn_key
+        assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
+    assert Stream(1).substream("3")._spawn_key != Stream(1).substream(3)._spawn_key
 
 
 # numpy searches a success probability 1 - p of at least 1/3 and inverts
@@ -142,7 +218,7 @@ def _numpy_search_at_half(u):
 
 
 def test_runs_at_half_follow_numpys_search_loop():
-    from boxchain.stream import _runs_at_half
+    from boxchain._vector import _runs_at_half
 
     ulp = 2.0**-53  # the spacing of Generator.random's doubles
     crafted = [0.0, ulp, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
