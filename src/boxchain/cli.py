@@ -211,6 +211,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _dist_rows(dist):
+    """``--dist-out``'s rows, ``EMPTY``'s first, streamed off the law's grid
+    a block of rows at a time."""
+    yield "EMPTY", "EMPTY", repr(float(dist.mass_of(None)))
+    for lefts, rights, masses in dist._cells():
+        yield from zip(lefts, rights, map(repr, map(float, masses)))
+
+
 def cmd_exact(args) -> int:
     from . import oracle
 
@@ -230,9 +238,7 @@ def cmd_exact(args) -> int:
     rows = [(b.site, repr(float(b.lo)), repr(float(b.hi))) for b in table]
     _write_csv(args.out, ["x", "lo", "hi"], rows)
     if args.dist_out:
-        dist_rows = [("EMPTY", "EMPTY", repr(float(dist.mass_of(None))))]
-        dist_rows += [(left, right, repr(float(w))) for left, right, w in dist.span_rows()]
-        _write_csv(args.dist_out, ["left", "right", "mass"], dist_rows)
+        _write_csv(args.dist_out, ["left", "right", "mass"], _dist_rows(dist))
     spans, extent = dist.support()
     law = {
         "lost": repr(float(dist.lost)),

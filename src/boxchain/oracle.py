@@ -15,11 +15,12 @@ denominator, where mass conservation holds identically.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -90,18 +91,19 @@ class StateDist:
     set) the grid is an object array of Python ints and ``empty_mass`` an
     int, all numerators over the common denominator ``denom``; ``lost`` and
     every mass read through the API, ``weights`` included, are
-    ``Fraction``s.
+    ``Fraction``s.  ``weights`` is a read-only view of the grid, never
+    built: ``dict(law.weights)`` makes a mutable copy.
 
     The constructor's arguments are declared as dataclass fields, with no
     generated method, only so that ``dataclasses.replace`` makes a copy of
     a law with one of them changed.
     """
 
-    weights: dict[Interval, Mass]
+    weights: Mapping[Interval, Mass]
     lost: Mass
     exact: bool
 
-    def __init__(self, weights: dict[Interval, Mass], lost: Mass, exact: bool = False) -> None:
+    def __init__(self, weights: Mapping[Interval, Mass], lost: Mass, exact: bool = False) -> None:
         """Pack ``weights`` onto the grid: masses for a float law, numerators
         over the lcm of every mass's denominator for a rational one."""
         spans = [(iv.left, iv.right, w) for iv, w in weights.items() if iv is not None]
@@ -144,26 +146,18 @@ class StateDist:
         return dist
 
     def _hold(self, grid: np.ndarray, origin: int, empty_units, lost_units, denom: Optional[int]) -> None:
-        # ``weights``'s slot goes in first, so a dropped law frees that dict
-        # before its grid: the other order made the next law's grids fault
-        # in twice the pages.
-        self._weights: Optional[dict[Interval, Mass]] = None
         self.grid, self.origin, self.denom = grid, origin, denom
         self.empty_mass, self._lost_units = empty_units, lost_units
         self.exact = denom is not None
         self.lost = self._mass(lost_units)
 
     @property
-    def weights(self) -> dict[Interval, Mass]:
-        """The law as ``{Span: mass}``, built from the grid on first read:
-        the nonzero cells, and ``EMPTY`` only if its mass is positive.
-        Edits to it never reach the grid."""
-        if self._weights is None:
-            lefts, rights, masses = self._cells()
-            empty = self.mass_of(EMPTY)
-            self._weights = {EMPTY: empty} if empty > 0 else {}
-            self._weights.update(zip(map(Span, lefts, rights), masses))
-        return self._weights
+    def weights(self) -> Mapping[Interval, Mass]:
+        """The law as a read-only ``{Span: mass}`` view of the grid: ``EMPTY``
+        first if its mass is positive, then every nonzero cell in row-major
+        order, read a block of rows at a time and never built.  An edit
+        raises ``TypeError``."""
+        return _Weights(self)
 
     @classmethod
     def point_mass(cls, interval: Interval, exact: bool = False) -> "StateDist":
@@ -182,19 +176,23 @@ class StateDist:
         """The mass of ``units`` grid units."""
         return float(units) if self.denom is None else Fraction(units, self.denom)
 
-    def _cells(self) -> tuple[list[int], list[int], list[Mass]]:
+    def _cells(self) -> Iterator[tuple[Iterator[int], Iterator[int], Iterator[Mass]]]:
         """Left ends, right ends and masses of the nonzero cells, in
-        row-major order, which is sorted by (left, right)."""
-        rows, cols = np.nonzero(self.grid)
-        masses = self.grid[rows, cols].tolist()
-        if self.denom is not None:
-            masses = [Fraction(m, self.denom) for m in masses]
-        return [r + self.origin for r in rows.tolist()], [c + self.origin for c in cols.tolist()], masses
+        row-major order, which is sorted by (left, right): one block of
+        ``_BLOCK`` rows at a time, each of the three listed only when it is
+        first read.  So a reader holds Python objects for one block, and
+        only those it reads, never for the whole support."""
+        to_mass = None if self.denom is None else self._mass
+        for r0 in range(0, len(self.grid), _BLOCK):
+            block = self.grid[r0 : r0 + _BLOCK, r0:]
+            rows, cols = np.nonzero(block)
+            corner = self.origin + r0
+            yield _read(rows, corner.__add__), _read(cols, corner.__add__), _read(block[rows, cols], to_mass)
 
     def span_rows(self) -> list[tuple[int, int, Mass]]:
         """``(left, right, mass)`` for every span with mass, sorted, read
         off the grid without building ``weights``."""
-        return list(zip(*self._cells()))
+        return [row for block in self._cells() for row in zip(*block)]
 
     def total(self) -> Mass:
         return self._mass(self.grid.sum() + self.empty_mass + self._lost_units)
@@ -229,6 +227,69 @@ class StateDist:
         """Mass of the spans that contain ``site``."""
         k = site - self.origin
         return self._mass(self._cover[k] if 0 <= k < len(self._cover) else 0)
+
+
+def _read(values: np.ndarray, convert: Optional[Callable]) -> Iterator:
+    """``values`` as Python objects, passed through ``convert`` if given,
+    listed on the first read."""
+    listed = values.tolist()
+    yield from listed if convert is None else map(convert, listed)
+
+
+class _Weights(Mapping):
+    """``StateDist.weights``: the mapping a dict of the law would be, with
+    its keys in the same order, read off the grid and never built."""
+
+    __slots__ = ("_law",)
+
+    def __init__(self, law: StateDist) -> None:
+        self._law = law
+
+    def __getitem__(self, key) -> Mass:
+        law = self._law
+        if key is EMPTY:
+            if law.empty_mass > 0:
+                return law.mass_of(EMPTY)
+        elif isinstance(key, Span):
+            mass = law.mass_of(key)
+            if mass:
+                return mass
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._law.grid)) + (self._law.empty_mass > 0)
+
+    def _blocks(self) -> Iterator[tuple[Iterable[Interval], Iterable[Mass]]]:
+        """Keys and masses a block at a time; a key is built only when it
+        is read."""
+        law = self._law
+        if law.empty_mass > 0:
+            yield [EMPTY], [law.mass_of(EMPTY)]
+        for lefts, rights, masses in law._cells():
+            yield map(Span, lefts, rights), masses
+
+    def __iter__(self) -> Iterator[Interval]:
+        for keys, _ in self._blocks():
+            yield from keys
+
+    # The inherited views look every key up again; these read each block once.
+    def values(self) -> ValuesView:
+        return _Masses(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+
+class _Masses(ValuesView):
+    def __iter__(self) -> Iterator[Mass]:
+        for _, masses in self._mapping._blocks():
+            yield from masses
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[tuple[Interval, Mass]]:
+        for keys, masses in self._mapping._blocks():
+            yield from zip(keys, masses)
 
 
 @dataclass(frozen=True)

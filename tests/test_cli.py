@@ -2,11 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from boxchain import Span, estimate_occupancy
-from boxchain.cli import main
+from boxchain import UNIFORM, Span, TruncationPolicy, estimate_occupancy, evolve
+from boxchain.cli import _dist_rows, main
 
 
 def read_csv(path):
@@ -219,6 +220,20 @@ def test_exact_dist_out_pinned(tmp_path):
             "--dist-out", str(dist_out), "--out", str(out),
         ]) == 0
         assert dist_out.read_bytes() == PINNED_DIST.replace("\n", "\r\n").encode()
+
+
+def test_dist_out_streams_its_rows_off_the_grid():
+    # The rows of this law's 448k spans, listed before they were written,
+    # took the command from 47 to 169 MiB.
+    law = evolve(Span(0, 0), 4, UNIFORM, 0.8, TruncationPolicy(120))
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in _dist_rows(law))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + law.support()[0]
+    assert peak < 8 * 2**20
 
 
 def test_exact_near_the_top_of_int64_is_the_translated_law(tmp_path):
