@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .stream import _count
+from .stream import _MASK32, _count
 
 
 def generator(seed: int, spawn_key: tuple[int, ...], skip: int) -> np.random.Generator:
@@ -22,14 +22,73 @@ def generator(seed: int, spawn_key: tuple[int, ...], skip: int) -> np.random.Gen
     return np.random.Generator(bits)
 
 
-def bounds(highs):
-    """Inclusive upper bounds as integers: an integer array as it is, a
-    scalar read by ``operator.index``; anything else raises ``ValueError``."""
-    if isinstance(highs, np.ndarray):
-        if highs.dtype.kind not in "iu":
-            raise ValueError(f"highs must be integers, got an array of {highs.dtype}")
-        return highs
-    return _count("highs", highs)
+def integers_upto(gen: np.random.Generator, highs, size: int | None) -> np.ndarray:
+    """numpy's ``integers(0, highs, size, endpoint=True)`` from ``gen``, for
+    a checked ``size``: see :meth:`Stream.integers_upto`.
+
+    ``highs`` is an integer array as it is, or a scalar read by
+    ``operator.index``; anything else raises ``ValueError``.
+    """
+    if not isinstance(highs, np.ndarray):
+        return gen.integers(0, _count("highs", highs), size=size, endpoint=True)
+    if highs.dtype.kind not in "iu":
+        raise ValueError(f"highs must be integers, got an array of {highs.dtype}")
+    if (
+        size is None and highs.dtype == np.int64 and highs.ndim == 1 and highs.size >= _REPLAY_FROM
+        and highs.min() >= 1 and int(highs.max()) * highs.size < _REPLAY_TOTAL
+    ):
+        return _replay_bounded(gen, highs)
+    return gen.integers(0, highs, size=size, endpoint=True)
+
+
+# numpy's per-value call costs less than the replay below this many bounds:
+# on a 2-vCPU x86-64 host with numpy 2.4, 7 µs against 11 µs at 10 bounds,
+# 16 µs against 15 µs at 1,000 and 87-91 µs against 48 µs at 8,192.
+_REPLAY_FROM = 1024
+# The replay also needs the largest bound times the count below this: each
+# rejected word costs it a pass over the rest of the array, and a word
+# rejects with probability below (high + 1) / 2**32, so this keeps the
+# expected rejections of one call below two.
+_REPLAY_TOTAL = 1 << 33
+
+
+def _replay_bounded(gen: np.random.Generator, highs: np.ndarray) -> np.ndarray:
+    """numpy's ``integers(0, highs, endpoint=True)`` for a 1-D int64 array of
+    bounds in [1, 2**32 - 2], in whole-array passes; the values and the
+    generator's state after the call are numpy's.
+
+    For such a bound numpy draws Lemire's way (Lemire 2019, "Fast Random
+    Integer Generation in an Interval", ACM TOMACS 29(1)), one value at a
+    time: it multiplies a 32-bit word by high + 1 in 64 bits and keeps the
+    high word, unless the low word is below (2**32 - high - 1) % (high + 1),
+    when it tries the next word.  Its words are the generator's
+    ``next_uint32``, the one a uint32 fill reads, so one fill of a word per
+    bound holds every word numpy reads up to its first rejection.  From a
+    rejected bound on, each bound reads the word after the one it read, so
+    the tail is redone with its words shifted by one and one more word
+    drawn, until no word rejects.
+    """
+    excl = highs + 1
+    excl32 = excl.astype(np.uint32)
+    words = gen.integers(0, _MASK32, highs.size, dtype=np.uint32, endpoint=True)
+    drawn = np.multiply(words, excl.view(np.uint64))
+    start = 0
+    while True:
+        low = drawn[start:].astype(np.uint32)
+        # numpy's threshold is below high + 1, so only these can reject.
+        near = (low < excl32[start:]).nonzero()[0]
+        if near.size:
+            threshold = (_MASK32 - highs[start:].take(near)) % excl[start:].take(near)
+            near = near[low.take(near) < threshold]
+        if not near.size:
+            break
+        first = int(near[0])
+        start += first
+        more = gen.integers(0, _MASK32, 1, dtype=np.uint32, endpoint=True)
+        words = np.concatenate((words[first + 1:], more))
+        np.multiply(words, excl[start:].view(np.uint64), out=drawn[start:])
+    drawn >>= 32
+    return drawn.view(np.int64)
 
 
 def _runs_at_half(u: np.ndarray) -> np.ndarray:

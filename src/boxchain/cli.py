@@ -73,8 +73,8 @@ _SUITES = {
         (1, 3), "skip-antithetic-map",
     ),
     "coupling-invariants": (
-        lambda mc, a, m: mc.coupling_invariant_check(a.horizon, a.p, a.trials, a.seed, skip_antithetic_map=m),
-        None, "skip-antithetic-map",
+        lambda mc, a, m: mc.coupling_invariant_check(a.horizon, a.p, a.trials, a.seed, unswapped_plus_runs=m),
+        None, "unswapped-plus-runs",
     ),
     "reflection": (
         lambda mc, a, m: mc.reflection_identity_check(a.horizon, a.p, a.trials, a.seed, swap_expansion_draws=not m),

@@ -164,14 +164,8 @@ class CheckReport:
 # through :meth:`_Batch.contract`, so no mask of dead rows is carried.
 
 
-def _from_right(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decode of sub-interval ranks counted from the last one.
-
-    Ranked by left end, then right end, as :func:`unrank_subinterval` does,
-    the sub-intervals of a host end with its right end; counted from that
-    last one, the block whose left end lies k sites left of the host's right
-    end holds the ranks ``r`` in [T(k), T(k+1)), T(m) = m(m+1)/2, and ``r``
-    picks the right end j = r - T(k) sites left of it.  Returns (k, j).
+def _by_root(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_from_right`'s decode in closed form, for any rank.
 
     8r + 1 lies in [(2k+1)^2, (2k+3)^2).  Rounding it to float64 and the
     correctly rounded square root move the root of a square by less than
@@ -195,6 +189,43 @@ def _from_right(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k -= over
         t = k * (k + 1) >> 1
     return k, np.subtract(r, t, out=t)
+
+
+def _decode_table(sides: int) -> np.ndarray:
+    """Row r holds the (k, j) of rank r, for every rank of a host of at
+    most ``sides`` sites: the T(sides) ranks, block k holding k + 1."""
+    k = np.repeat(np.arange(sides, dtype=np.int64), np.arange(1, sides + 1))
+    table = np.empty((k.size, 2), np.int64)
+    table[:, 0] = k
+    np.subtract(np.arange(k.size), k * (k + 1) >> 1, out=table[:, 1])
+    return table
+
+
+# Hosts of up to this many sites decode by lookup (129 KiB); the benchmark's
+# Monte Carlo calls met none past 65 sites.
+_DECODE = _decode_table(128)
+
+
+def _from_right(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized decode of sub-interval ranks counted from the last one.
+
+    Ranked by left end, then right end, as :func:`unrank_subinterval` does,
+    the sub-intervals of a host end with its right end; counted from that
+    last one, the block whose left end lies k sites left of the host's right
+    end holds the ranks ``r`` in [T(k), T(k+1)), T(m) = m(m+1)/2, and ``r``
+    picks the right end j = r - T(k) sites left of it.  Returns (k, j), two
+    views of one array of shape ``r.shape + (2,)``.
+
+    One ``take`` from :data:`_DECODE` decodes every rank in it, ranks past
+    its end go through :func:`_by_root`.  The table's rows pair k with j,
+    so the lookup gathers one 16-byte row per rank (two 1-D tables cost
+    nearly twice as much).
+    """
+    kj = _DECODE.take(r, axis=0, mode="clip")
+    if r.max(initial=0) >= len(_DECODE):
+        far = r >= len(_DECODE)
+        kj[far] = np.stack(_by_root(r[far]), axis=-1)
+    return kj[..., 0], kj[..., 1]
 
 
 # The int64 rank limit.  An axis's rank counted from its last sub-interval
@@ -303,7 +334,7 @@ def _contract_chunk(
         raise TypeError(f"unknown contraction rule {rule!r}")
     k, j = _from_right(r)
     top = hi.take(keep, axis=1)
-    return keep, np.subtract(top, k, out=k), np.subtract(top, j, out=j)
+    return keep, top - k, np.subtract(top, j, out=top)
 
 
 class _Batch:
@@ -749,7 +780,9 @@ class _Pairs(_Batch):
         self.coalesced = self.coalesced.take(rows)
         self.run = self.run.take(rows)
 
-    def antithetic_step(self, p: float, stream: Stream, *, skip_antithetic_map: bool = False) -> None:
+    def antithetic_step(
+        self, p: float, stream: Stream, *, skip_antithetic_map: bool = False, unswapped_plus_runs: bool = False
+    ) -> None:
         """:func:`coupled_step` on every antithetic or coalesced pair.
 
         The minus side contracts to [a, b] and expands to
@@ -760,8 +793,9 @@ class _Pairs(_Batch):
         when the right run reaches the right-endpoint offset (0 for a
         shared contraction), and otherwise the plus side expands with the
         two runs swapped.  Coalesced pairs take the minus step as their
-        shared step.  ``skip_antithetic_map`` copies the contraction, the
-        fault injection of :func:`coupled_step`.
+        shared step.  Two fault injections: ``skip_antithetic_map`` copies
+        the contraction, as :func:`coupled_step`'s does, and
+        ``unswapped_plus_runs`` expands the plus side with the runs unswapped.
         """
         keep, (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
         self.keep(keep)
@@ -775,6 +809,8 @@ class _Pairs(_Batch):
         self.coalescences += int(np.count_nonzero(shared)) - int(np.count_nonzero(self.coalesced))
         np.subtract(a, left_run, out=self.lo[0])
         np.add(b, right_run, out=self.hi[0])
+        if unswapped_plus_runs:
+            left_run, right_run = right_run, left_run
         self.lo[1] = np.where(shared, self.lo[0], tl - right_run)
         self.hi[1] = np.where(shared, self.hi[0], tr + left_run)
         self.coalesced = shared
@@ -967,6 +1003,7 @@ def coupling_invariant_check(
     seed: int = 0,
     *,
     skip_antithetic_map: bool = False,
+    unswapped_plus_runs: bool = False,
 ) -> CheckReport:
     """Pathwise invariants of the antithetic coupling.
 
@@ -975,7 +1012,9 @@ def coupling_invariant_check(
     every step; coalescence must be absorbing.  A run stops at its first
     violation; a failing report names the lowest-numbered violating run as
     ``params["first_violation"] = (run, step, minus, plus)``, steps counted
-    from 1.
+    from 1.  ``skip_antithetic_map`` and ``unswapped_plus_runs`` inject the
+    faults of :meth:`_Pairs.antithetic_step`; only the second breaks an
+    invariant, since a copied contraction coalesces every pair it keeps.
     """
     validate_expansion_param(p)
     horizon = _at_least("horizon", horizon, 1)
@@ -987,7 +1026,11 @@ def coupling_invariant_check(
         trials,
         seed,
         (Span(-1, -1), Span(0, 0)),
-        partial(_Pairs.antithetic_step, skip_antithetic_map=skip_antithetic_map),
+        partial(
+            _Pairs.antithetic_step,
+            skip_antithetic_map=skip_antithetic_map,
+            unswapped_plus_runs=unswapped_plus_runs,
+        ),
         _Pairs.invariants_hold,
     )
     params = {"horizon": horizon, "p": p, "trials": trials, "seed": seed, "coalesced_runs": coalesced_runs}

@@ -32,12 +32,14 @@ _vector = None
 def _label_entropy(label: object) -> int:
     """Stable 64-bit key for a substream label (platform independent).
 
-    A numpy integer keys as the equal int, as its repr changed in numpy 2
-    (NEP 51); a process that has not loaded numpy holds no numpy integer.
+    A numpy scalar keys as the Python value its ``.item()`` gives, as its
+    repr changed in numpy 2 (NEP 51): ``np.float64(0.5)`` keys as ``0.5``
+    on every numpy.  A process that has not loaded numpy holds no numpy
+    scalar.
     """
     numpy = sys.modules.get("numpy")
-    if numpy is not None and isinstance(label, numpy.integer):
-        label = int(label)
+    if numpy is not None and isinstance(label, numpy.generic):
+        label = label.item()
     data = f"{type(label).__name__}:{label!r}".encode()
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
@@ -321,11 +323,18 @@ class Stream:
         return gen.random(_count("size", size))
 
     def integers_upto(self, highs, size=None):
-        """Uniform integers in [0, high] inclusive; ``highs`` may be an array."""
+        """Uniform integers in [0, high] inclusive; ``highs`` may be an array.
+
+        The values, and the generator's state after the call, are exactly
+        those of numpy's ``integers(0, highs, size, endpoint=True)``.  A
+        long 1-D int64 array of small positive bounds, the uniform
+        contraction's draw, is replayed from one uint32 fill in whole-array
+        passes (``_vector._replay_bounded``); every other draw is numpy's.
+        """
         gen = self._gen or self._generator()
         if size is not None:
             size = _count("size", size)
-        return gen.integers(0, _vector.bounds(highs), size=size, endpoint=True)
+        return _vector.integers_upto(gen, highs, size)
 
     def geometric_array(self, p: float, size: int):
         """Vector of failure counts before first success, pmf (1-p) * p**n,

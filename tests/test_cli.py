@@ -437,6 +437,26 @@ def test_verify_mutant_no_selected_suite_injects_is_a_usage_error(tmp_path, caps
     assert not out.exists()
 
 
+def test_every_suite_but_monotone_l1_fails_under_its_mutant(tmp_path):
+    # coupling-invariants used to inject skip-antithetic-map and pass under
+    # it: a copied contraction coalesces every pair it keeps, and an
+    # identical pair meets every invariant.  Each suite's own mutant must
+    # now make it fail, where the faithful run passes.  monotone-l1 is the
+    # refutation instrument and has none.
+    from boxchain.cli import _SUITES
+
+    mutants = {name: mutant for name, (_, _, mutant) in _SUITES.items()}
+    assert [name for name, mutant in mutants.items() if mutant is None] == ["monotone-l1"]
+    for name, mutant in mutants.items():
+        if mutant is None:
+            continue
+        flags = ["verify", "--suites", name, "--trials", "20000", "--seed", "3"]
+        assert main([*flags, "--out", str(tmp_path / "faithful.csv")]) == 0, name
+        out = tmp_path / f"{name}.csv"
+        assert main([*flags, "--mutant", mutant, "--out", str(out)]) == 1, (name, mutant)
+        assert read_csv(out)[1][3] == "fail"
+
+
 def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suites", "bogus", "--out", str(tmp_path / "r.csv")]) == 2
 

@@ -405,6 +405,25 @@ def test_vector_unrank_matches_scalar():
             assert (int(a[j]), int(b[j])) == (span.left, span.right)
 
 
+def test_rank_decode_table_matches_isqrt():
+    # Every rank in the lookup table, and ranks past its end, which take the
+    # closed form, in one array and alone: k = (isqrt(8r + 1) - 1) // 2.
+    import math
+
+    from boxchain.montecarlo import _DECODE, _from_right
+
+    end = len(_DECODE)
+    past = [end, end + 1, 10**6, 2**53 + 3, 2**60 - 1]
+    for ranks in (np.arange(end + 3000), np.arange(end + 1), np.array([5, *past, 0, end - 1]).reshape(2, 4),
+                  np.array(past)):
+        k, j = _from_right(ranks)
+        assert k.shape == j.shape == ranks.shape
+        for r, kr, jr in zip(ranks.ravel().tolist(), k.ravel().tolist(), j.ravel().tolist()):
+            want = (math.isqrt(8 * r + 1) - 1) // 2
+            assert (kr, jr) == (want, r - want * (want + 1) // 2), r
+    assert _from_right(np.zeros((2, 0), np.int64))[0].shape == (2, 0)
+
+
 def test_vector_unrank_at_the_int64_limit():
     # Near the rank limit 8r + 1 is not exact in float64, and the float root
     # overshoots at the first rank of a block, where r = T(k+1) - 1 counted

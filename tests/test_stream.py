@@ -184,6 +184,22 @@ def test_numpy_integer_labels_key_as_ints():
     assert Stream(1).substream("3")._spawn_key != Stream(1).substream(3)._spawn_key
 
 
+def test_numpy_scalar_labels_key_as_their_python_values():
+    # A numpy float, bool or str label keyed by its repr, which numpy 2
+    # changed (NEP 51): substream(np.float64(0.5)) drew one stream on numpy
+    # 1.24 and another on numpy 2.  Each now keys as its .item().
+    import hashlib
+
+    for label, value in ((np.float64(0.5), 0.5), (np.float32(0.25), 0.25), (np.bool_(True), True),
+                         (np.str_("a"), "a")):
+        assert Stream(1).substream(label)._spawn_key == Stream(1).substream(value)._spawn_key
+    # The key of 0.5 on any numpy: the first 8 bytes of sha256("float:0.5").
+    key = int.from_bytes(hashlib.sha256(b"float:0.5").digest()[:8], "big")
+    assert Stream(1).substream(np.float64(0.5))._spawn_key == (key,)
+    a, b = Stream(2).substream("x", np.float64(0.5)), Stream(2).substream("x", 0.5)
+    assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
+
+
 # numpy searches a success probability 1 - p of at least 1/3 and inverts
 # below it, so p = 2/3 and its float neighbours straddle the switch.
 _TWO_THIRDS = 2 / 3
@@ -281,3 +297,135 @@ def test_vector_draws_read_sizes_and_bounds_as_integers():
     highs = np.array([0, 7, 2**40], np.uint64)
     assert a.integers_upto(highs).tolist() == b.integers(0, highs, endpoint=True).tolist()
     assert a.geometric_array(0.8, np.int16(4)).tolist() == (b.geometric(1.0 - 0.8, 4) - 1).tolist()
+
+
+def _uint32_words(gen, size):
+    return gen.integers(0, 2**32 - 1, size, dtype=np.uint32, endpoint=True).tolist()
+
+
+def _bounds(kind, size, rng):
+    """``size`` bounds of one kind: 1 and 2, bounds where numpy's threshold
+    rejects up to half the words, small bounds mixed with 0, any bounds
+    mixed with 0 and past 2**32 - 2, or the contraction's small rank
+    counts."""
+    if kind == "one-two":
+        return rng.integers(1, 3, size)
+    if kind == "high":
+        return rng.integers(2**31, 2**32 - 1, size)
+    if kind == "zeros":
+        highs = rng.integers(1, 5000, size)
+        highs[::3] = 0
+        return highs
+    if kind == "mixed":
+        highs = rng.integers(0, 2**33, size)
+        highs[::3] = 0
+        highs[1::5] = 2**32 - 1
+        highs[2::7] = 2**32 - 2
+        return highs
+    return rng.integers(1, 5000, size)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("size", [1, 7, 1023, 1024, 1025, 5000])
+@pytest.mark.parametrize("kind", ["one-two", "high", "zeros", "mixed", "ranks"])
+def test_bounded_draws_replay_numpys(kind, size, buffered):
+    # Every value, the generator's state after the call and the draw after
+    # it are numpy's, through the stream's dispatch and, for bounds in
+    # [1, 2**32 - 2], through the replay itself at any size.
+    from boxchain._vector import _replay_bounded
+
+    rng = np.random.default_rng([size, len(kind), buffered])
+    for seed in (0, 3, 2**40 + 1):
+        highs = _bounds(kind, size, rng)
+        stream, gen = Stream(seed), _numpy_generator(seed)
+        if buffered:
+            # One bounded draw reads one 32-bit half of a 64-bit word and
+            # buffers the other, which the next bounded draw reads first.
+            assert stream.integers_upto(np.array([6])).tolist() == gen.integers(0, [6], endpoint=True).tolist()
+            assert gen.bit_generator.state["has_uint32"] == 1
+        drawn = stream.integers_upto(highs)
+        want = gen.integers(0, highs, endpoint=True)
+        assert drawn.dtype == want.dtype and np.array_equal(drawn, want)
+        assert stream._gen.bit_generator.state == gen.bit_generator.state
+        assert _uint32_words(stream._gen, 3) == _uint32_words(gen, 3)
+        if highs.min() >= 1 and highs.max() <= 2**32 - 2:
+            replayed = _numpy_generator(seed)
+            gen = _numpy_generator(seed)
+            if buffered:
+                replayed.integers(0, [6], endpoint=True)
+                gen.integers(0, [6], endpoint=True)
+            assert np.array_equal(_replay_bounded(replayed, highs), gen.integers(0, highs, endpoint=True))
+            assert replayed.bit_generator.state == gen.bit_generator.state
+            assert replayed.random() == gen.random()
+
+
+def _lemire_reference(words, highs):
+    """numpy's draw of each bound in [1, 2**32 - 2], in Python ints: read
+    words until (word * (high + 1)) mod 2**32 reaches the threshold, keep
+    the high word.  Returns the values and the number of words read."""
+    words = iter(words)
+    values = []
+    read = 0
+    for high in highs:
+        threshold = (2**32 - 1 - high) % (high + 1)
+        while True:
+            product = next(words) * (high + 1)
+            read += 1
+            if product % 2**32 >= threshold:
+                break
+        values.append(product >> 32)
+    return values, read
+
+
+def test_replay_redraws_rejected_words():
+    # Near 2**31 about half of the words reject, so one call redraws from
+    # about a thousand bounds on; the replay reads the words numpy's
+    # per-value loop would read, no more.
+    from boxchain._vector import _replay_bounded
+
+    highs = np.full(2000, 2**31 + 1, np.int64)  # threshold 2**31 - 2
+    highs[::3] = np.random.default_rng(4).integers(1, 2**32 - 1, highs[::3].size)
+    values, read = _lemire_reference(_uint32_words(_numpy_generator(9), 8000), highs.tolist())
+    assert read > 3000
+    replayed, gen = _numpy_generator(9), _numpy_generator(9)
+    assert _replay_bounded(replayed, highs).tolist() == values
+    _uint32_words(gen, read)
+    assert replayed.bit_generator.state == gen.bit_generator.state
+
+
+class _ScriptedWords:
+    """A generator stand-in whose uint32 fills return scripted words."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.read = 0
+
+    def integers(self, low, high, size, dtype, endpoint):
+        assert (low, high, dtype, endpoint) == (0, 2**32 - 1, np.uint32, True)
+        self.read += size
+        return np.array(self.words[self.read - size:self.read], np.uint32)
+
+
+def test_replay_rejects_exactly_below_numpys_threshold():
+    # Random words land on a bound's threshold once in 2**32 draws, so the
+    # words here are chosen to: for each bound with odd high + 1, a word
+    # whose low product is one below the threshold (rejected), then one at
+    # it (kept); for an odd high, the word ceil(2**32 / (high + 1)), whose
+    # low product is below high + 1, so numpy checks it against the
+    # threshold (the low product is 0 where high + 1 is a power of two).
+    from boxchain._vector import _replay_bounded
+
+    highs = [1, 2, 4, 3, 2**31, 2**32 - 2, 2**32 - 3, 6, 1000, 2**31 - 1, 123456] * 100
+    words = []
+    for high in highs:
+        threshold = (2**32 - 1 - high) % (high + 1)
+        if high % 2:
+            words.append(-(-(2**32) // (high + 1)))
+        else:
+            inverse = pow(high + 1, -1, 2**32)
+            words += [(low * inverse) % 2**32 for low in (threshold - 1, threshold) if low >= 0]
+    values, read = _lemire_reference(words, highs)
+    assert read == len(words) > len(highs)
+    scripted = _ScriptedWords(words)
+    assert _replay_bounded(scripted, np.array(highs, np.int64)).tolist() == values
+    assert scripted.read == read
