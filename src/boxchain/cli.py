@@ -213,7 +213,7 @@ def cmd_simulate(args) -> int:
 
 def _dist_rows(dist):
     """``--dist-out``'s rows, ``EMPTY``'s first, streamed off the law's grid
-    a block of rows at a time."""
+    a row at a time."""
     yield "EMPTY", "EMPTY", repr(float(dist.mass_of(None)))
     for lefts, rights, masses in dist._cells():
         yield from zip(lefts, rights, map(repr, map(float, masses)))

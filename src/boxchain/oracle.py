@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import repeat
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Union
@@ -56,11 +57,13 @@ Mass = Union[float, Fraction]
 # times its grid, so one at the limit peaks near 1 GiB with its input.  A
 # rational grid's count takes every cell as nonzero: a law's upper-triangular
 # grid holds about half of it, and an expansion peaks at 0.7-1.7 times it
-# (tracemalloc, extents 61-481), so one at the limit peaks near 1 GiB.
+# (tracemalloc, extents 61-481), so one at the limit peaks near 1 GiB.  No
+# read of a law holds more than a slab of rows beside its grid.
 _GRID_BYTES = 2**29
 _INT_HEADER_BYTES = 28
 # The passes over a grid sweep its upper triangle, where every law's mass
-# lies, in blocks of this many rows or columns.
+# lies, in blocks of this many rows or columns; the coverage holds one slab
+# of this many rows and their run of column sums, 0.5 MiB at extent 961.
 _BLOCK = 64
 
 
@@ -135,8 +138,11 @@ class StateDist:
         sweeps only its upper triangle); otherwise ``ValueError``."""
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ValueError(f"a law's grid must be square, got shape {grid.shape}")
-        if np.tril(grid, -1).any():
-            raise ValueError("a law's grid holds mass below its diagonal, where no span lies")
+        for r0 in range(0, len(grid), _BLOCK):
+            # Row r0 + i of the block holds mass below the diagonal in its
+            # columns j <= i + r0 - 1.
+            if np.tril(grid[r0 : r0 + _BLOCK, : r0 + _BLOCK], r0 - 1).any():
+                raise ValueError("a law's grid holds mass below its diagonal, where no span lies")
         return cls._held(grid, origin, empty_mass, lost, denom)
 
     @classmethod
@@ -155,7 +161,7 @@ class StateDist:
     def weights(self) -> Mapping[Interval, Mass]:
         """The law as a read-only ``{Span: mass}`` view of the grid: ``EMPTY``
         first if its mass is positive, then every nonzero cell in row-major
-        order, read a block of rows at a time and never built.  An edit
+        order, read a row at a time and never built.  An edit
         raises ``TypeError``."""
         return _Weights(self)
 
@@ -178,21 +184,22 @@ class StateDist:
 
     def _cells(self) -> Iterator[tuple[Iterator[int], Iterator[int], Iterator[Mass]]]:
         """Left ends, right ends and masses of the nonzero cells, in
-        row-major order, which is sorted by (left, right): one block of
-        ``_BLOCK`` rows at a time, each of the three listed only when it is
-        first read.  So a reader holds Python objects for one block, and
-        only those it reads, never for the whole support."""
+        row-major order, which is sorted by (left, right): one row at a
+        time, its one left end repeated, its right ends and masses each
+        listed only when first read.  So a reader holds Python objects for
+        one row, and only those it reads, never for the whole support."""
         to_mass = None if self.denom is None else self._mass
-        for r0 in range(0, len(self.grid), _BLOCK):
-            block = self.grid[r0 : r0 + _BLOCK, r0:]
-            rows, cols = np.nonzero(block)
-            corner = self.origin + r0
-            yield _read(rows, corner.__add__), _read(cols, corner.__add__), _read(block[rows, cols], to_mass)
+        for r in range(len(self.grid)):
+            row = self.grid[r, r:]
+            cols = np.flatnonzero(row)
+            if len(cols):
+                left = self.origin + r
+                yield repeat(left, len(cols)), _read(cols, left.__add__), _read(row[cols], to_mass)
 
     def span_rows(self) -> list[tuple[int, int, Mass]]:
         """``(left, right, mass)`` for every span with mass, sorted, read
         off the grid without building ``weights``."""
-        return [row for block in self._cells() for row in zip(*block)]
+        return [row for cells in self._cells() for row in zip(*cells)]
 
     def total(self) -> Mass:
         return self._mass(self.grid.sum() + self.empty_mass + self._lost_units)
@@ -219,9 +226,29 @@ class StateDist:
 
     @cached_property
     def _cover(self) -> np.ndarray:
-        # The diagonal of the dominance sums: acc[k, k] sums the cells with
-        # left <= k <= right.
-        return np.diagonal(_dominance(self.grid)).copy()
+        """cover[k]: the sum of the cells with left <= k <= right.
+
+        The grid is swept in slabs of ``_BLOCK`` rows.  Row 0 of ``slab``
+        holds the run, the column sums of every row above the slab; the
+        cumsum down the slab continues them through its rows, and each row
+        is then summed from the right end leftward to its diagonal cell.
+        These are the additions of a cumsum down the whole grid followed by
+        a reversed cumsum along each row, in the same order, so every float
+        cell is the same to the bit.  Scratch holds ``_BLOCK`` + 1 rows.
+        """
+        grid, size = self.grid, len(self.grid)
+        cover = np.zeros(size, dtype=grid.dtype)
+        slab = np.zeros((_BLOCK + 1, size), dtype=grid.dtype)
+        for r0 in range(0, size, _BLOCK):
+            r1 = min(r0 + _BLOCK, size)
+            rows = slab[: r1 - r0 + 1, r0:]  # a right end left of r0 covers no site from r0 on
+            rows[1:] = grid[r0:r1, r0:]
+            np.cumsum(rows, axis=0, out=rows)
+            slab[0, r1:] = rows[-1, r1 - r0 :]  # the run past this slab's rows
+            sums = rows[1:, ::-1]
+            np.cumsum(sums, axis=1, out=sums)
+            cover[r0:r1] = np.diagonal(rows[1:])
+        return cover
 
     def _coverage(self, site: int) -> Mass:
         """Mass of the spans that contain ``site``."""
@@ -259,8 +286,8 @@ class _Weights(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self._law.grid)) + (self._law.empty_mass > 0)
 
-    def _blocks(self) -> Iterator[tuple[Iterable[Interval], Iterable[Mass]]]:
-        """Keys and masses a block at a time; a key is built only when it
+    def _rows(self) -> Iterator[tuple[Iterable[Interval], Iterable[Mass]]]:
+        """Keys and masses a row at a time; a key is built only when it
         is read."""
         law = self._law
         if law.empty_mass > 0:
@@ -269,10 +296,10 @@ class _Weights(Mapping):
             yield map(Span, lefts, rights), masses
 
     def __iter__(self) -> Iterator[Interval]:
-        for keys, _ in self._blocks():
+        for keys, _ in self._rows():
             yield from keys
 
-    # The inherited views look every key up again; these read each block once.
+    # The inherited views look every key up again; these read each row once.
     def values(self) -> ValuesView:
         return _Masses(self)
 
@@ -282,13 +309,13 @@ class _Weights(Mapping):
 
 class _Masses(ValuesView):
     def __iter__(self) -> Iterator[Mass]:
-        for _, masses in self._mapping._blocks():
+        for _, masses in self._mapping._rows():
             yield from masses
 
 
 class _Items(ItemsView):
     def __iter__(self) -> Iterator[tuple[Interval, Mass]]:
-        for keys, masses in self._mapping._blocks():
+        for keys, masses in self._mapping._rows():
             yield from zip(keys, masses)
 
 
@@ -380,33 +407,28 @@ def _by_size(factor: np.ndarray) -> np.ndarray:
     return sliding_window_view(line, extent)[:0:-1]
 
 
-def _dominance(
-    grid: np.ndarray, share: Optional[np.ndarray] = None, outcome: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _dominance(grid: np.ndarray, share: np.ndarray, outcome: np.ndarray) -> np.ndarray:
     """acc[a, b] for a <= b: the sum of grid[i, j] share[j - i] over i <= a
     and j >= b, the cells whose span contains [a, b], times outcome[b - a];
-    a factor not given is 1.
+    0 below the diagonal.
 
     Only the upper triangle is swept, in blocks of ``_BLOCK``: each block
     of columns is summed down to its last column's diagonal cell, then each
-    block of rows leftward to its first row's.  Below the diagonal, acc is
-    0 when ``outcome`` is given and has no meaning otherwise.  Each kept
-    cell takes the same sums in the same order as over the whole rectangle,
-    so its value is the same.
+    block of rows leftward to its first row's.  Each kept cell takes the
+    same sums in the same order as over the whole rectangle, so its value
+    is the same.
     """
     size = len(grid)
-    share = None if share is None else _by_size(share)
-    outcome = None if outcome is None else _by_size(outcome)
+    share, outcome = _by_size(share), _by_size(outcome)
     acc = np.zeros((size, size), dtype=grid.dtype)  # untouched pages are never faulted in
     for j0 in range(0, size, _BLOCK):
         cells = (slice(None, j0 + _BLOCK), slice(j0, j0 + _BLOCK))
-        np.cumsum(grid[cells] if share is None else grid[cells] * share[cells], axis=0, out=acc[cells])
+        np.cumsum(grid[cells] * share[cells], axis=0, out=acc[cells])
     for a0 in range(0, size, _BLOCK):
         cells = (slice(a0, a0 + _BLOCK), slice(a0, None))
         rows = acc[cells]
         np.cumsum(rows[:, ::-1], axis=1, out=rows[:, ::-1])
-        if outcome is not None:
-            rows *= outcome[cells]
+        rows *= outcome[cells]
     return acc
 
 
@@ -468,7 +490,11 @@ def _contract_grid(grid: np.ndarray, empty: Mass, terms: list[tuple]) -> tuple[n
     out = None  # the first term's grid itself, so that one term costs no sum
     for share, death, outcome in terms:
         part = _dominance(grid, share, outcome)
-        out = part if out is None else out + part
+        if out is None:
+            out = part
+        else:
+            out += part  # in place, and dropped before the next term's grid
+            del part
         if death is not None:
             empty += _death_mass(grid, death)
     return (np.zeros_like(grid) if out is None else out), empty
@@ -627,7 +653,7 @@ def occupancy_bounds(dist: StateDist, site: int) -> OccupancyBounds:
 
 def occupancy_table(dist: StateDist, sites: Iterable[int]) -> list[OccupancyBounds]:
     """Occupancy brackets for many sites; the law's coverage of every site
-    is one dominance sum over its grid, taken at the first read."""
+    is one slab sweep over its grid, taken at the first read."""
     return [occupancy_bounds(dist, x) for x in sites]
 
 

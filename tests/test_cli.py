@@ -236,6 +236,19 @@ def test_dist_out_streams_its_rows_off_the_grid():
     assert peak < 8 * 2**20
 
 
+def test_dist_out_holds_a_row_of_objects():
+    # Its rows were listed a block of 64 grid rows at a time: 5.9 MiB.
+    law = evolve(Span(0, 0), 4, UNIFORM, 0.8, TruncationPolicy(120))
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in _dist_rows(law))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + law.support()[0]
+    assert peak < 2**20
+
+
 def test_exact_near_the_top_of_int64_is_the_translated_law(tmp_path):
     # Its span rows used to wrap to negative right ends.
     def run(initial, x_min, name):

@@ -411,7 +411,7 @@ def test_triangle_dominance_is_bit_identical_at_block_boundaries():
             )
             got = _dominance(grid, share, outcome)
             want = whole_rectangle_dominance(grid * _by_size(share)) * _by_size(outcome)
-            cover = np.diagonal(_dominance(grid))
+            cover = StateDist.on_grid(grid, 0, 0, 0, None if dtype is float else 1)._cover
             want_cover = np.diagonal(whole_rectangle_dominance(grid))
             dead = np.einsum("ij,ij->", grid, _by_size(death))
             if dtype is float:
@@ -420,6 +420,25 @@ def test_triangle_dominance_is_bit_identical_at_block_boundaries():
             else:
                 assert np.array_equal(got, want) and np.array_equal(cover, want_cover)
             assert _death_mass(grid, death) == dead
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cover_is_the_diagonal_of_two_whole_grid_cumsums(exact):
+    # The slab sweep takes the additions of a cumsum down the whole grid and
+    # a reversed cumsum along each row, in their order: a sum taken in any
+    # other order, numpy's pairwise one included, changes a float's bits.
+    tri = SizeWeightedContraction(lambda k, n: Fraction(2 * (k + 1), (n + 1) * (n + 2)))
+    p = Fraction(2, 3) if exact else 0.8
+    for rule in (UNIFORM, EndpointResampleContraction(), KillThenUniformContraction(), tri):
+        for extent in (1, 63, 64, 65, 131):
+            # One step from a span of one or two sites grows it by n_max a side.
+            law = evolve(Span(0, 1 - extent % 2), 1, rule, p, TruncationPolicy((extent - 1) // 2), exact)
+            assert len(law.grid) == extent
+            want = np.diagonal(whole_rectangle_dominance(law.grid))
+            if exact:
+                assert law._cover.tolist() == want.tolist()
+            else:
+                assert law._cover.tobytes() == want.tobytes()
 
 
 def test_every_rule_keeps_the_lower_triangle_empty():
@@ -451,6 +470,19 @@ def test_on_grid_refuses_a_grid_off_the_triangle(monkeypatch):
     # pays for no check.
     monkeypatch.setattr(StateDist, "on_grid", None)
     assert evolve(Span(0, 0), 2, p=0.5, policy=TruncationPolicy(4)).total() == pytest.approx(1)
+
+
+def test_on_grid_finds_mass_below_the_diagonal_in_every_block():
+    # The check reads a block of rows at a time: a cell just below the
+    # diagonal, or in the first column, of any row is off the triangle.
+    for extent in (64, 65, 131):
+        StateDist.on_grid(np.triu(np.ones((extent, extent))), 0, 0.0, 0.0)
+        for row in range(1, extent):
+            for col in (0, row - 1):
+                grid = np.zeros((extent, extent))
+                grid[row, col] = 1.0
+                with pytest.raises(ValueError, match="below its diagonal"):
+                    StateDist.on_grid(grid, 0, 0.0, 0.0)
 
 
 def test_grid_law_weights_match_reference_dict():
@@ -574,6 +606,24 @@ def test_reading_a_laws_weights_holds_one_block_of_objects():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def test_reads_of_a_law_hold_a_row():
+    # Coverage built the grid's whole dominance array to keep its diagonal
+    # (7.1 MiB under tracemalloc), and reads listed a block of 64 rows
+    # (2.9-4.3 MiB): now they hold a slab of rows and a row.
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    law = evolve(Span(0, 0), 4, UNIFORM, 0.8, TruncationPolicy(120))
+    assert peak(lambda: occupancy_table(law, range(-200, 201))) < 2 * 2**20
+    assert peak(lambda: sum(law.weights.values())) < 2**20
+    assert peak(lambda: sum(1 for _ in law.weights)) < 2**20
 
 
 @pytest.mark.parametrize("exact", [False, True])
