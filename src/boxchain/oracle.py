@@ -53,7 +53,7 @@ Mass = Union[float, Fraction]
 # rational one, D being the common denominator that bounds every numerator.
 # An expansion holds one float grid of its output size and temporaries of a
 # block of rows or columns, beside its input: tracemalloc reads its peak at
-# 1.1-1.3 times its output (extents 241-961), and a contraction's at 1.1-1.5
+# 1.08-1.18 times its output (extents 241-961), and a contraction's at 1.1-1.5
 # times its grid, so one at the limit peaks near 1 GiB with its input.  A
 # rational grid's count takes every cell as nonzero: a law's upper-triangular
 # grid holds about half of it, and an expansion peaks at 0.7-1.7 times it
@@ -62,8 +62,9 @@ Mass = Union[float, Fraction]
 _GRID_BYTES = 2**29
 _INT_HEADER_BYTES = 28
 # The passes over a grid sweep its upper triangle, where every law's mass
-# lies, in blocks of this many rows or columns; the coverage holds one slab
-# of this many rows and their run of column sums, 0.5 MiB at extent 961.
+# lies, in blocks of this many rows or columns (the expansion's of half as
+# many); the coverage holds one slab of this many rows and their run of
+# column sums, 0.5 MiB at extent 961.
 _BLOCK = 64
 
 
@@ -95,7 +96,8 @@ class StateDist:
     int, all numerators over the common denominator ``denom``; ``lost`` and
     every mass read through the API, ``weights`` included, are
     ``Fraction``s.  ``weights`` is a read-only view of the grid, never
-    built: ``dict(law.weights)`` makes a mutable copy.
+    built: ``dict(law.weights.items())`` makes a mutable copy, reading
+    each cell once.
 
     The constructor's arguments are declared as dataclass fields, with no
     generated method, only so that ``dataclasses.replace`` makes a copy of
@@ -500,42 +502,36 @@ def _contract_grid(grid: np.ndarray, empty: Mass, terms: list[tuple]) -> tuple[n
     return (np.zeros_like(grid) if out is None else out), empty
 
 
-def _geometric_sum(
-    s: np.ndarray, x: np.ndarray, p, terms: int, axis: int, den: Optional[int] = None
-) -> None:
-    """Fill ``s`` with the sum over a < terms of p**a times ``x`` moved a
-    cells toward higher indices along ``axis``.
+def _geometric_sum(x: np.ndarray, p, terms: int, den: Optional[int] = None) -> np.ndarray:
+    """The sum over a < terms of p**a times ``x`` moved a rows down, in a
+    new C-contiguous array of len(x) + terms - 1 rows.
 
-    The sum is built by doubling: S_2c = S_c + p**c S_c moved c cells, and
-    S_c+1 = S_c + p**c x moved c cells.  That is about 2 log2(terms) passes,
+    The sum is built by doubling: S_2c = S_c + p**c S_c moved c rows, and
+    S_c+1 = S_c + p**c x moved c rows.  That is about 2 log2(terms) passes,
     all adding positive terms, so a cell no term reaches stays exactly 0.
-    ``s`` is all zero and has room for x.shape[axis] + terms - 1 cells
-    along ``axis``.
 
     With ``den``, the integer ``p`` is the numerator of p/den and the sum
     is taken in homogeneous form, p**a den**(terms - 1 - a) times ``x``
-    moved a cells: S_c is scaled by den**c before the doubling add and by
+    moved a rows: S_c is scaled by den**c before the doubling add and by
     den before the single one.
     """
-
-    def cut(start: int, stop: int) -> tuple[slice, ...]:
-        return (slice(None),) * axis + (slice(start, stop),)
-
-    n = x.shape[axis]
-    s[cut(0, n)] = x
+    n = len(x)
+    s = np.zeros((n + terms - 1, *x.shape[1:]), dtype=x.dtype)
+    s[:n] = x
     c = 1
     for bit in bin(terms)[3:]:
-        shifted = p**c * s[cut(0, n + c - 1)]
+        shifted = p**c * s[: n + c - 1]
         if den is not None:
-            s[cut(0, n + c - 1)] *= den**c
-        s[cut(c, n + 2 * c - 1)] += shifted
+            s[: n + c - 1] *= den**c
+        s[c : n + 2 * c - 1] += shifted
         del shifted  # before the next, twice larger, temporary
         c *= 2
         if bit == "1":
             if den is not None:
-                s[cut(0, n + c - 1)] *= den
-            s[cut(c, n + c)] += p**c * x
+                s[: n + c - 1] *= den
+            s[c : n + c] += p**c * x
             c += 1
+    return s
 
 
 def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
@@ -548,6 +544,10 @@ def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
     kernel (den - num) num**a den**(n_max - a) over den**(n_max + 1),
     summed by ``_geometric_sum`` in homogeneous form, and its numerators
     are over its denominator times the factor den**(2 (n_max + 1)).
+
+    Each block is summed in a compact buffer, its moving axis first, then
+    stored into the grid: a sum in place on the grid's strided views would
+    touch a page per row.  Each cell takes the same sums in the same order.
     """
     terms = n_max + 1
     size = len(grid)
@@ -560,20 +560,25 @@ def _expand(grid: np.ndarray, p, n_max: int, denom: Optional[int]) -> tuple:
         num, den, homogeneous = p.numerator, p.denominator, p.denominator
         out = _zeros(size + 2 * n_max, denom.bit_length() + 2 * terms * den.bit_length())
         scale, retained = den ** (2 * terms), den**terms - num**terms
+    # Blocks half as wide as the other passes': at 64 the buffers take the
+    # peak to 1.16 times the output at extent 961, for no clear gain.
+    block = _BLOCK // 2
     # Rows hold left endpoints, which move to lower rows: up the reversed
     # rows.  Column j holds mass in rows <= j only, so a block of columns
     # takes the rows down to its last column, and their n_max more images.
     left = out[: size + n_max, n_max : n_max + size]
-    for j0 in range(0, size, _BLOCK):
-        j1, cols = j0 + _BLOCK, slice(j0, j0 + _BLOCK)
-        x = (den - num) ** 2 * grid[:j1, cols][::-1]
-        _geometric_sum(left[: j1 + n_max, cols][::-1], x, num, terms, axis=0, den=homogeneous)
-    # Columns hold right endpoints, which move to higher columns.  Row r of
-    # the left pass holds mass in columns >= r - n_max only.
+    stay = (den - num) ** 2  # the kernel's factor 1 - p, once for each side
+    for j0 in range(0, size, block):
+        j1, cols = j0 + block, slice(j0, j0 + block)
+        # The block is unnamed, so that the right pass holds none of it.
+        left[: j1 + n_max, cols][::-1] = _geometric_sum(stay * grid[:j1, cols][::-1], num, terms, homogeneous)
+    # Columns hold right endpoints, which move to higher columns: the buffer
+    # holds a block of rows transposed.  Row r of the left pass holds mass
+    # in columns >= r - n_max only.
     right = out[: size + n_max, n_max:]
-    for r0 in range(0, size + n_max, _BLOCK):
-        cells = (slice(r0, r0 + _BLOCK), slice(max(r0 - n_max, 0), None))
-        _geometric_sum(right[cells], left[cells].copy(), num, terms, axis=1, den=homogeneous)
+    for r0 in range(0, size + n_max, block):
+        cells = (slice(r0, r0 + block), slice(max(r0 - n_max, 0), None))
+        right[cells] = _geometric_sum(left[cells].T.copy(), num, terms, homogeneous).T
     # A float kernel can sum past 1 by rounding; no step loses negative mass.
     return out, scale, max(grid.sum() * (scale - retained * retained), 0)
 

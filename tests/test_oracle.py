@@ -350,17 +350,40 @@ def test_exact_doubling_expansion_matches_shifted_add():
             assert lost_inc == grid.sum() * (scale - (den**terms - num**terms) ** 2)
 
 
-def whole_rectangle_expand(grid, p, n_max, den=None):
-    """The expansion's two doubling passes over the whole rectangle: the
-    reference that the triangle's blocks must match cell for cell."""
-    from boxchain.oracle import _geometric_sum
+def axis_doubling_sum(s, x, p, terms, axis, den=None):
+    """The doubling sum along ``axis``, in place on the zero array ``s``
+    and in the order of the oracle's: S_2c = S_c + p**c S_c moved c cells,
+    S_c+1 = S_c + p**c x moved c cells, homogeneous in ``den`` if given."""
 
+    def cut(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = x.shape[axis]
+    s[cut(0, n)] = x
+    c = 1
+    for bit in bin(terms)[3:]:
+        shifted = p**c * s[cut(0, n + c - 1)]
+        if den is not None:
+            s[cut(0, n + c - 1)] *= den**c
+        s[cut(c, n + 2 * c - 1)] += shifted
+        c *= 2
+        if bit == "1":
+            if den is not None:
+                s[cut(0, n + c - 1)] *= den
+            s[cut(c, n + c)] += p**c * x
+            c += 1
+
+
+def whole_rectangle_expand(grid, p, n_max, den=None):
+    """The expansion's two doubling passes over the whole rectangle, on
+    strided views of the grid: the reference that the triangle's blocks
+    must match cell for cell."""
     terms, size = n_max + 1, len(grid)
     num, denominator = (float(p), 1.0) if den is None else (p.numerator, p.denominator)
     out = np.zeros((size + 2 * n_max,) * 2, dtype=grid.dtype)
     left = out[: size + n_max, n_max : n_max + size]
-    _geometric_sum(left[::-1], (denominator - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
-    _geometric_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=den)
+    axis_doubling_sum(left[::-1], (denominator - num) ** 2 * grid[::-1], num, terms, axis=0, den=den)
+    axis_doubling_sum(out[: size + n_max, n_max:], left.copy(), num, terms, axis=1, den=den)
     return out
 
 
@@ -397,6 +420,35 @@ def test_triangle_expansion_is_bit_identical_at_block_boundaries():
         for n_max in (0, 1, 7, 120):
             got = _expand(grid, p, n_max, 1000)[0]
             assert np.array_equal(got, whole_rectangle_expand(grid, p, n_max, p.denominator))
+    # The benchmark's widest expansion: the law contracted at step 4 of
+    # (0.8, n_max 120), extent 721 in and 961 out.
+    grid = benchmark_widest_expansion_input()
+    got = _expand(grid, 0.8, 120, None)[0]
+    assert got.shape == (961, 961)
+    assert got.tobytes() == whole_rectangle_expand(grid, 0.8, 120).tobytes()
+
+
+def benchmark_widest_expansion_input():
+    law = contraction_pushforward(evolve(Span(0, 0), 3, UNIFORM, 0.8, TruncationPolicy(120)), UNIFORM)
+    assert law.grid.shape == (721, 721)
+    return law.grid
+
+
+def test_expansion_peaks_within_a_tenth_of_its_output():
+    # Its passes, summed in place on the grid's strided views in blocks of
+    # 64, peaked at 1.135 times the output; each block's compact buffer,
+    # 32 wide, is its only scratch.
+    from boxchain.oracle import _expand
+
+    grid = benchmark_widest_expansion_input()
+    tracemalloc.start()
+    try:
+        out = _expand(grid, 0.8, 120, None)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (961, 961)
+    assert peak < 1.1 * out.nbytes
 
 
 def test_triangle_dominance_is_bit_identical_at_block_boundaries():
@@ -514,7 +566,7 @@ def test_grid_law_reads_match_dict_route():
     sites = range(-70, 71)
     for rule, t in ((UNIFORM, 3), (EndpointResampleContraction(), 2)):
         law = evolve(Span(-1, 1), t, rule=rule, p=0.7, policy=TruncationPolicy(25))
-        as_dict = StateDist(dict(law.weights), law.lost)
+        as_dict = StateDist(dict(law.weights.items()), law.lost)
         assert len(as_dict.weights) >= 512
         assert law.total() == pytest.approx(as_dict.total(), abs=1e-14)
         for got, want in zip(occupancy_table(law, sites), occupancy_table(as_dict, sites)):
@@ -533,7 +585,7 @@ def test_span_rows_are_the_sorted_weights():
     law = evolve(Span(0, 2), 2, p=0.4, policy=TruncationPolicy(6))
     rows = law.span_rows()
     assert rows == sorted((iv.left, iv.right, w) for iv, w in law.weights.items() if iv is not None)
-    assert StateDist(dict(law.weights), law.lost).span_rows() == rows
+    assert StateDist(dict(law.weights.items()), law.lost).span_rows() == rows
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -568,7 +620,7 @@ def test_weights_view_reads_like_the_dict_it_replaced(exact):
     assert weights == as_dict and as_dict == weights
     changed = {**as_dict, EMPTY: empty * 2}
     assert weights != changed and changed != weights
-    again = StateDist(dict(law.weights), law.lost, exact)
+    again = StateDist(dict(law.weights.items()), law.lost, exact)
     assert again.weights == weights and again.span_rows() == rows and again.lost == law.lost
     # ``dataclasses.replace`` repacks the law with one argument changed.
     leaky = dataclasses.replace(law, lost=law.lost * 2)
@@ -594,24 +646,11 @@ def test_weights_view_has_no_key_for_a_zero_cell_or_mass(exact):
     assert law.weights == {Span(0, 0): half, Span(0, 3): half}
 
 
-def test_reading_a_laws_weights_holds_one_block_of_objects():
-    # A dict of this law's 448k spans peaked at 86 MiB under tracemalloc;
-    # a read holds the objects of one block of rows at a time.
-    law = evolve(Span(0, 0), 4, UNIFORM, 0.8, TruncationPolicy(120))
-    for read in (lambda: sum(law.weights.values()), lambda: sum(1 for _ in law.weights)):
-        tracemalloc.start()
-        try:
-            read()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-
-
 def test_reads_of_a_law_hold_a_row():
+    # A dict of this law's 448k spans peaked at 86 MiB under tracemalloc.
     # Coverage built the grid's whole dominance array to keep its diagonal
-    # (7.1 MiB under tracemalloc), and reads listed a block of 64 rows
-    # (2.9-4.3 MiB): now they hold a slab of rows and a row.
+    # (7.1 MiB), and reads listed a block of 64 rows (2.9-4.3 MiB): now
+    # they hold a slab of rows and a row.
     def peak(read):
         tracemalloc.start()
         try:
