@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from boxchain import UNIFORM, Span, TruncationPolicy, estimate_occupancy, evolve
@@ -220,6 +221,18 @@ def test_exact_dist_out_pinned(tmp_path):
             "--dist-out", str(dist_out), "--out", str(out),
         ]) == 0
         assert dist_out.read_bytes() == PINNED_DIST.replace("\n", "\r\n").encode()
+
+
+def test_dist_out_streams_its_rows_off_the_grid():
+    # The rows are EMPTY's and then the grid's nonzero cells in row-major
+    # order, which is sorted by (left, right), read a grid row at a time.
+    law = evolve(Span(0, 0), 2, UNIFORM, 0.8, TruncationPolicy(40))
+    assert law.grid.shape == (161, 161)
+    rows = list(_dist_rows(law))
+    assert rows[0] == ("EMPTY", "EMPTY", repr(float(law.mass_of(None))))
+    assert rows[1:] == [
+        (law.origin + r, law.origin + c, repr(float(law.grid[r, c]))) for r, c in zip(*np.nonzero(law.grid))
+    ]
 
 
 def test_dist_out_holds_a_row_of_objects():
