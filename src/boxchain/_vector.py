@@ -1,7 +1,13 @@
-"""numpy's side of :class:`~boxchain.stream.Stream`: its generator and the
-checks and decodes of its vector draws.
+"""numpy's side of :class:`~boxchain.stream.Stream`: its PCG64 bit generator
+and the vector draws made on its raw words.
 
-``stream`` imports this module when a stream first needs numpy's
+Each vector draw is the scalar draw's own definition applied to one raw
+64-bit word per value, so it gives the values the scalar draws would give
+on the same words.  numpy serves only ``SeedSequence``, PCG64's raw words
+and array arithmetic: NEP 19 keeps a bit generator's raw words fixed across
+numpy versions, which it does not promise for numpy's sampling methods.
+
+``stream`` imports this module when a stream first needs numpy's bit
 generator, so a process that only makes scalar draws never loads numpy.
 """
 
@@ -11,134 +17,127 @@ import math
 
 import numpy as np
 
-from .stream import _MASK32, _count
+from .stream import _count
+
+_MAX64 = np.uint64(2**64 - 1)
+_ONE = np.uint64(1)
+
+# The largest bound of a bounded draw: a bound past it has more values than
+# int64 holds.
+_MAX_HIGH = 2**63 - 1
+
+# A geometric run's quotient within this relative distance of an integer is
+# recomputed with ``math.log``.  np.log differs from math.log in the last bit
+# on about 0.35% of doubles with numpy 2.4.6 on AVX-512, which moves the
+# quotient by a few ulps, far inside this margin.
+_MARGIN = 2.0**-32
 
 
-def generator(seed: int, spawn_key: tuple[int, ...], skip: int) -> np.random.Generator:
-    """numpy's generator for ``(seed, spawn_key)``, ``skip`` raw words on."""
-    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
-    if skip:
-        bits.advance(skip)
-    return np.random.Generator(bits)
+class Draws:
+    """The vector draws on one PCG64 bit generator's raw words, each value
+    read from the words that follow the last draw's."""
+
+    __slots__ = ("bit_generator",)
+
+    def __init__(self, bit_generator) -> None:
+        self.bit_generator = bit_generator
+
+    @classmethod
+    def seeded(cls, seed: int, spawn_key: tuple[int, ...], skip: int) -> "Draws":
+        """Draws on numpy's ``PCG64(SeedSequence(seed, spawn_key))``, ``skip``
+        raw words on."""
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
+        if skip:
+            bits.advance(skip)
+        return cls(bits)
+
+    def random(self, size: int) -> np.ndarray:
+        """:meth:`Stream.random`'s float ``(w >> 11) * 2**-53`` of each of
+        the next ``size`` words."""
+        words = self.bit_generator.random_raw(size)
+        words >>= 11
+        # From int64, as numpy converts uint64 to float at half the speed.
+        return words.view(np.int64) * 2.0**-53
+
+    def integers_upto(self, highs, size: int | None) -> np.ndarray:
+        """:meth:`Stream.randbelow`'s rule for n = high + 1 on one word w per
+        value, for each of ``highs`` broadcast to a checked ``size``: w % n,
+        unless w is at or past ``(2**64 // n) * n``.  The slots that reject
+        their word draw again, in slot order, from the words that follow.
+
+        ``highs`` is an integer array as it is, or a scalar read by
+        ``operator.index``; anything else, or a bound outside
+        [0, 2**63 - 1], raises ``ValueError``.
+        """
+        if isinstance(highs, np.ndarray):
+            if highs.dtype.kind not in "iu":
+                raise ValueError(f"highs must be integers, got an array of {highs.dtype}")
+        else:
+            highs = _count("highs", highs)
+            if not 0 <= highs <= _MAX_HIGH:
+                raise ValueError(f"highs must lie in [0, 2**63 - 1], got {highs}")
+        if size is not None:
+            highs = np.broadcast_to(highs, size)
+        n = np.array(highs, np.uint64)
+        shape = n.shape
+        n = n.reshape(-1)
+        # A negative bound casts past 2**63 - 1 too.
+        if n.size and int(n.max()) > _MAX_HIGH:
+            bad = np.asarray(highs).reshape(-1)[n > np.uint64(_MAX_HIGH)][0]
+            raise ValueError(f"highs must lie in [0, 2**63 - 1], got {bad}")
+        n += _ONE
+        words = self.bit_generator.random_raw(n.size)
+        redo = _rejected(words, n)
+        while redo.size:
+            more = self.bit_generator.random_raw(redo.size)
+            words[redo] = more
+            redo = redo[_rejected(more, n.take(redo))]
+        words %= n
+        # ``[()]`` gives a scalar bound with no size its one value as a numpy
+        # scalar, and leaves an array as it is.
+        return words.view(np.int64).reshape(shape)[()]
+
+    def geometric_runs(self, p: float, size: int) -> np.ndarray:
+        """:meth:`Stream.geometric`'s run ``int(log(1 - u) / log(p))`` from the
+        float u of each of the next ``size`` words, 0 when u = 0, for a
+        checked ``p`` in (0, 1); as int64."""
+        words = self.bit_generator.random_raw(size)
+        if p == 0.5:
+            # 1 - u is (k + 1) * 2**-53 for k = (~w) >> 11, so the run is
+            # 53 - bit_length(k).  k's double is exact, and its exponent field
+            # is bit_length(k) + 1022, or 0 when k = 0 (run 53).
+            np.invert(words, out=words)
+            words >>= 11
+            runs = words.view(np.int64).astype(np.float64).view(np.int64)
+            runs >>= 52
+            np.subtract(1075, runs, out=runs)
+            return np.minimum(runs, 53, out=runs)
+        log_p = math.log(p)
+        words >>= 11
+        quotients = words.view(np.int64) * -2.0**-53
+        quotients += 1.0  # 1 - u, exactly
+        np.log(quotients, out=quotients)
+        quotients /= log_p
+        runs = (quotients * (1.0 + _MARGIN)).astype(np.int64)
+        # np.log may round the other way from math.log, so a quotient within
+        # the margin of an integer, the one whose truncation the margin
+        # moves, could truncate either way: redo it as the scalar draw does.
+        quotients *= 1.0 - _MARGIN
+        for i in (runs > quotients).nonzero()[0].tolist():
+            runs[i] = int(math.log(1.0 - int(words[i]) * 2.0**-53) / log_p)
+        return runs
 
 
-def integers_upto(gen: np.random.Generator, highs, size: int | None) -> np.ndarray:
-    """numpy's ``integers(0, highs, size, endpoint=True)`` from ``gen``, for
-    a checked ``size``: see :meth:`Stream.integers_upto`.
+def _rejected(words, n):
+    """The positions of the ``words`` at or past randbelow's threshold
+    ``(2**64 // n) * n`` for their bounds ``n``, uint64 arrays alike.
 
-    ``highs`` is an integer array as it is, or a scalar read by
-    ``operator.index``; anything else raises ``ValueError``.
+    The threshold is 2**64 - 2**64 % n, and 2**64 % n = (2**64 - n) % n is
+    below n, so only a word past 2**64 - 1 - n can reach it; only those are
+    divided.
     """
-    if not isinstance(highs, np.ndarray):
-        return gen.integers(0, _count("highs", highs), size=size, endpoint=True)
-    if highs.dtype.kind not in "iu":
-        raise ValueError(f"highs must be integers, got an array of {highs.dtype}")
-    if (
-        size is None and highs.dtype == np.int64 and highs.ndim == 1 and highs.size >= _REPLAY_FROM
-        and highs.min() >= 1 and int(highs.max()) * highs.size < _REPLAY_TOTAL
-    ):
-        return _replay_bounded(gen, highs)
-    return gen.integers(0, highs, size=size, endpoint=True)
-
-
-# numpy's per-value call costs less than the replay below this many bounds:
-# on a 2-vCPU x86-64 host with numpy 2.4, 7 µs against 11 µs at 10 bounds,
-# 16 µs against 15 µs at 1,000 and 87-91 µs against 48 µs at 8,192.
-_REPLAY_FROM = 1024
-# The replay also needs the largest bound times the count below this: each
-# rejected word costs it a pass over the rest of the array, and a word
-# rejects with probability below (high + 1) / 2**32, so this keeps the
-# expected rejections of one call below two.
-_REPLAY_TOTAL = 1 << 33
-
-
-def _replay_bounded(gen: np.random.Generator, highs: np.ndarray) -> np.ndarray:
-    """numpy's ``integers(0, highs, endpoint=True)`` for a 1-D int64 array of
-    bounds in [1, 2**32 - 2], in whole-array passes; the values and the
-    generator's state after the call are numpy's.
-
-    For such a bound numpy draws Lemire's way (Lemire 2019, "Fast Random
-    Integer Generation in an Interval", ACM TOMACS 29(1)), one value at a
-    time: it multiplies a 32-bit word by high + 1 in 64 bits and keeps the
-    high word, unless the low word is below (2**32 - high - 1) % (high + 1),
-    when it tries the next word.  Its words are the generator's
-    ``next_uint32``, the one a uint32 fill reads, so one fill of a word per
-    bound holds every word numpy reads up to its first rejection.  From a
-    rejected bound on, each bound reads the word after the one it read, so
-    the tail is redone with its words shifted by one and one more word
-    drawn, until no word rejects.
-    """
-    excl = highs + 1
-    excl32 = excl.astype(np.uint32)
-    words = gen.integers(0, _MASK32, highs.size, dtype=np.uint32, endpoint=True)
-    drawn = np.multiply(words, excl.view(np.uint64))
-    start = 0
-    while True:
-        low = drawn[start:].astype(np.uint32)
-        # numpy's threshold is below high + 1, so only these can reject.
-        near = (low < excl32[start:]).nonzero()[0]
-        if near.size:
-            threshold = (_MASK32 - highs[start:].take(near)) % excl[start:].take(near)
-            near = near[low.take(near) < threshold]
-        if not near.size:
-            break
-        first = int(near[0])
-        start += first
-        more = gen.integers(0, _MASK32, 1, dtype=np.uint32, endpoint=True)
-        words = np.concatenate((words[first + 1:], more))
-        np.multiply(words, excl[start:].view(np.uint64), out=drawn[start:])
-    drawn >>= 32
-    return drawn.view(np.int64)
-
-
-def _runs_at_half(u: np.ndarray) -> np.ndarray:
-    """Geometric(1/2) failure counts from uniforms ``u`` in [0, 1), exactly as
-    numpy draws them; ``u`` is overwritten and its buffer returned as int64.
-
-    At success probability 1/2 numpy's ``random_geometric_search`` takes
-    one ``next_double`` U, the same double ``Generator.random`` returns
-    for the same generator state, and returns X = 1 + #{k >= 1 : U > S_k},
-    where S_k = 1/2 + 1/4 + ... + 2**-k is accumulated in binary64.  Each
-    S_k = 1 - 2**-k is exact for k <= 53, and S_54 rounds to 1.0, which no
-    U reaches.  U is a multiple of 2**-53, so 1 - U is exact too, and
-    U > S_k reads 1 - U < 2**-k.  Write 1 - U = f * 2**e with f in
-    [1/2, 1), the binary exponent that ``np.frexp`` returns.  Then
-    2**(e-1) <= 1 - U < 2**e, so 1 - U < 2**-k holds exactly for
-    k <= -e, and the run X - 1 is -e when 1 - U < 1.  When U = 0, 1 - U
-    is 1 = (1/2) * 2**1 and the run is 0, not -1.
-
-    The exponent is read from the bit pattern: a double in (0, 1] with
-    biased exponent field E has e = E - 1022, so the run is
-    max(1022 - E, 0), which :data:`_RUN_BY_EXPONENT` tabulates.
-    """
-    np.subtract(1.0, u, out=u)
-    runs = u.view(np.int64)
-    runs >>= 52
-    # In place, as a fresh array per pass costs twice the time on large
-    # draws: ``take`` reads each exponent before it writes that slot, and
-    # mode "clip" (every exponent is in range) skips the copy "raise" makes.
-    return _RUN_BY_EXPONENT.take(runs, out=runs, mode="clip")
-
-
-# The geometric(1/2) run of a uniform U, by the biased exponent field E of
-# 1 - U; E = 1023 is U = 0, whose run is 0.
-_RUN_BY_EXPONENT = np.maximum(1022 - np.arange(1024, dtype=np.int64), 0)
-
-# numpy's ``random_geometric`` searches at a success probability of at least
-# this double, the C literal 0.333333333333333333333333, and inverts below it.
-_SEARCH_FROM = 0.333333333333333333333333
-
-
-def geometric_runs(gen: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """numpy's ``geometric(1 - p, size) - 1`` from ``gen``, for a checked
-    ``p`` in (0, 1): see :meth:`Stream.geometric_array`."""
-    if p == 0.5:
-        return _runs_at_half(gen.random(size))
-    if 1.0 - p < _SEARCH_FROM:
-        counts = gen.standard_exponential(size)
-        counts /= -math.log1p(p - 1.0)
-        runs = np.ceil(counts, out=counts).astype(np.int64)
-    else:
-        runs = gen.geometric(1.0 - p, size=size)  # already int64
-    runs -= 1
-    return runs
+    near = (words > _MAX64 - n).nonzero()[0]
+    if near.size:
+        bounds = n.take(near)
+        near = near[words.take(near) > _MAX64 - (_MAX64 - bounds + _ONE) % bounds]
+    return near

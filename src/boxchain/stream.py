@@ -1,13 +1,17 @@
 """Deterministic pseudorandom streams with labeled substream derivation.
 
 A stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``, and
-every draw is the value numpy's ``Generator`` gives for it.  Scalar draws
-read the generator's raw 64-bit words in blocks of 512, and the first
-block of each kind (floats, words) comes from a pure-Python port of
-numpy's ``SeedSequence`` and PCG64, a word at a time.  numpy builds the
-generator only when a stream needs it, for a vector draw or for a later
-block, so a process that makes only a few scalar draws never loads numpy.
-``tests/test_stream.py`` pins the port against numpy.
+every draw is defined on its raw 64-bit words: a float is ``(w >> 11) *
+2**-53``, a bounded integer is ``w % n`` unless w is at or past ``(2**64 //
+n) * n``, and a geometric run inverts one float.  Scalar draws read the
+words in blocks of 512, and the first block of each kind (floats, words)
+comes from a pure-Python port of numpy's ``SeedSequence`` and PCG64, a word
+at a time.  Vector draws (``_vector``) apply the scalar draws' definitions
+to one word per value.  numpy builds the bit generator only when a stream
+needs it, for a vector draw or for a later block, so a process that makes
+only a few scalar draws never loads numpy.  ``tests/test_stream.py`` pins
+the port against numpy's raw words, and the vector draws against the
+scalar ones.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ from . import _EXPORTS
 __all__ = _EXPORTS["stream"]
 
 _BLOCK = 512
-
-# The numpy side of the draws (``_vector``), imported by the first stream
-# that builds numpy's generator (:meth:`Stream._generator`).
-_vector = None
 
 
 def _label_entropy(label: object) -> int:
@@ -207,7 +207,7 @@ class Stream:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self._spawn_key = tuple(_spawn_key)
         self._origin = None  # the port's (state, inc), once derived
-        self._gen = None  # numpy's generator, once built
+        self._gen = None  # the vector draws on numpy's bit generator, once built
         self._claimed = 0  # scalar blocks claimed before it was built
         self._floats = self._words = _UNREAD
 
@@ -217,21 +217,21 @@ class Stream:
         return Stream(self.seed, key)
 
     def _generator(self):
-        """numpy's generator, built on first need from numpy's own seeding
-        and moved past the scalar blocks claimed before it."""
-        global _vector
-        from . import _vector
+        """The vector draws on numpy's bit generator, built on first need from
+        numpy's own seeding and moved past the scalar blocks claimed before
+        it."""
+        from ._vector import Draws
 
-        self._gen = _vector.generator(self.seed, self._spawn_key, _BLOCK * self._claimed)
+        self._gen = Draws.seeded(self.seed, self._spawn_key, _BLOCK * self._claimed)
         return self._gen
 
     def _claim(self, unread: bool, floats: bool):
         """An iterator over the stream's next block of scalar values.
 
-        A kind's first block, claimed before numpy's generator is built,
+        A kind's first block, claimed before numpy's bit generator is built,
         comes from the port, a word at a time; it is the stream's first or
-        second block, since the claims before the generator are those.
-        Every other block is a numpy fill at the same position.
+        second block, since the claims before the bit generator are those.
+        Every other block is numpy's raw words at the same position.
         """
         if unread and self._gen is None:
             if self._origin is None:
@@ -241,13 +241,10 @@ class Stream:
                 state = (_SKIP_STATE * state + _SKIP_INC * inc) & _MASK128
             self._claimed += 1
             words = _pcg64_words(state, inc)
-            # Generator.random's double: the top 53 bits over 2**53.
+            # A float is the top 53 bits over 2**53.
             return ((word >> 11) * 2.0**-53 for word in words) if floats else words
         gen = self._gen or self._generator()
-        if floats:
-            return iter(gen.random(_BLOCK).tolist())
-        # Over the full range numpy returns its raw words unbounded.
-        return iter(gen.integers(0, _MASK64, _BLOCK, dtype="uint64", endpoint=True).tolist())
+        return iter((gen.random(_BLOCK) if floats else gen.bit_generator.random_raw(_BLOCK)).tolist())
 
     # ------------------------------------------------------------------
     # scalar draws (buffered; ~10x faster than one generator call each)
@@ -315,51 +312,44 @@ class Stream:
         return int(math.log(v) / math.log(p))
 
     # ------------------------------------------------------------------
-    # vector draws, from numpy's generator: a size is read by
-    # ``operator.index``, and a bound must be an integer or an integer array
+    # vector draws, the scalar draws' definitions on one raw word per value
+    # (``_vector.Draws``): a size is read by ``operator.index``, and a bound
+    # must be an integer or an integer array
 
     def random_array(self, size: int):
+        """Vector of :meth:`random`'s floats in [0, 1)."""
         gen = self._gen or self._generator()
         return gen.random(_count("size", size))
 
     def integers_upto(self, highs, size=None):
-        """Uniform integers in [0, high] inclusive; ``highs`` may be an array.
+        """Uniform integers in [0, high] inclusive; ``highs`` may be an array
+        of bounds, each at most 2**63 - 1.
 
-        The values, and the generator's state after the call, are exactly
-        those of numpy's ``integers(0, highs, size, endpoint=True)``.  A
-        long 1-D int64 array of small positive bounds, the uniform
-        contraction's draw, is replayed from one uint32 fill in whole-array
-        passes (``_vector._replay_bounded``); every other draw is numpy's.
+        Each value is ``randbelow(high + 1)``'s on one word: ``w % n`` for n
+        = high + 1, unless w is at or past ``(2**64 // n) * n``.  The values
+        that reject their word draw again, in order, from the words that
+        follow.  A high of 0 reads a word all the same.
         """
         gen = self._gen or self._generator()
         if size is not None:
             size = _count("size", size)
-        return _vector.integers_upto(gen, highs, size)
+        return gen.integers_upto(highs, size)
 
     def geometric_array(self, p: float, size: int):
-        """Vector of failure counts before first success, pmf (1-p) * p**n,
-        for ``p`` in (0, 1).
+        """Vector of :meth:`geometric`'s failure counts, pmf (1-p) * p**n, for
+        ``p`` in (0, 1), one word each.
 
-        The values, and the generator's state after the call, are exactly
-        those of numpy's ``geometric(1 - p, size) - 1``, a few whole-array
-        passes in place of numpy's loop per value where its draw allows:
-
-        - At p = 1/2 they come in closed form from the uniforms numpy's
-          search loop would consume (``_vector._runs_at_half``).
-        - Past p = 2/3 numpy's success probability q = 1 - p is below 1/3,
-          and numpy inverts one standard exponential E per value: the count
-          is ``ceil(-E / log1p(-q))``.  Here one ``standard_exponential``
-          fill draws the same E, since numpy's fill and its per-value draw
-          are the same ziggurat, and -q is p - 1 exactly (Sterbenz).  numpy
-          caps a count of 2**63 or more at INT64_MAX before its cast, but no
-          count reaches 2**60: the ziggurat's E is below 45 and
-          ``-log1p(-q)`` is at least q >= 2**-53.
-        - Every other p is numpy's own draw, a search over one uniform each.
+        Each is ``int(log(1 - u) / log(p))`` for the word's float u, 0 when
+        u = 0, as the scalar draw computes it.  At p = 1/2 that is exactly
+        ``53 - bit_length((~w) >> 11)``, read from a float's exponent field.
+        Elsewhere the logs are numpy's, and a quotient near enough an integer
+        to truncate either way is recomputed with ``math.log``.  A count is
+        below 2**60: 1 - u is at least 2**-53, and -log(p) at least 2**-53.
         """
         _in_open_unit("expansion parameter", p)
         size = _count("size", size)
         gen = self._gen or self._generator()
-        return _vector.geometric_runs(gen, p, size)
+        return gen.geometric_runs(p, size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(seed={self.seed}, path={self._spawn_key})"

@@ -709,7 +709,8 @@ def test_sidecar_records_versions(tmp_path):
 
 
 # CSVs as simulate and mc wrote them while each subcommand still had one
-# branch per dimension; one path for every dimension must keep them.
+# branch per dimension; one path for every dimension must keep them.  The mc
+# rows were re-recorded when the vector draws moved to raw words.
 PINNED_CSVS = {
     "simulate-1d": (
         ["simulate", "--t", "3", "--seed", "4", "--trials", "3"],
@@ -725,32 +726,32 @@ PINNED_CSVS = {
     ),
     "mc-1d": (
         ["mc", "--sites", "3,1,-2", "--variant", "endpoint-resample", "--trials", "1000"],
-        b"x,estimate,ci_lo,ci_hi\r\n3,0.276,0.24115490177347138,0.31379794010325496\r\n"
-        b"1,0.574,0.5333633322275833,0.6136611753667125\r\n"
-        b"-2,0.434,0.39419487086970606,0.47467516289754363\r\n",
+        b"x,estimate,ci_lo,ci_hi\r\n3,0.295,0.2593022585645919,0.3334001190458049\r\n"
+        b"1,0.602,0.561582654546338,0.6410727478133669\r\n"
+        b"-2,0.427,0.38732024844643864,0.46764206162945876\r\n",
     ),
     "mc-2d": (
         ["mc", "--dimension", "2", "--radius", "2", "--t", "1", "--trials", "5000"],
-        b"x,y,estimate,ci_lo,ci_hi\r\n-2,0,0.1224,0.11095874153526673,0.13484206519751357\r\n"
-        b"-1,-1,0.1228,0.11134149263052659,0.13525825392563004\r\n"
-        b"-1,0,0.246,0.23065475176351538,0.26201846039253923\r\n"
-        b"-1,1,0.1246,0.11306437778000783,0.13713059798134208\r\n"
-        b"0,-2,0.125,0.11344735241210421,0.137546563172622\r\n"
-        b"0,-1,0.2432,0.22791893126547252,0.259161702126948\r\n"
-        b"0,0,0.4872,0.4690211292788821,0.5054127963730767\r\n"
-        b"0,1,0.2436,0.22830970779867626,0.2595698654171206\r\n"
-        b"0,2,0.1196,0.10828064723042016,0.1319275807387261\r\n"
+        b"x,y,estimate,ci_lo,ci_hi\r\n-2,0,0.1246,0.11306437778000783,0.13713059798134208\r\n"
+        b"-1,-1,0.1252,0.11363885477588356,0.13775453072053082\r\n"
+        b"-1,0,0.2516,0.2361290569023044,0.26772931278101825\r\n"
+        b"-1,1,0.1294,0.1176626845397051,0.1421195691021603\r\n"
+        b"0,-2,0.1206,0.10923687394585882,0.1329687035817282\r\n"
+        b"0,-1,0.2466,0.23124111533541403,0.262630506555705\r\n"
+        b"0,0,0.4942,0.47600711833442133,0.5124082542266224\r\n"
+        b"0,1,0.2466,0.23124111533541403,0.262630506555705\r\n"
+        b"0,2,0.1298,0.11804612983338203,0.1425350636318597\r\n"
         b"1,-1,0.1244,0.11287290555297476,0.136922600296687\r\n"
-        b"1,0,0.249,0.23358697693403196,0.26507828389734484\r\n"
-        b"1,1,0.1274,0.11574603661292346,0.14004151791206057\r\n"
-        b"2,0,0.1218,0.11038469219138997,0.13421770480632592\r\n",
+        b"1,0,0.248,0.23260945561624702,0.26405845565668906\r\n"
+        b"1,1,0.1246,0.11306437778000783,0.13713059798134208\r\n"
+        b"2,0,0.127,0.1153628238134962,0.1396257908881115\r\n",
     ),
     "mc-kill": (
         ["mc", "--variant", "kill-uniform", "--p-empty", "0.2", "--sites", "0,1,3", "--t", "3",
          "--trials", "2000", "--seed", "5"],
-        b"x,estimate,ci_lo,ci_hi\r\n0,0.324,0.2976647161055843,0.3514991645821859\r\n"
-        b"1,0.2755,0.2505416539504017,0.30194295522235065\r\n"
-        b"3,0.134,0.11558463725940094,0.15483570553448467\r\n",
+        b"x,estimate,ci_lo,ci_hi\r\n0,0.3415,0.3147508617901301,0.3692972921247084\r\n"
+        b"1,0.2815,0.2563519611643051,0.3080929702577277\r\n"
+        b"3,0.1355,0.11698789225645108,0.15642253109975465\r\n",
     ),
     "simulate-kill": (
         ["simulate", "--variant", "kill-uniform", "--t", "4", "--trials", "3", "--seed", "2"],

@@ -878,8 +878,10 @@ def test_hits_outside_trials_fail_closed():
 
 
 def test_fixed_seed_hits_are_pinned():
-    # Recorded before the 1-D and planar samplers shared one chunk core;
-    # any change to the order or the number of draws moves these counts.
+    # Recorded before the 1-D and planar samplers shared one chunk core, and
+    # re-recorded when the vector draws became the scalar draws' rules on
+    # raw words; any change to the order or the number of draws moves these
+    # counts.
     from boxchain import Box
     from boxchain.intervals import EndpointResampleContraction, KillThenUniformContraction
 
@@ -887,42 +889,42 @@ def test_fixed_seed_hits_are_pinned():
         return [e.hits for e in estimates]
 
     assert hits(estimate_occupancy(Span(0, 0), 3, [3, -2, 0, 1, 0, -1], 20_000, seed=1)) == [
-        1771, 2530, 3988, 3509, 3988, 3428
+        1811, 2641, 3908, 3416, 3908, 3459
     ]
     assert hits(
         estimate_occupancy(Span(-1, 2), 20, [-3, 0, 4], 20_000, seed=2, p=0.7, jobs=2)
-    ) == [1150, 1216, 1116]
+    ) == [1149, 1209, 1153]
     kill = KillThenUniformContraction()
     assert hits(estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, rule=kill)) == [
-        4508, 5854, 2995
+        4582, 5938, 3039
     ]
     endpoint = EndpointResampleContraction()
     assert hits(
         estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, rule=endpoint)
-    ) == [12243, 16611, 7721]
+    ) == [12221, 16609, 7684]
     assert hits(
         estimate_occupancy(Span(0, 0), 2, [-1, 0, 2], 20_000, seed=3, one_sided_expansion=True)
-    ) == [0, 4690, 2942]
+    ) == [0, 4642, 3014]
     points = [(1, 1), (2, 0), (0, 0), (-1, 0), (1, 1)]
     assert hits(estimate_occupancy_2d(unit_box(2), 3, points, 20_000, seed=1)) == [
-        2662, 2311, 3535, 3004, 2662
+        2567, 2236, 3529, 3066, 2567
     ]
     wide = Box((Span(-1, 2), Span(0, 0)))
     assert hits(
         estimate_occupancy_2d(wide, 2, [(0, 0), (3, -1), (-2, 1)], 20_000, seed=4, jobs=2)
-    ) == [8709, 3544, 3383]
+    ) == [8737, 3476, 3574]
     # Recorded before each step's runs became one draw: planar and
-    # one-sided runs at p != 1/2, which numpy draws itself.
+    # one-sided runs at p != 1/2, whose logs are numpy's.
     assert hits(estimate_occupancy_2d(unit_box(2), 3, points, 20_000, seed=1, p=0.8)) == [
-        4122, 4039, 4245, 4190, 4122
+        4051, 3952, 4179, 4092, 4051
     ]
     assert hits(
         estimate_occupancy_2d(wide, 2, [(0, 0), (3, -1), (-2, 1)], 20_000, seed=4, p=0.3, jobs=2)
-    ) == [7433, 1215, 1109]
+    ) == [7324, 1161, 1100]
     assert hits(
         estimate_occupancy(Span(0, 0), 2, [-1, 0, 2, 4], 20_000, seed=3, p=0.8,
                            one_sided_expansion=True)
-    ) == [0, 3665, 5538, 4960]
+    ) == [0, 3672, 5589, 4998]
 
 
 def test_sampler_paths_are_pinned():
@@ -937,31 +939,33 @@ def test_sampler_paths_are_pinned():
     weighted = SizeWeightedContraction(lambda k, n: (k + 1) / ((n + 1) * (n + 2) / 2))
     assert hits(
         estimate_occupancy(Span(0, 2), 3, [-2, 0, 1, 3, 5], 20_000, seed=5, rule=weighted)
-    ) == [6234, 10894, 11765, 8665, 4171]
+    ) == [6188, 10879, 11757, 8711, 4156]
     kill = KillThenUniformContraction()
     sites = [-1, 0, 1, 2]
     expected = {
-        (None, 14): [5, 2, 3, 2],
-        (None, 16): [0, 0, 0, 1],
+        (None, 14): [4, 6, 1, 1],
+        (None, 16): [1, 2, 1, 2],
         (None, 40): [0, 0, 0, 0],
-        (kill, 18): [2, 2, 1, 1],
+        (kill, 18): [1, 1, 0, 0],
         (kill, 40): [0, 0, 0, 0],
     }
     for (rule, t), pinned in expected.items():
         rules = {} if rule is None else {"rule": rule}
         assert hits(estimate_occupancy(Span(0, 0), t, sites, 40_000, seed=6, p=0.1, **rules)) == pinned
-    # Re-recorded when coupled pairs took the chunk sampler's draw protocol.
+    # Re-recorded when coupled pairs took the chunk sampler's draw protocol,
+    # and when the vector draws moved to raw words.
     assert coupling_marginal_test(2, 0.5, 4000, seed=9).as_row() == (
         "coupling-marginals",
         "p=0.5;seed=9;significance=0.001;t=2;trials=4000;x_window=8",
-        "-0.08396289101079335",
+        "-0.002366335016901547",
         "pass",
     )
 
 
 def test_pair_engine_draws_are_pinned():
     # Recorded when coupled pairs took the chunk sampler's draw protocol:
-    # runs drawn after the kill, for survivors only, low face first.  9000
+    # runs drawn after the kill, for survivors only, low face first, and
+    # re-recorded when the vector draws moved to raw words.  9000
     # trials make a second, partial chunk.  By the horizon every chunk at
     # p = 0.5 has died out, and so has every chunk of the reflection
     # mutant, which stops each run at its violation.
@@ -971,10 +975,10 @@ def test_pair_engine_draws_are_pinned():
         # skip-map mutant, the reflection mutant's margin and first
         # violation, and coalescence_stats' (coalesced, absorbed,
         # censored, sum of t n, sum of t^2 n) over its first event times.
-        (0.5, 1): (3094, 4470, 3679, (0, 1, Span(-1, 0), Span(-1, 0)), (3091, 5909, 0, 14779, 58583)),
-        (0.5, 2): (3022, 4453, 3829, (0, 1, Span(0, 1), Span(0, 1)), (3100, 5900, 0, 14630, 53860)),
-        (0.8, 1): (4210, 4470, 4340, (0, 1, Span(-3, 5), Span(-3, 5)), (4186, 4814, 0, 13007, 137473)),
-        (0.8, 2): (4158, 4453, 4413, (0, 1, Span(-3, 15), Span(-3, 15)), (4241, 4759, 0, 13210, 155026)),
+        (0.5, 1): (3078, 4468, 3833, (0, 1, Span(0, 2), Span(0, 2)), (3156, 5844, 0, 14613, 52497)),
+        (0.5, 2): (3092, 4471, 3771, (2, 1, Span(0, 1), Span(0, 1)), (3073, 5927, 0, 14492, 50882)),
+        (0.8, 1): (4173, 4468, 4503, (0, 1, Span(-1, 9), Span(-1, 9)), (4224, 4776, 0, 13750, 190548)),
+        (0.8, 2): (4185, 4471, 4385, (2, 1, Span(0, 3), Span(0, 3)), (4169, 4831, 0, 13515, 157071)),
     }
     for (p, seed), (runs, mutant_runs, broken, first, summary) in pinned.items():
         common = f"horizon={horizon};p={p};seed={seed};trials={trials}"
@@ -998,15 +1002,14 @@ def test_pair_engine_draws_are_pinned():
         ) == summary
         assert sum(times.values()) == trials
     assert coalescence_stats(0.5, horizon, trials, 1).first_event_times == {
-        1: 6754, 2: 1186, 3: 443, 4: 198, 5: 112, 6: 84, 7: 51, 8: 33, 9: 32, 10: 20,
-        11: 24, 12: 16, 13: 8, 14: 9, 15: 3, 16: 2, 17: 3, 18: 3, 19: 3, 20: 2, 22: 1,
-        23: 2, 24: 2, 26: 1, 27: 1, 28: 2, 29: 1, 30: 2, 31: 1, 49: 1,
+        1: 6721, 2: 1230, 3: 439, 4: 198, 5: 110, 6: 95, 7: 41, 8: 44, 9: 26, 10: 21,
+        11: 16, 12: 18, 13: 6, 14: 7, 15: 6, 16: 1, 17: 4, 18: 2, 19: 4, 20: 4, 23: 3,
+        24: 1, 26: 1, 27: 1, 40: 1,
     }
-    # Run 0 survives its first step still mirrored (its two runs were
-    # equal) and breaks at the second.
+    # Runs 0 to 2 die at the first step, and run 3 breaks there.
     assert reflection_identity_check(3, 0.3, 100, 0, swap_expansion_draws=False).as_row() == (
         "reflection-identity",
-        "first_violation=(0, 2, Span(-1, 0), Span(-1, 0));horizon=3;p=0.3;seed=0;trials=100",
+        "first_violation=(3, 1, Span(0, 1), Span(0, 1));horizon=3;p=0.3;seed=0;trials=100",
         "32.0",
         "fail",
     )

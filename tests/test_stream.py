@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -141,36 +144,95 @@ def test_scalar_draws_are_numpys_words(seed, path):
     assert stream._gen.bit_generator.state == gen.bit_generator.state
 
 
+def _numpy_bits(seed, spawn_key=()):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+def _floats(words):
+    """Stream.random's float of each raw word."""
+    return [(word >> 11) * 2.0**-53 for word in words.tolist()]
+
+
+def _runs(words, p):
+    """Stream.geometric's run from each raw word, in Python floats."""
+    log_p = math.log(p)
+    return [0 if u == 0 else int(math.log(1.0 - u) / log_p) for u in _floats(words)]
+
+
+def _slot_order(bits, highs):
+    """randbelow(high + 1)'s rule on one of ``bits``' raw words per bound:
+    the bounds that reject their word draw again, in order, from the words
+    that follow."""
+    values = [None] * len(highs)
+    pending = list(range(len(highs)))
+    while pending:
+        rejected = []
+        for slot, word in zip(pending, bits.random_raw(len(pending)).tolist()):
+            n = highs[slot] + 1
+            if word < (2**64 // n) * n:
+                values[slot] = word % n
+            else:
+                rejected.append(slot)
+        pending = rejected
+    return values
+
+
 @pytest.mark.parametrize("path", PORT_PATHS)
 @pytest.mark.parametrize("seed", PORT_SEEDS)
 def test_mixed_draws_match_numpy_alone(seed, path):
-    # Values and the generator's final state are those of numpy drawing
-    # each block and each vector in the same order.
+    # Values and the bit generator's final state are those of numpy's raw
+    # words, read by each block and each vector in the same order.
     stream = PORT_PATHS[path](seed)
-    gen = _numpy_generator(seed, stream._spawn_key)
-    floats = gen.random(1024).tolist()
+    bits = _numpy_bits(seed, stream._spawn_key)
+    floats = _floats(bits.random_raw(1024))
     assert [stream.random() for _ in range(600)] == floats[:600]
-    assert stream.random_array(5).tolist() == gen.random(5).tolist()
+    assert stream.random_array(5).tolist() == _floats(bits.random_raw(5))
     n = 3 * 2**62  # rejects a word of 3 * 2**62 or more, a quarter of them
     accepted = []
     while len(accepted) < 600:
-        accepted += [word % n for word in _numpy_words(gen, 512) if word < n]
+        accepted += [word % n for word in bits.random_raw(512).tolist() if word < n]
     assert [stream.randbelow(n) for _ in range(600)] == accepted[:600]
-    highs = np.array([0, 5, 2**40])
-    assert stream.integers_upto(highs).tolist() == gen.integers(0, highs, endpoint=True).tolist()
-    assert stream.geometric_array(0.5, 1000).tolist() == (gen.geometric(0.5, 1000) - 1).tolist()
+    highs = [0, 5, 2**40, 3 * 2**61, 2**63 - 1]
+    assert stream.integers_upto(np.array(highs)).tolist() == _slot_order(bits, highs)
+    assert stream.geometric_array(0.5, 1000).tolist() == _runs(bits.random_raw(1000), 0.5)
+    assert stream.geometric_array(0.8, 1000).tolist() == _runs(bits.random_raw(1000), 0.8)
     assert stream.random() == floats[600]
-    assert stream._gen.bit_generator.state == gen.bit_generator.state
+    assert stream._gen.bit_generator.state == bits.state
 
 
 def test_vector_only_stream_runs_no_port():
     # A Monte Carlo chunk's stream: numpy seeds it, and the port derives
     # nothing.
     stream = Stream(3).substream("chunk", 0)
-    gen = _numpy_generator(3, stream._spawn_key)
-    assert stream.geometric_array(0.8, 10).tolist() == (gen.geometric(0.2, 10) - 1).tolist()
+    bits = _numpy_bits(3, stream._spawn_key)
+    assert stream.geometric_array(0.8, 10).tolist() == _runs(bits.random_raw(10), 0.8)
     assert stream._origin is None
-    assert stream._gen.bit_generator.state == gen.bit_generator.state
+    assert stream._gen.bit_generator.state == bits.state
+
+
+def test_no_numpy_generator_at_run_time(monkeypatch):
+    # Every draw reads PCG64's raw words, so the estimators and the checks
+    # run with numpy's Generator made unusable.
+    from boxchain import (
+        Span, coupling_invariant_check, coupling_marginal_test, estimate_occupancy, estimate_occupancy_2d,
+        reflection_identity_check, unit_box,
+    )
+    from boxchain.intervals import (
+        UNIFORM, EndpointResampleContraction, KillThenUniformContraction, SizeWeightedContraction,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    weighted = SizeWeightedContraction(lambda k, n: (k + 1) / ((n + 1) * (n + 2) / 2))
+    for rule in (UNIFORM, KillThenUniformContraction(), EndpointResampleContraction(), weighted):
+        for p in (0.5, 0.8):
+            assert estimate_occupancy(Span(0, 1), 3, [0, 1], 2000, seed=1, p=p, rule=rule)[0].trials == 2000
+    assert estimate_occupancy_2d(unit_box(2), 2, [(0, 0)], 2000, seed=1, p=0.8)[0].trials == 2000
+    assert coupling_invariant_check(10, 0.8, 300, 1).passed
+    assert reflection_identity_check(10, 0.5, 300, 1).passed
+    assert coupling_marginal_test(2, 0.5, 500, seed=1).passed
 
 
 def test_numpy_integer_labels_key_as_ints():
@@ -200,8 +262,8 @@ def test_numpy_scalar_labels_key_as_their_python_values():
     assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
 
 
-# numpy searches a success probability 1 - p of at least 1/3 and inverts
-# below it, so p = 2/3 and its float neighbours straddle the switch.
+# p = 2/3 and its float neighbours straddle where numpy's own geometric
+# draw switches algorithms; here every p has one definition.
 _TWO_THIRDS = 2 / 3
 
 
@@ -212,40 +274,114 @@ _TWO_THIRDS = 2 / 3
 )
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
 def test_geometric_array_is_numpys_draw(seed, p):
-    # Every value, and the state the call leaves behind, is numpy's.
-    stream = Stream(seed)
-    gen = _numpy_generator(seed)
-    for size in (0, 1, 7, 8192, 100003):
+    # Every value is Stream.geometric's on numpy's raw words, one word each,
+    # and the next draw reads the words that follow.
+    for size in (0, 1, 7, 8192):
+        stream, bits = Stream(seed), _numpy_bits(seed)
         runs = stream.geometric_array(p, size)
         assert runs.dtype == np.int64 and runs.shape == (size,)
-        assert np.array_equal(runs, gen.geometric(1.0 - p, size) - 1)
-        assert np.array_equal(stream.random_array(3), gen.random(3))
+        assert runs.tolist() == _runs(bits.random_raw(size), p)
+        assert stream.random_array(3).tolist() == _floats(bits.random_raw(3))
 
 
-def _numpy_search_at_half(u):
-    # numpy's random_geometric_search at success probability 1/2, which
-    # returns the trial count; the run is one less.
-    x, total, prod = 1, 0.5, 0.5
-    while u > total:
-        prod *= 0.5
-        total += prod
-        x += 1
-    return x - 1
+class _ScriptedBits:
+    """A bit generator stand-in whose raw words are scripted, then zeros."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.read = 0
+
+    def random_raw(self, size):
+        chunk = self.words[self.read:self.read + size]
+        self.read += size
+        return np.array(chunk + [0] * (size - len(chunk)), np.uint64)
 
 
-def test_runs_at_half_follow_numpys_search_loop():
-    from boxchain._vector import _runs_at_half
+def _scripted_stream(words):
+    """A stream whose every draw, scalar or vector, reads ``words``."""
+    from boxchain._vector import Draws
 
-    ulp = 2.0**-53  # the spacing of Generator.random's doubles
-    crafted = [0.0, ulp, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
-    for k in range(1, 54):
-        edge = 1.0 - 2.0**-k
-        crafted += [edge - ulp, edge, edge + ulp]
-    crafted += list(_numpy_generator(11).random(2000))
-    u = np.array([v for v in crafted if 0.0 <= v < 1.0])
-    expected = [_numpy_search_at_half(float(v)) for v in u]
-    assert _runs_at_half(u.copy()).tolist() == expected
-    assert expected[:5] == [0, 0, 0, 1, 52]
+    stream = Stream(0)
+    stream._gen = Draws(_ScriptedBits(words))
+    return stream
+
+
+# Bounds n whose threshold (2**64 // n) * n rejects no word (a power of
+# two), a handful of the 2**64, or up to a third of them.
+_SCRIPTED_BOUNDS = [2, 3, 6, 7, 1000, 2**32 - 1, 2**32 + 1, 3 * 2**61, 2**62 + 1, 2**63 - 1, 2**63]
+
+
+def test_bounded_scalar_and_vector_draws_agree_on_scripted_words():
+    # Words at, just below and just past each bound's threshold, the largest
+    # word, and small ones: the scalar and the vector draws split them into
+    # the same draws, with the same values.
+    draws, words = [], []
+    for n in _SCRIPTED_BOUNDS:
+        threshold = (2**64 // n) * n
+        script = [w for w in (threshold - 2, threshold - 1, threshold, threshold + 1, 2**64 - 1, 0, n - 1, n)
+                  if w < 2**64]
+        draws += [n] * sum(w < threshold for w in script)
+        words += script
+    assert len(draws) < len(words)  # some words are rejected
+    scalar = _scripted_stream(words)
+    expected = [scalar.randbelow(n) for n in draws]
+    vector = _scripted_stream(words)
+    assert [int(vector.integers_upto(n - 1)) for n in draws] == expected
+    assert vector._gen.bit_generator.read == len(words)
+    # One call over every bound reads a word per bound, then redraws the
+    # rejected bounds in order from the words that follow.
+    bits = _ScriptedBits(words)
+    highs = [n - 1 for n in draws]
+    want = _slot_order(bits, highs)
+    vector = _scripted_stream(words)
+    assert vector.integers_upto(np.array(highs, np.uint64)).tolist() == want
+    assert vector._gen.bit_generator.read == bits.read
+    # A high of 0 reads a word, where randbelow(1) reads none.
+    vector = _scripted_stream([2**64 - 1])
+    assert vector.integers_upto(np.zeros(3, np.int64)).tolist() == [0, 0, 0]
+    assert vector._gen.bit_generator.read == 3
+
+
+def _words_of(m):
+    """Raw words whose float is m * 2**-53: no low bits and all of them."""
+    return [m << 11, m << 11 | 0x7FF]
+
+
+# Floats 1 - m * 2**-53 at which np.log rounds below math.log in magnitude
+# with numpy 2.4.6 on AVX-512, so that at p equal to one of them the float
+# quotient reads 1 - 2**-53 where the scalar draw's is 1.
+_LOG_SPLITS = [1864865736887517, 2476970791572332]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [0.5, 0.3, 0.8, _TWO_THIRDS, float(np.nextafter(_TWO_THIRDS, 0.0)),
+     float(np.nextafter(_TWO_THIRDS, 1.0)), 0.999]
+    + [1.0 - m * 2.0**-53 for m in _LOG_SPLITS],
+)
+def test_geometric_scalar_and_vector_draws_agree_on_scripted_words(p):
+    # At p = 1/2, words at and beside each power of two of 1 - u; elsewhere
+    # words whose log quotient is within a few ulps of an integer.
+    words = _words_of(0) + [2**64 - 1]
+    if p == 0.5:
+        for j in range(54):
+            for m in (2**53 - 2**j - 1, 2**53 - 2**j, 2**53 - 2**j + 1):
+                words += _words_of(m) if 0 <= m < 2**53 else []
+    else:
+        log_p, near = math.log(p), 0
+        for k in range(1, 200):
+            closest = round((1.0 - p**k) * 2.0**53)
+            for m in range(max(closest - 2, 0), min(closest + 3, 2**53)):
+                quotient = math.log(1.0 - m * 2.0**-53) / log_p
+                if abs(quotient - round(quotient)) <= 4 * math.ulp(quotient):
+                    words += _words_of(m)
+                    near += 1
+        for m in _LOG_SPLITS:
+            words += _words_of(m)
+        assert near >= 2
+    scalar = _scripted_stream(words)
+    expected = [scalar.geometric(p) for _ in words]
+    assert _scripted_stream(words).geometric_array(p, len(words)).tolist() == expected
 
 
 def test_geometric_draws_refuse_p_outside_the_open_unit_interval():
@@ -263,8 +399,6 @@ def test_geometric_draws_refuse_p_outside_the_open_unit_interval():
 def test_vector_draws_read_sizes_and_bounds_as_integers():
     # integers_upto(2.5, 3) used to draw in [0, 2], and a float size raised
     # numpy's bare TypeError.
-    import re
-
     stream = Stream(0)
     # (draws, values they refuse) by the argument named in the message
     bad_draws = {
@@ -290,36 +424,43 @@ def test_vector_draws_read_sizes_and_bounds_as_integers():
     for highs in (np.array([2.5, 3.0]), np.array([True, False])):
         with pytest.raises(ValueError, match=f"highs must be integers, got an array of {highs.dtype}"):
             stream.integers_upto(highs)
-    # Integers of any kind draw as numpy does.
-    a, b = Stream(4), _numpy_generator(4)
-    assert a.random_array(np.int64(5)).tolist() == b.random(5).tolist()
-    assert a.integers_upto(np.uint8(9), np.int32(6)).tolist() == b.integers(0, 9, 6, endpoint=True).tolist()
-    highs = np.array([0, 7, 2**40], np.uint64)
-    assert a.integers_upto(highs).tolist() == b.integers(0, highs, endpoint=True).tolist()
-    assert a.geometric_array(0.8, np.int16(4)).tolist() == (b.geometric(1.0 - 0.8, 4) - 1).tolist()
-
-
-def _uint32_words(gen, size):
-    return gen.integers(0, 2**32 - 1, size, dtype=np.uint32, endpoint=True).tolist()
+    # Integers of any kind draw as ints do.
+    a, b = Stream(4), Stream(4)
+    assert a.random_array(np.int64(5)).tolist() == b.random_array(5).tolist()
+    assert a.integers_upto(np.uint8(9), np.int32(6)).tolist() == b.integers_upto(9, 6).tolist()
+    highs = [0, 7, 2**40, 2**63 - 1]
+    assert a.integers_upto(np.array(highs, np.uint64)).tolist() == b.integers_upto(np.array(highs)).tolist()
+    assert a.geometric_array(0.8, np.int16(4)).tolist() == b.geometric_array(0.8, 4).tolist()
+    # A bound below 0 or past 2**63 - 1 fails closed, as a scalar or in an
+    # array, and reads no word.
+    state = a._gen.bit_generator.state
+    for bad in (-1, 2**63, np.int64(-3), np.uint64(2**63), np.uint64(2**64 - 1)):
+        message = re.escape(f"highs must lie in [0, 2**63 - 1], got {int(bad)}")
+        array = np.array([5, bad], np.uint64 if int(bad) > 0 else np.int64)
+        for draw in (lambda: a.integers_upto(bad), lambda: a.integers_upto(bad, 3),
+                     lambda: a.integers_upto(array), lambda: a.integers_upto(array[::-1])):
+            with pytest.raises(ValueError, match=message):
+                draw()
+    assert a._gen.bit_generator.state == state
 
 
 def _bounds(kind, size, rng):
-    """``size`` bounds of one kind: 1 and 2, bounds where numpy's threshold
-    rejects up to half the words, small bounds mixed with 0, any bounds
-    mixed with 0 and past 2**32 - 2, or the contraction's small rank
+    """``size`` bounds of one kind: 1 and 2, bounds where randbelow's
+    threshold rejects up to a third of the words, small bounds mixed with 0,
+    any bounds mixed with 0 and 2**63 - 1, or the contraction's small rank
     counts."""
     if kind == "one-two":
         return rng.integers(1, 3, size)
     if kind == "high":
-        return rng.integers(2**31, 2**32 - 1, size)
+        return rng.integers(2**62, 2**63 - 1, size)
     if kind == "zeros":
         highs = rng.integers(1, 5000, size)
         highs[::3] = 0
         return highs
     if kind == "mixed":
-        highs = rng.integers(0, 2**33, size)
+        highs = rng.integers(0, 2**63 - 1, size)
         highs[::3] = 0
-        highs[1::5] = 2**32 - 1
+        highs[1::5] = 2**63 - 1
         highs[2::7] = 2**32 - 2
         return highs
     return rng.integers(1, 5000, size)
@@ -329,103 +470,17 @@ def _bounds(kind, size, rng):
 @pytest.mark.parametrize("size", [1, 7, 1023, 1024, 1025, 5000])
 @pytest.mark.parametrize("kind", ["one-two", "high", "zeros", "mixed", "ranks"])
 def test_bounded_draws_replay_numpys(kind, size, buffered):
-    # Every value, the generator's state after the call and the draw after
-    # it are numpy's, through the stream's dispatch and, for bounds in
-    # [1, 2**32 - 2], through the replay itself at any size.
-    from boxchain._vector import _replay_bounded
-
+    # Every value is randbelow(high + 1)'s on numpy's raw words, the
+    # rejected bounds redrawing in order from the words that follow, and
+    # the bit generator's state after the call is the reference's.  A
+    # buffered stream first claims a block of scalar words, so its vector
+    # draw starts a block on.
     rng = np.random.default_rng([size, len(kind), buffered])
     for seed in (0, 3, 2**40 + 1):
         highs = _bounds(kind, size, rng)
-        stream, gen = Stream(seed), _numpy_generator(seed)
+        stream, bits = Stream(seed), _numpy_bits(seed)
         if buffered:
-            # One bounded draw reads one 32-bit half of a 64-bit word and
-            # buffers the other, which the next bounded draw reads first.
-            assert stream.integers_upto(np.array([6])).tolist() == gen.integers(0, [6], endpoint=True).tolist()
-            assert gen.bit_generator.state["has_uint32"] == 1
+            assert stream._next_word() == bits.random_raw(512).tolist()[0]
         drawn = stream.integers_upto(highs)
-        want = gen.integers(0, highs, endpoint=True)
-        assert drawn.dtype == want.dtype and np.array_equal(drawn, want)
-        assert stream._gen.bit_generator.state == gen.bit_generator.state
-        assert _uint32_words(stream._gen, 3) == _uint32_words(gen, 3)
-        if highs.min() >= 1 and highs.max() <= 2**32 - 2:
-            replayed = _numpy_generator(seed)
-            gen = _numpy_generator(seed)
-            if buffered:
-                replayed.integers(0, [6], endpoint=True)
-                gen.integers(0, [6], endpoint=True)
-            assert np.array_equal(_replay_bounded(replayed, highs), gen.integers(0, highs, endpoint=True))
-            assert replayed.bit_generator.state == gen.bit_generator.state
-            assert replayed.random() == gen.random()
-
-
-def _lemire_reference(words, highs):
-    """numpy's draw of each bound in [1, 2**32 - 2], in Python ints: read
-    words until (word * (high + 1)) mod 2**32 reaches the threshold, keep
-    the high word.  Returns the values and the number of words read."""
-    words = iter(words)
-    values = []
-    read = 0
-    for high in highs:
-        threshold = (2**32 - 1 - high) % (high + 1)
-        while True:
-            product = next(words) * (high + 1)
-            read += 1
-            if product % 2**32 >= threshold:
-                break
-        values.append(product >> 32)
-    return values, read
-
-
-def test_replay_redraws_rejected_words():
-    # Near 2**31 about half of the words reject, so one call redraws from
-    # about a thousand bounds on; the replay reads the words numpy's
-    # per-value loop would read, no more.
-    from boxchain._vector import _replay_bounded
-
-    highs = np.full(2000, 2**31 + 1, np.int64)  # threshold 2**31 - 2
-    highs[::3] = np.random.default_rng(4).integers(1, 2**32 - 1, highs[::3].size)
-    values, read = _lemire_reference(_uint32_words(_numpy_generator(9), 8000), highs.tolist())
-    assert read > 3000
-    replayed, gen = _numpy_generator(9), _numpy_generator(9)
-    assert _replay_bounded(replayed, highs).tolist() == values
-    _uint32_words(gen, read)
-    assert replayed.bit_generator.state == gen.bit_generator.state
-
-
-class _ScriptedWords:
-    """A generator stand-in whose uint32 fills return scripted words."""
-
-    def __init__(self, words):
-        self.words = list(words)
-        self.read = 0
-
-    def integers(self, low, high, size, dtype, endpoint):
-        assert (low, high, dtype, endpoint) == (0, 2**32 - 1, np.uint32, True)
-        self.read += size
-        return np.array(self.words[self.read - size:self.read], np.uint32)
-
-
-def test_replay_rejects_exactly_below_numpys_threshold():
-    # Random words land on a bound's threshold once in 2**32 draws, so the
-    # words here are chosen to: for each bound with odd high + 1, a word
-    # whose low product is one below the threshold (rejected), then one at
-    # it (kept); for an odd high, the word ceil(2**32 / (high + 1)), whose
-    # low product is below high + 1, so numpy checks it against the
-    # threshold (the low product is 0 where high + 1 is a power of two).
-    from boxchain._vector import _replay_bounded
-
-    highs = [1, 2, 4, 3, 2**31, 2**32 - 2, 2**32 - 3, 6, 1000, 2**31 - 1, 123456] * 100
-    words = []
-    for high in highs:
-        threshold = (2**32 - 1 - high) % (high + 1)
-        if high % 2:
-            words.append(-(-(2**32) // (high + 1)))
-        else:
-            inverse = pow(high + 1, -1, 2**32)
-            words += [(low * inverse) % 2**32 for low in (threshold - 1, threshold) if low >= 0]
-    values, read = _lemire_reference(words, highs)
-    assert read == len(words) > len(highs)
-    scripted = _ScriptedWords(words)
-    assert _replay_bounded(scripted, np.array(highs, np.int64)).tolist() == values
-    assert scripted.read == read
+        assert drawn.dtype == np.int64 and drawn.tolist() == _slot_order(bits, highs.tolist())
+        assert stream._gen.bit_generator.state == bits.state
