@@ -8,7 +8,8 @@ and array arithmetic: NEP 19 keeps a bit generator's raw words fixed across
 numpy versions, which it does not promise for numpy's sampling methods.
 
 ``stream`` imports this module when a stream first needs numpy's bit
-generator, so a process that only makes scalar draws never loads numpy.
+generator, for a vector draw or a second block of scalar draws, so a process
+that makes only a block's worth of scalar draws never loads numpy.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ Each subcommand imports the modules it runs inside its own function, so a
 fresh process pays only for those: ``simulate`` loads ``intervals`` and
 ``stream`` (and ``boxes`` in 2-D), ``exact`` adds ``oracle``, and ``mc``
 and ``verify`` add ``montecarlo``, ``boxes`` and ``coupling``.  Those
-three load numpy too.  ``simulate`` loads it only for a trial that draws
-more than 512 values of one kind (floats or words).  Otherwise every draw
-comes from the stream's port of numpy's generator, and the sidecar records
-numpy's version as null.
+three load numpy too.  ``simulate`` loads it only for a trial whose draws
+read more than 512 words, one per float, bounded integer or geometric run
+(more for a rejected word).  Otherwise every draw comes from the stream's
+port of numpy's generator, and the sidecar records numpy's version as null.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """

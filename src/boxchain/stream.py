@@ -1,16 +1,18 @@
 """Deterministic pseudorandom streams with labeled substream derivation.
 
-A stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``, and
-every draw is defined on its raw 64-bit words: a float is ``(w >> 11) *
-2**-53``, a bounded integer is ``w % n`` unless w is at or past ``(2**64 //
-n) * n``, and a geometric run inverts one float.  Scalar draws read the
-words in blocks of 512, and the first block of each kind (floats, words)
-comes from a pure-Python port of numpy's ``SeedSequence`` and PCG64, a word
-at a time.  Vector draws (``_vector``) apply the scalar draws' definitions
-to one word per value.  numpy builds the bit generator only when a stream
-needs it, for a vector draw or for a later block, so a process that makes
-only a few scalar draws never loads numpy.  ``tests/test_stream.py`` pins
-the port against numpy's raw words, and the vector draws against the
+A stream is numpy's ``PCG64(SeedSequence(seed, spawn_key=key))``, read as
+one sequence of raw 64-bit words, and every draw is defined on those words:
+a float is ``(w >> 11) * 2**-53``, a bounded integer is ``w % n`` unless w
+is at or past ``(2**64 // n) * n``, and a geometric run inverts one float.
+Scalar draws of every kind read the words in call order, from blocks of
+512.  A stream's first block, unless a vector draw came first, comes from a
+pure-Python port of numpy's ``SeedSequence`` and PCG64, a word at a time;
+every later block is numpy's raw words.  Vector draws (``_vector``) apply
+the scalar draws' definitions to one word per value, read past every block
+the scalar draws have claimed.  numpy builds the bit generator only when a
+stream needs it, for a vector draw or for a second block, so a process that
+makes only a few scalar draws never loads numpy.  ``tests/test_stream.py``
+pins the port against numpy's raw words, and the vector draws against the
 scalar ones.
 """
 
@@ -72,18 +74,25 @@ def _words32(value: int) -> list[int]:
     return words
 
 
+def _mix_word(pool: list[int], dst: int, word: int, hash_const: int) -> int:
+    """SeedSequence's hash of ``word`` mixed into ``pool[dst]``, in place;
+    returns the hash constant after it."""
+    hashed = word ^ hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    hashed = hashed * hash_const & _MASK32
+    hashed ^= hashed >> 16
+    mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
+    pool[dst] = mixed ^ mixed >> 16
+    return hash_const
+
+
 def _mix_in(pool: list[int], hash_const: int, words: list[int]) -> int:
     """SeedSequence's mix of entropy ``words`` past the pool's first fill:
     each word, hashed afresh per pool word, mixed into every pool word.
     ``pool`` is updated in place; returns the hash constant after it."""
     for word in words:
         for dst in range(_POOL):
-            hashed = word ^ hash_const
-            hash_const = hash_const * _MULT_A & _MASK32
-            hashed = hashed * hash_const & _MASK32
-            hashed ^= hashed >> 16
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
-            pool[dst] = mixed ^ mixed >> 16
+            hash_const = _mix_word(pool, dst, word, hash_const)
     return hash_const
 
 
@@ -109,12 +118,7 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                hashed = pool[src] ^ hash_const
-                hash_const = hash_const * _MULT_A & _MASK32
-                hashed = hashed * hash_const & _MASK32
-                hashed ^= hashed >> 16
-                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
-                pool[dst] = mixed ^ mixed >> 16
+                hash_const = _mix_word(pool, dst, pool[src], hash_const)
     hash_const = _mix_in(pool, hash_const, entropy[_POOL:])
     return tuple(pool), hash_const
 
@@ -143,15 +147,6 @@ def _pcg64_seed(seed: int, spawn_key: tuple[int, ...]) -> tuple[int, int]:
     return state, inc
 
 
-# A block on, the LCG's state is _SKIP_STATE * state + _SKIP_INC * inc.
-# One step is (_PCG_MULT, 1), and n steps (a, b) twice are (a * a,
-# (a + 1) * b); _BLOCK is a power of two, so squaring gets there.
-_SKIP_STATE, _SKIP_INC = _PCG_MULT, 1
-for _ in range(_BLOCK.bit_length() - 1):
-    _SKIP_INC = (_SKIP_STATE + 1) * _SKIP_INC & _MASK128
-    _SKIP_STATE = _SKIP_STATE * _SKIP_STATE & _MASK128
-
-
 def _pcg64_words(state: int, inc: int):
     """The next block of raw words from ``state``: each an LCG step, then
     the XSL-RR output of the new state."""
@@ -160,10 +155,6 @@ def _pcg64_words(state: int, inc: int):
         rot = state >> 122
         word = (state >> 64 ^ state) & _MASK64
         yield (word >> rot | word << 64 - rot) & _MASK64
-
-
-# Each kind's block before the stream's first draw of that kind.
-_UNREAD = iter(())
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +184,12 @@ class Stream:
     so any fixed assignment of work to substreams is reproducible no matter
     how it is scheduled.  A stream is single-consumer: identical seed plus
     identical draw sequence yields identical outputs, and the order of draws
-    is part of every caller's contract.
+    is part of every caller's contract.  Scalar draws of every kind read the
+    next raw words of the block the stream last claimed, and vector draws
+    read the words past it.
     """
 
-    __slots__ = ("seed", "_spawn_key", "_origin", "_gen", "_claimed", "_floats", "_words")
+    __slots__ = ("seed", "_spawn_key", "_gen", "_claimed", "_words")
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()) -> None:
         try:
@@ -206,10 +199,9 @@ class Stream:
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self._spawn_key = tuple(_spawn_key)
-        self._origin = None  # the port's (state, inc), once derived
         self._gen = None  # the vector draws on numpy's bit generator, once built
-        self._claimed = 0  # scalar blocks claimed before it was built
-        self._floats = self._words = _UNREAD
+        self._claimed = False  # whether the port served the first block
+        self._words = iter(())  # the scalar draws' unread words
 
     def substream(self, *labels: object) -> "Stream":
         """Derive the independent stream addressed by ``labels`` under this seed."""
@@ -218,55 +210,43 @@ class Stream:
 
     def _generator(self):
         """The vector draws on numpy's bit generator, built on first need from
-        numpy's own seeding and moved past the scalar blocks claimed before
-        it."""
+        numpy's own seeding and moved past the block the port served."""
         from ._vector import Draws
 
-        self._gen = Draws.seeded(self.seed, self._spawn_key, _BLOCK * self._claimed)
+        self._gen = Draws.seeded(self.seed, self._spawn_key, _BLOCK if self._claimed else 0)
         return self._gen
 
-    def _claim(self, unread: bool, floats: bool):
-        """An iterator over the stream's next block of scalar values.
+    def _claim(self):
+        """An iterator over the stream's next block of raw words.
 
-        A kind's first block, claimed before numpy's bit generator is built,
-        comes from the port, a word at a time; it is the stream's first or
-        second block, since the claims before the bit generator are those.
-        Every other block is numpy's raw words at the same position.
+        The first block, when claimed before numpy's bit generator is built,
+        comes from the port, a word at a time.  Every other block is numpy's
+        raw words at the same position.
         """
-        if unread and self._gen is None:
-            if self._origin is None:
-                self._origin = _pcg64_seed(self.seed, self._spawn_key)
-            state, inc = self._origin
-            if self._claimed:
-                state = (_SKIP_STATE * state + _SKIP_INC * inc) & _MASK128
-            self._claimed += 1
-            words = _pcg64_words(state, inc)
-            # A float is the top 53 bits over 2**53.
-            return ((word >> 11) * 2.0**-53 for word in words) if floats else words
+        if not self._claimed and self._gen is None:
+            self._claimed = True
+            return _pcg64_words(*_pcg64_seed(self.seed, self._spawn_key))
         gen = self._gen or self._generator()
-        return iter((gen.random(_BLOCK) if floats else gen.bit_generator.random_raw(_BLOCK)).tolist())
+        return iter(gen.bit_generator.random_raw(_BLOCK).tolist())
 
     # ------------------------------------------------------------------
-    # scalar draws (buffered; ~10x faster than one generator call each)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        value = next(self._floats, None)
-        if value is None:
-            self._floats = self._claim(self._floats is _UNREAD, True)
-            value = next(self._floats)
-        return value
-
-    def bernoulli(self, p: float) -> int:
-        """One {0, 1} draw with success probability ``p``."""
-        return 1 if self.random() < p else 0
+    # scalar draws, every kind reading the next words of one buffered block
+    # (~10x faster than one generator call each)
 
     def _next_word(self) -> int:
         word = next(self._words, None)
         if word is None:
-            self._words = self._claim(self._words is _UNREAD, False)
+            self._words = self._claim()
             word = next(self._words)
         return word
+
+    def random(self) -> float:
+        """Uniform float in [0, 1): the next word's top 53 bits over 2**53."""
+        return (self._next_word() >> 11) * 2.0**-53
+
+    def bernoulli(self, p: float) -> int:
+        """One {0, 1} draw with success probability ``p``."""
+        return 1 if self.random() < p else 0
 
     def randbelow(self, n: int) -> int:
         """Exact uniform integer in [0, n), unbiased via rejection sampling.
@@ -303,13 +283,11 @@ class Stream:
         """Number of failures before the first success, pmf (1-p) * p**n,
         for ``p`` in (0, 1).
 
-        Uses inversion, so exactly one uniform draw is consumed.
+        Uses inversion, so exactly one uniform draw is consumed; u = 0 gives
+        log(1) = 0, a run of 0.
         """
         _in_open_unit("expansion parameter", p)
-        v = 1.0 - self.random()
-        if v >= 1.0:
-            return 0
-        return int(math.log(v) / math.log(p))
+        return int(math.log(1.0 - self.random()) / math.log(p))
 
     # ------------------------------------------------------------------
     # vector draws, the scalar draws' definitions on one raw word per value

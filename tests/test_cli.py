@@ -710,7 +710,8 @@ def test_sidecar_records_versions(tmp_path):
 
 # CSVs as simulate and mc wrote them while each subcommand still had one
 # branch per dimension; one path for every dimension must keep them.  The mc
-# rows were re-recorded when the vector draws moved to raw words.
+# rows were re-recorded when the vector draws moved to raw words, and the
+# simulate-2d rows when scalar draws of every kind came to read one block.
 PINNED_CSVS = {
     "simulate-1d": (
         ["simulate", "--t", "3", "--seed", "4", "--trials", "3"],
@@ -720,9 +721,9 @@ PINNED_CSVS = {
     ),
     "simulate-2d": (
         ["simulate", "--dimension", "2", "--initial=-1:2,0:3", "--t", "2", "--trials", "3"],
-        b"trial,t,left0,right0,left1,right1\r\n0,0,-1,2,0,3\r\n0,1,-3,1,0,2\r\n0,2,0,1,1,2\r\n"
-        b"1,0,-1,2,0,3\r\n1,1,-2,1,0,1\r\n1,2,1,2,1,1\r\n"
-        b"2,0,-1,2,0,3\r\n2,1,-1,1,1,5\r\n2,2,-1,2,0,6\r\n",
+        b"trial,t,left0,right0,left1,right1\r\n0,0,-1,2,0,3\r\n0,1,0,1,-1,2\r\n0,2,0,0,-4,0\r\n"
+        b"1,0,-1,2,0,3\r\n1,1,-2,2,-1,2\r\n1,2,-3,0,-1,2\r\n"
+        b"2,0,-1,2,0,3\r\n2,1,0,1,-2,3\r\n2,2,0,0,-2,-2\r\n",
     ),
     "mc-1d": (
         ["mc", "--sites", "3,1,-2", "--variant", "endpoint-resample", "--trials", "1000"],

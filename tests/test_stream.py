@@ -107,56 +107,27 @@ def test_vector_draws_shapes_and_ranges():
     assert abs(geo.mean() - 1.0) < 0.2  # mean p/(1-p) = 1
 
 
-def _numpy_generator(seed, spawn_key=()):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
-
-
-def _numpy_words(gen, size):
-    return gen.integers(0, 2**64 - 1, size, dtype=np.uint64, endpoint=True).tolist()
-
-
-# Seeds of one, two, three and five 32-bit words, with each path: the root,
-# a spawn key of one word (below 2**32), and nested substreams.
-PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 1]
-PORT_PATHS = {
-    "root": lambda seed: Stream(seed),
-    "one-word-key": lambda seed: Stream(seed, (5,)),
-    "nested": lambda seed: Stream(seed).substream("chunk", 3).substream(7),
-}
-
-
-@pytest.mark.parametrize("path", PORT_PATHS)
-@pytest.mark.parametrize("seed", PORT_SEEDS)
-def test_scalar_draws_are_numpys_words(seed, path):
-    # A stream's first block of each kind comes from the port of numpy's
-    # seeding and PCG64, its later ones from numpy: 1,100 words cross from
-    # the one to the other, and the floats' port block, claimed first,
-    # sits before them.
-    stream = PORT_PATHS[path](seed)
-    gen = _numpy_generator(seed, stream._spawn_key)
-    first = stream.random()
-    words = [stream._next_word() for _ in range(1100)]
-    floats = gen.random(512).tolist()
-    assert first == floats[0]
-    assert words == _numpy_words(gen, 1536)[:1100]
-    rest = [stream.random() for _ in range(600)]
-    assert rest == floats[1:] + gen.random(512).tolist()[:89]
-    assert stream._gen.bit_generator.state == gen.bit_generator.state
-
-
 def _numpy_bits(seed, spawn_key=()):
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
+def _float(word):
+    """Stream.random's float of a raw word."""
+    return (word >> 11) * 2.0**-53
+
+
+def _run(word, p):
+    """Stream.geometric's run from a raw word, in Python floats: 0 when its
+    float is 0, as log(1) = 0."""
+    return int(math.log(1.0 - _float(word)) / math.log(p))
+
+
 def _floats(words):
-    """Stream.random's float of each raw word."""
-    return [(word >> 11) * 2.0**-53 for word in words.tolist()]
+    return [_float(word) for word in words.tolist()]
 
 
 def _runs(words, p):
-    """Stream.geometric's run from each raw word, in Python floats."""
-    log_p = math.log(p)
-    return [0 if u == 0 else int(math.log(1.0 - u) / log_p) for u in _floats(words)]
+    return [_run(word, p) for word in words.tolist()]
 
 
 def _slot_order(bits, highs):
@@ -177,36 +148,80 @@ def _slot_order(bits, highs):
     return values
 
 
+# Seeds of one, two, three and five 32-bit words, with each path: the root,
+# a spawn key of one word (below 2**32), and nested substreams.
+PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 1]
+PORT_PATHS = {
+    "root": lambda seed: Stream(seed),
+    "one-word-key": lambda seed: Stream(seed, (5,)),
+    "nested": lambda seed: Stream(seed).substream("chunk", 3).substream(7),
+}
+
+
 @pytest.mark.parametrize("path", PORT_PATHS)
 @pytest.mark.parametrize("seed", PORT_SEEDS)
-def test_mixed_draws_match_numpy_alone(seed, path):
-    # Values and the bit generator's final state are those of numpy's raw
-    # words, read by each block and each vector in the same order.
+def test_scalar_draws_are_numpys_words(seed, path):
+    # Every kind of scalar draw reads the next of numpy's raw words, one
+    # word per value, in call order: the port serves the first block, numpy
+    # the second, and a vector draw then reads from the third.
     stream = PORT_PATHS[path](seed)
     bits = _numpy_bits(seed, stream._spawn_key)
-    floats = _floats(bits.random_raw(1024))
-    assert [stream.random() for _ in range(600)] == floats[:600]
+    words = iter(bits.random_raw(1024).tolist())
+    n = 3 * 2**62  # rejects a word of n or more, a quarter of them
+    rejected = 0
+    for _ in range(130):
+        assert stream.random() == _float(next(words))
+        accepted = next(words)
+        while accepted >= n:
+            rejected += 1
+            accepted = next(words)
+        assert stream.randbelow(n) == accepted % n
+        assert stream.geometric(0.5) == _run(next(words), 0.5)
+        assert stream.geometric(0.8) == _run(next(words), 0.8)
+        assert stream.bernoulli(0.3) == (_float(next(words)) < 0.3)
+    rest = [_float(word) for word in words]  # numpy's block, partly read
+    assert rejected and 0 < len(rest) < 512
     assert stream.random_array(5).tolist() == _floats(bits.random_raw(5))
-    n = 3 * 2**62  # rejects a word of 3 * 2**62 or more, a quarter of them
-    accepted = []
-    while len(accepted) < 600:
-        accepted += [word % n for word in bits.random_raw(512).tolist() if word < n]
-    assert [stream.randbelow(n) for _ in range(600)] == accepted[:600]
-    highs = [0, 5, 2**40, 3 * 2**61, 2**63 - 1]
-    assert stream.integers_upto(np.array(highs)).tolist() == _slot_order(bits, highs)
-    assert stream.geometric_array(0.5, 1000).tolist() == _runs(bits.random_raw(1000), 0.5)
-    assert stream.geometric_array(0.8, 1000).tolist() == _runs(bits.random_raw(1000), 0.8)
-    assert stream.random() == floats[600]
+    # The scalar draws finish the block they claimed, then read past the
+    # vector draw's words.
+    rest += _floats(bits.random_raw(512))[:10]
+    assert [stream.random() for _ in rest] == rest
     assert stream._gen.bit_generator.state == bits.state
 
 
-def test_vector_only_stream_runs_no_port():
+@pytest.mark.parametrize("path", PORT_PATHS)
+@pytest.mark.parametrize("seed", PORT_SEEDS)
+def test_mixed_draws_match_numpy_alone(seed, path):
+    # A stream whose first draw is a vector one: numpy serves every block,
+    # and the vector draws read past the one the scalar draws are reading.
+    # Values and the bit generator's final state are those of numpy's raw
+    # words, read in the same order.
+    stream = PORT_PATHS[path](seed)
+    bits = _numpy_bits(seed, stream._spawn_key)
+    assert stream.random_array(5).tolist() == _floats(bits.random_raw(5))
+    words = bits.random_raw(1024)  # the two blocks the scalar draws claim
+    assert [stream.random() for _ in range(600)] == _floats(words[:600])
+    highs = [0, 5, 2**40, 3 * 2**61, 2**63 - 1]
+    assert stream.integers_upto(np.array(highs)).tolist() == _slot_order(bits, highs)
+    assert stream.geometric_array(0.5, 1000).tolist() == _runs(bits.random_raw(1000), 0.5)
+    assert [stream.geometric(0.8) for _ in range(424)] == _runs(words[600:], 0.8)
+    assert stream.random() == _floats(bits.random_raw(512))[0]
+    assert stream._gen.bit_generator.state == bits.state
+
+
+def test_vector_only_stream_runs_no_port(monkeypatch):
     # A Monte Carlo chunk's stream: numpy seeds it, and the port derives
     # nothing.
+    import boxchain.stream
+
+    def refuse(*args):
+        raise AssertionError("the port derived a state")
+
+    monkeypatch.setattr(boxchain.stream, "_pcg64_seed", refuse)
     stream = Stream(3).substream("chunk", 0)
     bits = _numpy_bits(3, stream._spawn_key)
     assert stream.geometric_array(0.8, 10).tolist() == _runs(bits.random_raw(10), 0.8)
-    assert stream._origin is None
+    assert stream.random() == _floats(bits.random_raw(512))[0]
     assert stream._gen.bit_generator.state == bits.state
 
 
@@ -347,6 +362,19 @@ def _words_of(m):
     return [m << 11, m << 11 | 0x7FF]
 
 
+def _near_integer_words(p):
+    """Raw words whose run's quotient log(1 - u) / log(p), by math.log, is
+    within four ulps of an integer, for runs up to 200."""
+    log_p, words = math.log(p), []
+    for k in range(1, 200):
+        closest = round((1.0 - p**k) * 2.0**53)
+        for m in range(max(closest - 2, 0), min(closest + 3, 2**53)):
+            quotient = math.log(1.0 - m * 2.0**-53) / log_p
+            if abs(quotient - round(quotient)) <= 4 * math.ulp(quotient):
+                words += _words_of(m)
+    return words
+
+
 # Floats 1 - m * 2**-53 at which np.log rounds below math.log in magnitude
 # with numpy 2.4.6 on AVX-512, so that at p equal to one of them the float
 # quotient reads 1 - 2**-53 where the scalar draw's is 1.
@@ -368,19 +396,30 @@ def test_geometric_scalar_and_vector_draws_agree_on_scripted_words(p):
             for m in (2**53 - 2**j - 1, 2**53 - 2**j, 2**53 - 2**j + 1):
                 words += _words_of(m) if 0 <= m < 2**53 else []
     else:
-        log_p, near = math.log(p), 0
-        for k in range(1, 200):
-            closest = round((1.0 - p**k) * 2.0**53)
-            for m in range(max(closest - 2, 0), min(closest + 3, 2**53)):
-                quotient = math.log(1.0 - m * 2.0**-53) / log_p
-                if abs(quotient - round(quotient)) <= 4 * math.ulp(quotient):
-                    words += _words_of(m)
-                    near += 1
+        near = _near_integer_words(p)
+        assert len(near) >= 4
+        words += near
         for m in _LOG_SPLITS:
             words += _words_of(m)
-        assert near >= 2
     scalar = _scripted_stream(words)
     expected = [scalar.geometric(p) for _ in words]
+    assert _scripted_stream(words).geometric_array(p, len(words)).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [0.3, 0.8, _TWO_THIRDS, 0.999])
+def test_geometric_array_recomputes_what_a_low_np_log_truncates(monkeypatch, p):
+    # np.log made to read one ulp below math.log, as some host's np.log may:
+    # on the near-integer words that moves some quotients to the integer
+    # above, yet every run is still the scalar draw's.
+    def low_log(x, out=None):
+        return np.nextafter([math.log(v) for v in x.tolist()], -np.inf, out=out)
+
+    words = _near_integer_words(p)
+    scalar = _scripted_stream(words)
+    expected = [scalar.geometric(p) for _ in words]
+    floats = np.array([_float(word) for word in words])
+    assert (low_log(1.0 - floats) / math.log(p)).astype(np.int64).tolist() != expected
+    monkeypatch.setattr(np, "log", low_log)
     assert _scripted_stream(words).geometric_array(p, len(words)).tolist() == expected
 
 
