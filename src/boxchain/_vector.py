@@ -82,17 +82,21 @@ class Draws:
         n = np.array(highs, np.uint64)
         shape = n.shape
         n = n.reshape(-1)
+        high = int(n.max()) if n.size else 0
         # A negative bound casts past 2**63 - 1 too.
-        if n.size and int(n.max()) > _MAX_HIGH:
+        if high > _MAX_HIGH:
             bad = np.asarray(highs).reshape(-1)[n > np.uint64(_MAX_HIGH)][0]
             raise ValueError(f"highs must lie in [0, 2**63 - 1], got {bad}")
         n += _ONE
+        # Every rejected word lies past 2**64 - 1 - n for its n, so past
+        # this one cut for the largest n.
+        cut = np.uint64(2**64 - 2 - high)
         words = self.bit_generator.random_raw(n.size)
-        redo = _rejected(words, n)
+        redo = _rejected(words, n, cut)
         while redo.size:
             more = self.bit_generator.random_raw(redo.size)
             words[redo] = more
-            redo = redo[_rejected(more, n.take(redo))]
+            redo = redo[_rejected(more, n.take(redo), cut)]
         words %= n
         # ``[()]`` gives a scalar bound with no size its one value as a numpy
         # scalar, and leaves an array as it is.
@@ -129,15 +133,16 @@ class Draws:
         return runs
 
 
-def _rejected(words, n):
+def _rejected(words, n, cut):
     """The positions of the ``words`` at or past randbelow's threshold
     ``(2**64 // n) * n`` for their bounds ``n``, uint64 arrays alike.
 
     The threshold is 2**64 - 2**64 % n, and 2**64 % n = (2**64 - n) % n is
-    below n, so only a word past 2**64 - 1 - n can reach it; only those are
-    divided.
+    below n, so only a word past 2**64 - 1 - n can reach it.  ``cut`` is
+    at most the least of those, 2**64 - 1 - max n; only the words past it
+    are divided.
     """
-    near = (words > _MAX64 - n).nonzero()[0]
+    near = (words > cut).nonzero()[0]
     if near.size:
         bounds = n.take(near)
         near = near[words.take(near) > _MAX64 - (_MAX64 - bounds + _ONE) % bounds]

@@ -203,10 +203,11 @@ def _decode_table(sides: int) -> np.ndarray:
 
 # Hosts of up to this many sites decode by lookup (129 KiB); the benchmark's
 # Monte Carlo calls met none past 65 sites.
-_DECODE = _decode_table(128)
+_DECODE_SIDES = 128
+_DECODE = _decode_table(_DECODE_SIDES)
 
 
-def _from_right(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _from_right(r: np.ndarray, sides: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized decode of sub-interval ranks counted from the last one.
 
     Ranked by left end, then right end, as :func:`unrank_subinterval` does,
@@ -219,10 +220,12 @@ def _from_right(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One ``take`` from :data:`_DECODE` decodes every rank in it, ranks past
     its end go through :func:`_by_root`.  The table's rows pair k with j,
     so the lookup gathers one 16-byte row per rank (two 1-D tables cost
-    nearly twice as much).
+    nearly twice as much).  ``sides``, when given, is the most sites of any
+    host of ``r``: a host of at most ``_DECODE_SIDES`` has every rank in the
+    table, so no rank is looked for past its end.
     """
     kj = _DECODE.take(r, axis=0, mode="clip")
-    if r.max(initial=0) >= len(_DECODE):
+    if (sides is None or sides > _DECODE_SIDES) and r.max(initial=0) >= len(_DECODE):
         far = r >= len(_DECODE)
         kj[far] = np.stack(_by_root(r[far]), axis=-1)
     return kj[..., 0], kj[..., 1]
@@ -241,15 +244,18 @@ def _ranks_fit(sizes: Sequence[int]) -> bool:
     return max(ranks) < 1 << 60 and math.prod(ranks) < 1 << 63
 
 
-def _rank_counts(sizes: np.ndarray) -> np.ndarray:
+def _rank_counts(sizes: np.ndarray, largest: list[int] | None = None) -> np.ndarray:
     """Nonempty sub-intervals n(n+1)/2 of each side length in the (axes,
     rows) array ``sizes``; raises ``ValueError`` before a count or the
     product of a row's counts could wrap in int64.
 
-    The largest size on each axis settles the common case; only when those
-    do not fit are the rows checked one by one.
+    The largest size on each axis, ``largest`` if the caller has taken it,
+    settles the common case; only when those do not fit are the rows
+    checked one by one.
     """
-    if not _ranks_fit(sizes.max(axis=1, initial=0).tolist()):
+    if largest is None:
+        largest = sizes.max(axis=1, initial=0).tolist()
+    if not _ranks_fit(largest):
         for row in sizes.T.tolist():
             if not _ranks_fit(row):
                 raise ValueError(
@@ -280,9 +286,12 @@ def _contract_chunk(
     sizes = hi - lo + 1
     n = sizes[0]
     if isinstance(rule, UniformContraction):
-        ranks = _rank_counts(sizes)
-        # ``start`` spares an interval the product's copy of its rank counts.
-        total = math.prod(ranks[1:], start=ranks[0])
+        largest = sizes.max(axis=1, initial=0).tolist()
+        ranks = _rank_counts(sizes, largest)
+        # An interval's total is its rank counts, not a copy.
+        total = ranks[0]
+        for axis in range(1, len(ranks)):
+            total = total * ranks[axis]
         draw = stream.integers_upto(total)
         # A boolean mask's nonzero is twice as fast as an integer array's on
         # full chunks, and np.flatnonzero's ravel costs more on small ones.
@@ -302,7 +311,9 @@ def _contract_chunk(
         death = np.array([rule.death_at(nv) for nv in values.tolist()])
         keep = np.flatnonzero(stream.random_array(n.size) >= death[which])
         # The draw ranks from the first sub-interval; r counts from the last.
-        last = _rank_counts(sizes.take(keep, axis=1))
+        sizes = sizes.take(keep, axis=1)
+        largest = sizes.max(axis=1, initial=0).tolist()
+        last = _rank_counts(sizes, largest)
         last -= 1
         r = last - stream.integers_upto(last[0])
     elif isinstance(rule, SizeWeightedContraction):
@@ -332,7 +343,7 @@ def _contract_chunk(
         return np.arange(n.size), lo + np.minimum(u, v), lo + np.maximum(u, v)  # never empty
     else:
         raise TypeError(f"unknown contraction rule {rule!r}")
-    k, j = _from_right(r)
+    k, j = _from_right(r, max(largest))
     top = hi.take(keep, axis=1)
     return keep, top - k, np.subtract(top, j, out=top)
 
@@ -369,9 +380,9 @@ class _Batch:
         axes * survivors values, axis by axis, low face first (``faces=1``
         draws the high faces only).  Returns the surviving rows ``keep``,
         in their order, the contracted boxes, shape (axes, survivors), and
-        the runs, shape (axes, faces, survivors).  The batch is unchanged: a
-        chain step replaces its arrays, and only a step that reads the hosts
-        keeps their surviving rows.  A batch with no rows draws nothing."""
+        the runs, shape (axes, faces, survivors).  The batch is unchanged:
+        a step replaces its arrays, and a pair step takes from the hosts
+        only what it reads.  A batch with no rows draws nothing."""
         if not len(self):
             return np.empty(0, np.intp), self.lo[:axes], self.hi[:axes], np.empty((axes, faces, 0), np.int64)
         if rule is not self.cdf_rule:
@@ -780,6 +791,16 @@ class _Pairs(_Batch):
         self.coalesced = self.coalesced.take(rows)
         self.run = self.run.take(rows)
 
+    def _survivors(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keep the flags and run indices of ``rows``, the survivors of a
+        step, and give them new endpoint arrays, unfilled, for the step to
+        write."""
+        self.coalesced = self.coalesced.take(rows)
+        self.run = self.run.take(rows)
+        self.lo = np.empty((2, rows.size), np.int64)
+        self.hi = np.empty((2, rows.size), np.int64)
+        return self.lo, self.hi
+
     def antithetic_step(
         self, p: float, stream: Stream, *, skip_antithetic_map: bool = False, unswapped_plus_runs: bool = False
     ) -> None:
@@ -796,23 +817,30 @@ class _Pairs(_Batch):
         shared step.  Two fault injections: ``skip_antithetic_map`` copies
         the contraction, as :func:`coupled_step`'s does, and
         ``unswapped_plus_runs`` expands the plus side with the runs unswapped.
+
+        Inside the overlap, or with the copied contraction, the offset is 0
+        and the pair coalesces whatever its runs; elsewhere it is
+        -1 - a - b, ``~(a + b)`` on int64, and a pair that stays apart
+        expands the mirror.
         """
-        keep, (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
-        self.keep(keep)
-        if skip_antithetic_map:
-            tl, tr = a, b
-        else:
-            inside = a + self.hi[0] >= -1
-            tl = np.where(inside, a, -1 - b)
-            tr = np.where(inside, b, -1 - a)
-        shared = self.coalesced | (right_run >= tr - b)
+        keep, box_lo, box_hi, runs = self.contract(1, UNIFORM, p, stream)
+        # Indexed, not unpacked: unpacking an array iterates it, ~2 µs here.
+        a, b, left_run, right_run = box_lo[0], box_hi[0], runs[0, 0], runs[0, 1]
+        inside = True if skip_antithetic_map else a + self.hi[0].take(keep) >= -1
+        lo, hi = self._survivors(keep)
+        shared = right_run >= ~(a + b)
+        shared |= inside
+        shared |= self.coalesced
         self.coalescences += int(np.count_nonzero(shared)) - int(np.count_nonzero(self.coalesced))
-        np.subtract(a, left_run, out=self.lo[0])
-        np.add(b, right_run, out=self.hi[0])
+        np.subtract(a, left_run, out=lo[0])
+        np.add(b, right_run, out=hi[0])
         if unswapped_plus_runs:
             left_run, right_run = right_run, left_run
-        self.lo[1] = np.where(shared, self.lo[0], tl - right_run)
-        self.hi[1] = np.where(shared, self.hi[0], tr + left_run)
+        # [-1 - b - right_run, -1 - a + left_run], then the shared step.
+        np.invert(np.add(b, right_run, out=lo[1]), out=lo[1])
+        np.invert(np.subtract(a, left_run, out=hi[1]), out=hi[1])
+        np.copyto(lo[1], lo[0], where=shared)
+        np.copyto(hi[1], hi[0], where=shared)
         self.coalesced = shared
 
     def reflection_step(self, p: float, stream: Stream, *, swap_expansion_draws: bool = True) -> None:
@@ -822,14 +850,15 @@ class _Pairs(_Batch):
         eta contracts to the reflection [-b, -a] and expands with the two
         runs swapped, or reused unswapped as fault injection.
         """
-        keep, (a,), (b,), ((left_run, right_run),) = self.contract(1, UNIFORM, p, stream)
-        self.keep(keep)
-        np.subtract(a, left_run, out=self.lo[0])
-        np.add(b, right_run, out=self.hi[0])
+        keep, box_lo, box_hi, runs = self.contract(1, UNIFORM, p, stream)
+        a, b, left_run, right_run = box_lo[0], box_hi[0], runs[0, 0], runs[0, 1]
+        lo, hi = self._survivors(keep)
+        np.subtract(a, left_run, out=lo[0])
+        np.add(b, right_run, out=hi[0])
         if swap_expansion_draws:
             right_run, left_run = left_run, right_run
-        np.subtract(-b, left_run, out=self.lo[1])
-        np.subtract(right_run, a, out=self.hi[1])
+        np.subtract(-b, left_run, out=lo[1])
+        np.subtract(right_run, a, out=hi[1])
 
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
         """Identical and antithetic masks, as :func:`classify_pair` decides
@@ -848,9 +877,23 @@ class _Pairs(_Batch):
     def invariants_hold(self) -> np.ndarray:
         """The antithetic coupling's pathwise invariants, per pair: a
         coalesced pair is identical and any other antithetic; plus holds
-        the nonnegative sites of minus."""
-        identical, antithetic = self.classes()
-        return np.where(self.coalesced, identical, antithetic) & self.dominates()
+        the nonnegative sites of minus.
+
+        The plus side must be the one its class asks for: the minus side
+        when coalesced, else its mirror [-1 - mr, -1 - ml], [~mr, ~ml] on
+        int64, with ml + mr <= -2, that is ml < pl.  These are the masks of
+        :meth:`classes`, since a mirror with ml + mr = -1 is the minus side
+        itself.  Either class has plus hold the nonnegative sites of minus,
+        so :meth:`dominates` would add nothing: an identical pair holds
+        them, and an antithetic one with mr >= 0 has ml <= -2 - mr < 0, so
+        pl = -1 - mr < 0 and pr = -1 - ml > mr.
+        """
+        ml, pl, mr, pr = self.lo[0], self.lo[1], self.hi[0], self.hi[1]
+        coalesced = self.coalesced
+        ok = pl == np.where(coalesced, ml, ~mr)
+        ok &= pr == np.where(coalesced, mr, ~ml)
+        ok &= coalesced | (ml < pl)
+        return ok
 
     def mirrored(self) -> np.ndarray:
         """Is the second side the reflection about the origin of the first?"""
@@ -892,13 +935,15 @@ def _pathwise_run(
             before = len(pairs)
             step(pairs, p, stream)
             ok = holds(pairs)
+            failed = len(ok) - int(np.count_nonzero(ok))
+            steps.append((before - len(pairs), failed))
+            if not failed:
+                continue
             bad = (~ok).nonzero()[0]
-            steps.append((before - len(pairs), bad.size))
-            if bad.size:
-                run = start + int(pairs.run[bad[0]])
-                if first_violation is None or run < first_violation[0]:
-                    first_violation = (run, time, *pairs.states(bad[0]))
-                pairs.keep(ok.nonzero()[0])
+            run = start + int(pairs.run[bad[0]])
+            if first_violation is None or run < first_violation[0]:
+                first_violation = (run, time, *pairs.states(bad[0]))
+            pairs.keep(ok.nonzero()[0])
         return np.array(steps, np.int64).reshape(-1, 2).T, first_violation, pairs.coalescences
 
     parts = _run_chunks(label, trials, seed, work)

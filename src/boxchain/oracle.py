@@ -245,7 +245,10 @@ class StateDist:
             r1 = min(r0 + _BLOCK, size)
             rows = slab[: r1 - r0 + 1, r0:]  # a right end left of r0 covers no site from r0 on
             rows[1:] = grid[r0:r1, r0:]
-            np.cumsum(rows, axis=0, out=rows)
+            # A cumsum down the slab, a row add at a time: numpy's strided
+            # accumulate down axis 0 takes about twice as long.
+            for i in range(1, len(rows)):
+                np.add(rows[i - 1], rows[i], out=rows[i])
             slab[0, r1:] = rows[-1, r1 - r0 :]  # the run past this slab's rows
             sums = rows[1:, ::-1]
             np.cumsum(sums, axis=1, out=sums)

@@ -242,7 +242,11 @@ class Stream:
 
     def random(self) -> float:
         """Uniform float in [0, 1): the next word's top 53 bits over 2**53."""
-        return (self._next_word() >> 11) * 2.0**-53
+        # _next_word's read, inline: most floats need no block claimed.
+        word = next(self._words, None)
+        if word is None:
+            word = self._next_word()
+        return (word >> 11) * 2.0**-53
 
     def bernoulli(self, p: float) -> int:
         """One {0, 1} draw with success probability ``p``."""

@@ -414,9 +414,14 @@ def test_rank_decode_table_matches_isqrt():
 
     end = len(_DECODE)
     past = [end, end + 1, 10**6, 2**53 + 3, 2**60 - 1]
-    for ranks in (np.arange(end + 3000), np.arange(end + 1), np.array([5, *past, 0, end - 1]).reshape(2, 4),
-                  np.array(past)):
-        k, j = _from_right(ranks)
+    cases = [(ranks, None) for ranks in (np.arange(end + 3000), np.arange(end + 1),
+                                         np.array([5, *past, 0, end - 1]).reshape(2, 4), np.array(past))]
+    # Every rank of a host of 128 sites, the table's largest, and of 129,
+    # whose last ranks lie past it, with and without the largest side given.
+    assert end == 128 * 129 // 2
+    cases += [(np.arange(n * (n + 1) // 2), sides) for n in (128, 129) for sides in (None, n)]
+    for ranks, sides in cases:
+        k, j = _from_right(ranks, sides)
         assert k.shape == j.shape == ranks.shape
         for r, kr, jr in zip(ranks.ravel().tolist(), k.ravel().tolist(), j.ravel().tolist()):
             want = (math.isqrt(8 * r + 1) - 1) // 2

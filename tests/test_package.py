@@ -148,8 +148,9 @@ def test_each_entry_point_loads_only_what_it_runs(argv, absent, tmp_path):
 
 
 def test_scalar_draws_load_no_numpy():
-    # Twenty steps draw from the port's first blocks alone; a float past
-    # the first 512 comes from a numpy fill, which loads numpy.
+    # Twenty steps draw from the port's one block of 512 words, which every
+    # kind of scalar draw shares; once a stream's scalar draws pass those
+    # 512 words, of any kind, the next block is numpy's, which loads numpy.
     code = """
 import sys
 from boxchain import Stream, Span, step, UNIFORM

@@ -351,6 +351,18 @@ def test_bounded_scalar_and_vector_draws_agree_on_scripted_words():
     vector = _scripted_stream(words)
     assert vector.integers_upto(np.array(highs, np.uint64)).tolist() == want
     assert vector._gen.bit_generator.read == bits.read
+    # A bound near 2**63 among small ones: the words of the small bounds lie
+    # just past 2**64 - 1 - max n, the one cut every word is screened by,
+    # yet below their own thresholds, so they are kept.  1000 rejects its
+    # word (2**64 % 1000 = 616), and the large bound rejects 2**64 - 2.
+    highs = [2, 2**63 - 2, 6, 999, 2**63 - 2]
+    words = [2**63 + 1, 2**64 - 2, 2**63 + 2, 2**64 - 3, 2**63 + 5, 2**63 + 7, 2**63 + 9]
+    bits = _ScriptedBits(words)
+    want = _slot_order(bits, highs)
+    assert want == [(2**63 + 1) % 3, (2**63 + 7) % (2**63 - 1), (2**63 + 2) % 7, (2**63 + 9) % 1000, 6]
+    vector = _scripted_stream(words)
+    assert vector.integers_upto(np.array(highs)).tolist() == want
+    assert vector._gen.bit_generator.read == bits.read == len(words)
     # A high of 0 reads a word, where randbelow(1) reads none.
     vector = _scripted_stream([2**64 - 1])
     assert vector.integers_upto(np.zeros(3, np.int64)).tolist() == [0, 0, 0]
