@@ -18,6 +18,7 @@ from .intervals import (
     Span,
     _at_least,
     _integral,
+    _path,
     _subinterval_count,
     count_nonempty_subintervals,
     expand,
@@ -105,13 +106,7 @@ def step_rect(state: HyperRect, p: float, stream: Stream) -> HyperRect:
 
 def simulate_path_rect(initial: HyperRect, horizon: int, p: float, stream: Stream) -> list[HyperRect]:
     """States at times 0..horizon, starting from ``initial``."""
-    horizon = _at_least("horizon", horizon, 0)
-    path = [initial]
-    state = initial
-    for _ in range(horizon):
-        state = step_rect(state, p, stream)
-        path.append(state)
-    return path
+    return _path(initial, _at_least("horizon", horizon, 0), lambda state: step_rect(state, p, stream))
 
 
 def l1_norm(point: Sequence[int]) -> int:

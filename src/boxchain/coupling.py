@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from . import _EXPORTS
-from .intervals import EMPTY, Interval, Span, UNIFORM, _at_least, contract, expand, validate_expansion_param
+from .intervals import EMPTY, Interval, Span, UNIFORM, _at_least, _path, contract, expand, validate_expansion_param
 from .stream import Stream
 
 __all__ = _EXPORTS["coupling"]
@@ -283,12 +283,11 @@ def run_coupled(
     horizon = _at_least("horizon", horizon, 0)
     if stream is None:
         stream = Stream(seed)
-    state = initial_coupled_state()
-    path = [state]
-    for _ in range(horizon):
-        state = coupled_step(state, p, stream, skip_antithetic_map=skip_antithetic_map)
-        path.append(state)
-    return path
+    return _path(
+        initial_coupled_state(),
+        horizon,
+        lambda state: coupled_step(state, p, stream, skip_antithetic_map=skip_antithetic_map),
+    )
 
 
 def dominates_nonnegative(minus: Interval, plus: Interval) -> bool:

@@ -325,10 +325,13 @@ def simulate_path(
     stream: Stream,
 ) -> list[Interval]:
     """States at times 0..horizon, starting from ``initial``."""
-    horizon = _at_least("horizon", horizon, 0)
+    return _path(initial, _at_least("horizon", horizon, 0), lambda state: step(state, rule, p, stream))
+
+
+def _path(initial, horizon: int, step: Callable):
+    """States at times 0..horizon, ``step`` taking each to the next: the
+    loop of the interval, box and coupled paths."""
     path = [initial]
-    state = initial
     for _ in range(horizon):
-        state = step(state, rule, p, stream)
-        path.append(state)
+        path.append(step(path[-1]))
     return path

@@ -860,20 +860,6 @@ class _Pairs(_Batch):
         np.subtract(-b, left_run, out=lo[1])
         np.subtract(right_run, a, out=hi[1])
 
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Identical and antithetic masks, as :func:`classify_pair` decides
-        them; pairs in neither are unrelated."""
-        (ml, pl), (mr, pr) = self.lo, self.hi
-        identical = (ml == pl) & (mr == pr)
-        # ml <= mr, so ml + mr <= -1 also puts ml at or below -1.
-        antithetic = ~identical & (pl + mr == -1) & (pr + ml == -1) & (ml + mr <= -1)
-        return identical, antithetic
-
-    def dominates(self) -> np.ndarray:
-        """:func:`dominates_nonnegative` of each pair."""
-        (ml, pl), (mr, pr) = self.lo, self.hi
-        return (mr < 0) | ((pl <= np.maximum(ml, 0)) & (pr >= mr))
-
     def invariants_hold(self) -> np.ndarray:
         """The antithetic coupling's pathwise invariants, per pair: a
         coalesced pair is identical and any other antithetic; plus holds
@@ -881,12 +867,12 @@ class _Pairs(_Batch):
 
         The plus side must be the one its class asks for: the minus side
         when coalesced, else its mirror [-1 - mr, -1 - ml], [~mr, ~ml] on
-        int64, with ml + mr <= -2, that is ml < pl.  These are the masks of
-        :meth:`classes`, since a mirror with ml + mr = -1 is the minus side
-        itself.  Either class has plus hold the nonnegative sites of minus,
-        so :meth:`dominates` would add nothing: an identical pair holds
-        them, and an antithetic one with mr >= 0 has ml <= -2 - mr < 0, so
-        pl = -1 - mr < 0 and pr = -1 - ml > mr.
+        int64, with ml + mr <= -2, that is ml < pl.  These are the classes
+        of :func:`classify_pair`, since a mirror with ml + mr = -1 is the
+        minus side itself.  Either class has plus hold the nonnegative
+        sites of minus, so :func:`dominates_nonnegative` would add nothing:
+        an identical pair holds them, and an antithetic one with mr >= 0
+        has ml <= -2 - mr < 0, so pl = -1 - mr < 0 and pr = -1 - ml > mr.
         """
         ml, pl, mr, pr = self.lo[0], self.lo[1], self.hi[0], self.hi[1]
         coalesced = self.coalesced

@@ -15,6 +15,7 @@ denominator, where mass conservation holds identically.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -40,7 +41,6 @@ from .intervals import (
     _at_least,
     _integral,
     count_nonempty_subintervals,
-    unrank_subinterval,
     validate_expansion_param,
 )
 
@@ -89,9 +89,11 @@ class StateDist:
     A law holds one state, its upper-triangular grid: ``grid[i, j]`` is the
     mass of ``Span(origin + i, origin + j)`` and ``empty_mass`` that of the
     empty state.  A law given as a dict is packed onto its grid when it is
-    built, and the oracle makes its laws on their grids (``on_grid``).  A
-    law with no span packs to a 0x0 grid, and one whose grid would pass the
-    size limit raises ``ValueError`` there.  On a rational law (``denom``
+    built; a caller with a grid builds its law by ``on_grid``, which checks
+    the grid, and the oracle's own steps, whose grids hold no mass below
+    the diagonal, skip that check.  A law with no span packs to a 0x0
+    grid, and one whose grid would pass the size limit raises
+    ``ValueError`` there.  On a rational law (``denom``
     set) the grid is an object array of Python ints and ``empty_mass`` an
     int, all numerators over the common denominator ``denom``; ``lost`` and
     every mass read through the API, ``weights`` included, are
@@ -687,17 +689,44 @@ def _max_gap(law: dict[Interval, Fraction], reference: dict[Interval, Fraction])
     return max((abs(law.get(k, zero) - reference.get(k, zero)) for k in keys), default=zero)
 
 
+class _ScriptedDraws:
+    """One coupled step's draws, given in advance: ``randbelow`` returns the
+    contraction rank, refusing one at or past its bound, then ``geometric``
+    the left run and the right run.  A read out of that order, or a
+    ``done`` with a draw unread, raises ``ValueError``."""
+
+    def __init__(self, rank: int, left_run: int, right_run: int) -> None:
+        self._draws = [right_run, left_run, rank]
+
+    def randbelow(self, bound: int) -> int:
+        if len(self._draws) != 3 or self._draws[-1] >= bound:
+            raise ValueError(f"the scripted rank is not the step's first draw below {bound}")
+        return self._draws.pop()
+
+    def geometric(self, p) -> int:
+        if not 0 < len(self._draws) < 3:
+            raise ValueError("a run was read out of the scripted order")
+        return self._draws.pop()
+
+    def done(self) -> None:
+        if self._draws:
+            raise ValueError("the coupled step left a scripted draw unread")
+
+
 def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransitionReport:
     """Enumerate every coupled one-step transition from an antithetic pair.
 
-    All contraction indices are crossed with every pair of run lengths
-    0..surface_len-1, the runs the audit resolves, and each antithetic
-    core is expanded by :func:`coupled_expansion` itself.  The induced
-    marginal laws are compared against the standard one-step law with the
-    same truncation.  The minus marginal matches identically; the plus
-    marginal can differ only by redistributed tail mass.
+    Every nonempty contraction rank is crossed with every pair of run
+    lengths 0..surface_len-1, the runs the audit resolves, and each is
+    stepped through :func:`coupled_step` itself, the step that
+    :func:`run_coupled` runs; a step that reads its draws out of order, or
+    leaves one unread, raises ``ValueError``.  The empty contraction puts
+    its mass 1/(T+1) on the empty pair.  The induced marginal laws are
+    compared against the standard one-step law with the same truncation.
+    The minus marginal matches identically; the plus marginal can differ
+    only by redistributed tail mass.
     """
-    from .coupling import PairClass, antithetic_image, antithetic_mirror, classify_pair, coupled_expansion
+    from .coupling import CoupledState, PairClass, antithetic_mirror, classify_pair, coupled_step
 
     plus_host = antithetic_mirror(host)
     if classify_pair(host, plus_host) is not PairClass.ANTITHETIC:
@@ -712,34 +741,17 @@ def coupling_transition_check(host: Span, p, surface_len: int) -> CouplingTransi
 
     total = count_nonempty_subintervals(host.size)
     unit = Fraction(1, total + 1)
-    zero = Fraction(0)
-    minus_law: dict[Interval, Fraction] = {}
-    plus_law: dict[Interval, Fraction] = {}
-
-    def put(law: dict[Interval, Fraction], key: Interval, mass: Fraction) -> None:
-        law[key] = law.get(key, zero) + mass
-
-    for index in range(total + 1):
-        tilde_minus = unrank_subinterval(host, index)
-        tilde_plus = antithetic_image(host, tilde_minus)
-        if tilde_minus is None:
-            put(minus_law, EMPTY, unit)
-            put(plus_law, EMPTY, unit)
-            continue
-        if tilde_plus == tilde_minus:
-            # Shared expansion: one pair of draws applied to the common core.
-            for a, qa in enumerate(kernel):
-                for b, qb in enumerate(kernel):
-                    outcome = Span(tilde_minus.left - a, tilde_minus.right + b)
-                    put(minus_law, outcome, unit * qa * qb)
-                    put(plus_law, outcome, unit * qa * qb)
-            continue
-        for n_right, q_right in enumerate(kernel):
-            for n_left, q_left in enumerate(kernel):
-                mass = unit * q_right * q_left
-                after = coupled_expansion(tilde_minus, tilde_plus, n_right, n_left)
-                put(minus_law, after.minus, mass)
-                put(plus_law, after.plus, mass)
+    state = CoupledState(host, plus_host, False)
+    minus_law: dict[Interval, Fraction] = defaultdict(Fraction, {EMPTY: unit})
+    plus_law: dict[Interval, Fraction] = defaultdict(Fraction, {EMPTY: unit})
+    for rank in range(1, total + 1):
+        for left_run, q_left in enumerate(kernel):
+            for right_run, q_right in enumerate(kernel):
+                draws = _ScriptedDraws(rank, left_run, right_run)
+                after = coupled_step(state, p, draws)
+                draws.done()
+                minus_law[after.minus] += unit * q_left * q_right
+                plus_law[after.plus] += unit * q_left * q_right
 
     enum_lost = 1 - sum(minus_law.values())
     tail_bound = enum_lost + oracle_minus.lost + oracle_plus.lost

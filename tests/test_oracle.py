@@ -969,3 +969,26 @@ def test_coupling_transition_check_wider_hosts():
 def test_coupling_transition_check_rejects_bad_host():
     with pytest.raises(ValueError):
         coupling_transition_check(Span(0, 0), Fraction(1, 2), 8)
+
+
+def test_coupling_transition_check_audits_the_coupled_step(monkeypatch):
+    # The audit steps every draw through coupled_step, so a fault in the
+    # shared expansion of a core inside the hosts' overlap shows in its
+    # report.  Span(-3, 0) straddles -1/2, so its cores inside [-1, 0] are
+    # shared; no sub-interval of Span(-2, -1) would be.
+    from boxchain import coupling
+
+    def right_only(core, p, stream):
+        stream.geometric(p)
+        return Span(core.left, core.right + stream.geometric(p))
+
+    monkeypatch.setattr(coupling, "expand", right_only)
+    report = coupling_transition_check(Span(-3, 0), Fraction(1, 2), 8)
+    assert report.max_minus_discrepancy > 0
+
+    def one_run(core, p, stream):
+        return Span(core.left - stream.geometric(p), core.right)
+
+    monkeypatch.setattr(coupling, "expand", one_run)
+    with pytest.raises(ValueError, match="unread"):
+        coupling_transition_check(Span(-3, 0), Fraction(1, 2), 8)
