@@ -19,10 +19,10 @@ from .intervals import (
     _at_least,
     _integral,
     _path,
+    _sub_spans,
     _subinterval_count,
     count_nonempty_subintervals,
     expand,
-    unrank_subinterval,
     validate_expansion_param,
 )
 from .stream import Stream
@@ -69,24 +69,13 @@ def count_nonempty_subrects(sizes: Sequence[int]) -> int:
 
 
 def contract_uniform(state: HyperRect, stream: Stream) -> HyperRect:
-    """Uniform draw over all nonempty sub-boxes plus one empty outcome."""
+    """Uniform draw over all nonempty sub-boxes plus one empty outcome:
+    rank 0 is the empty box, and rank r >= 1 the sub-box that
+    :func:`_sub_spans` decodes from r - 1."""
     if state is None:
         return EMPTY_BOX
-    axis_counts = [_subinterval_count(n) for n in state.sizes]
-    index = stream.randbelow(math.prod(axis_counts) + 1)
-    if index == 0:
-        return EMPTY_BOX
-    # Mixed-radix decode, last axis fastest.
-    digits = []
-    rem = index - 1
-    for c in reversed(axis_counts):
-        rem, digit = divmod(rem, c)
-        digits.append(digit)
-    digits.reverse()
-    spans = tuple(
-        unrank_subinterval(span, digit + 1) for span, digit in zip(state.spans, digits)
-    )
-    return Box(spans)
+    index = stream.randbelow(math.prod(_subinterval_count(n) for n in state.sizes) + 1)
+    return EMPTY_BOX if index == 0 else Box(_sub_spans(state.spans, index - 1))
 
 
 def expand_faces(core: HyperRect, p: float, stream: Stream) -> HyperRect:

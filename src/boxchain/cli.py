@@ -318,7 +318,9 @@ def cmd_verify(args) -> int:
     from . import montecarlo
 
     started = time.perf_counter()
-    if args.suites:
+    if args.suites is not None:
+        if not args.suites.strip():
+            raise UsageError(f"no suites requested: --suites is empty; choose from {', '.join(_SUITES)}")
         names = []
         for chunk in args.suites.split(","):
             chunk = chunk.strip()

@@ -231,19 +231,32 @@ def _offsets_from_rank(n: int, i0: int) -> tuple[int, int]:
     return n - 1 - k, n - 1 - (r - k * (k + 1) // 2)
 
 
+def _sub_spans(spans: tuple[Span, ...], rank: int) -> tuple[Span, ...]:
+    """The nonempty sub-box of rank ``rank`` in [0, T(n_1)...T(n_d)) of the
+    box of ``spans``: mixed radix, last axis fastest, each axis's digit
+    decoded by :func:`_offsets_from_rank`.  Unchecked: every caller has
+    drawn the rank in range or checked it."""
+    out = []
+    for span in spans[::-1]:
+        n = span.size
+        rank, digit = divmod(rank, _subinterval_count(n))
+        a, b = _offsets_from_rank(n, digit)
+        out.append(Span(span.left + a, span.left + b))
+    out.reverse()
+    return tuple(out)
+
+
 def unrank_subinterval(host: Span, index: int) -> Interval:
     """Index 0 is the empty set; indices 1..n(n+1)/2 enumerate the nonempty
-    sub-intervals of ``host`` sorted by (left, right)."""
+    sub-intervals of ``host`` sorted by (left, right), decoded by
+    :func:`_sub_spans` once the index is checked."""
     if host is None:
         raise ValueError("unrank_subinterval requires a nonempty host")
     total = _subinterval_count(host.size)
     index = _integral(index, "index")
     if not 0 <= index <= total:
         raise ValueError(f"index {index} out of range 0..{total} for host {host}")
-    if index == 0:
-        return EMPTY
-    a, b = _offsets_from_rank(host.size, index - 1)
-    return Span(host.left + a, host.left + b)
+    return EMPTY if index == 0 else _sub_spans((host,), index - 1)[0]
 
 
 def rank_subinterval(host: Span, interval: Interval) -> int:
@@ -278,8 +291,8 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         return EMPTY
     n = state.size
     if isinstance(rule, UniformContraction):
-        total = _subinterval_count(n)
-        return unrank_subinterval(state, stream.randbelow(total + 1))
+        rank = stream.randbelow(_subinterval_count(n) + 1)
+        return EMPTY if rank == 0 else _sub_spans((state,), rank - 1)[0]
     if isinstance(rule, SizeWeightedContraction):
         k = _draw_size(rule, n, stream)
         if k == 0:
@@ -290,8 +303,7 @@ def contract(state: Interval, rule: ContractionRule, stream: Stream) -> Interval
         death = rule.death_at(n)
         if stream.random() < death:
             return EMPTY
-        total = _subinterval_count(n)
-        return unrank_subinterval(state, 1 + stream.randbelow(total))
+        return _sub_spans((state,), stream.randbelow(_subinterval_count(n)))[0]
     if isinstance(rule, EndpointResampleContraction):
         u = state.left + stream.randbelow(n)
         v = state.left + stream.randbelow(n)

@@ -342,44 +342,34 @@ class OccupancyBounds:
 def contraction_outcome_pmf(span: Span, rule: ContractionRule, exact: bool = False) -> dict[Interval, Mass]:
     """Exact one-state contraction law under ``rule``, by direct enumeration.
 
-    Serves as the independent reference distribution for the samplers.
+    Serves as the independent reference distribution for the samplers and
+    the grid: each rule states its empty mass (None for the endpoint rule,
+    which never empties) and the mass of each outcome by its size, from its
+    own formulas, and one loop lists the sub-intervals in (left, right)
+    order.
     """
     n = span.size
-    out: dict[Interval, Mass] = {}
+    one: Mass = Fraction(1) if exact else 1.0
     if isinstance(rule, UniformContraction):
-        total = count_nonempty_subintervals(n)
-        unit: Mass = Fraction(1, total + 1) if exact else 1.0 / (total + 1)
-        out[EMPTY] = unit
-        for left in range(span.left, span.right + 1):
-            for right in range(left, span.right + 1):
-                out[Span(left, right)] = unit
-        return out
-    if isinstance(rule, SizeWeightedContraction):
+        empty = one / (count_nonempty_subintervals(n) + 1)
+        shares = [empty] * (n + 1)
+    elif isinstance(rule, SizeWeightedContraction):
         probs = rule.pmf_at(n, exact)
-        out[EMPTY] = probs[0]
-        for k in range(1, n + 1):
-            slots = n - k + 1
-            share = probs[k] / slots
-            for left in range(span.left, span.left + slots):
-                out[Span(left, left + k - 1)] = share
-        return out
-    if isinstance(rule, KillThenUniformContraction):
-        death = rule.death_at(n, exact)
-        total = count_nonempty_subintervals(n)
-        survive = (1 - death) / total
-        out[EMPTY] = death
-        for left in range(span.left, span.right + 1):
-            for right in range(left, span.right + 1):
-                out[Span(left, right)] = survive
-        return out
-    if isinstance(rule, EndpointResampleContraction):
-        denom = n * n
-        for left in range(span.left, span.right + 1):
-            for right in range(left, span.right + 1):
-                count = 1 if left == right else 2
-                out[Span(left, right)] = Fraction(count, denom) if exact else count / denom
-        return out
-    raise TypeError(f"unknown contraction rule {rule!r}")
+        empty, shares = probs[0], [w / (n - k + 1) for k, w in enumerate(probs)]
+    elif isinstance(rule, KillThenUniformContraction):
+        empty = rule.death_at(n, exact)
+        shares = [(1 - empty) / count_nonempty_subintervals(n)] * (n + 1)
+    elif isinstance(rule, EndpointResampleContraction):
+        # Both endpoints are drawn from n sites; an outcome [a, b] with a < b
+        # comes from two ordered pairs of draws.
+        empty, shares = None, [one * min(k, 2) / (n * n) for k in range(n + 1)]
+    else:
+        raise TypeError(f"unknown contraction rule {rule!r}")
+    out: dict[Interval, Mass] = {} if empty is None else {EMPTY: empty}
+    for left in range(span.left, span.right + 1):
+        for right in range(left, span.right + 1):
+            out[Span(left, right)] = shares[right - left + 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

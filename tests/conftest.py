@@ -1,4 +1,6 @@
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,13 +24,70 @@ class StubStream:
         return not self._randbelow and not self._geometric
 
 
+class _Unscripted(Exception):
+    """A draw past the end of the script; its one argument is the number
+    of the draw's choices."""
+
+
+class ScriptedDraws:
+    """Scalar draws chosen by a script, each weighted by its probability:
+    ``randbelow(n)`` picks one of its n values, each of weight 1/n, and
+    ``random()`` one of the ``randoms`` (value, weight) pairs.  A draw past
+    the script raises ``_Unscripted``, which :func:`draw_law` extends the
+    script by."""
+
+    def __init__(self, script, randoms):
+        self._script, self._randoms = script, randoms
+        self.read, self.weight = 0, Fraction(1)
+
+    def _choose(self, choices):
+        if self.read == len(self._script):
+            raise _Unscripted(len(choices))
+        value, weight = choices[self._script[self.read]]
+        self.read += 1
+        self.weight *= weight
+        return value
+
+    def randbelow(self, n):
+        return self._choose([(value, Fraction(1, n)) for value in range(n)])
+
+    def random(self):
+        return self._choose(self._randoms)
+
+
+def draw_law(run, randoms=()):
+    """The exact law of ``run(draws)`` over every script of its draws, as
+    a dict of the outcomes of nonzero mass: ``run`` reads its draws from a
+    :class:`ScriptedDraws`, and each script that runs to an outcome adds
+    its weight there."""
+    law = defaultdict(Fraction)
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        draws = ScriptedDraws(script, randoms)
+        try:
+            outcome = run(draws)
+        except _Unscripted as branch:
+            scripts += [(*script, choice) for choice in range(branch.args[0])]
+            continue
+        assert draws.read == len(script), f"script {script} left draws unread"
+        law[outcome] += draws.weight
+    return {outcome: mass for outcome, mass in law.items() if mass}
+
+
+def rational_sizes(k, n):
+    """Size pmf proportional to k + 1, as exact Fractions."""
+    return Fraction(2 * (k + 1), (n + 1) * (n + 2))
+
+
 class VectorStubStream:
     """Scripted stand-in for Stream's vector draws: replays queued arrays
     for the batched engine, each checked against the draw it answers."""
 
-    def __init__(self, integers=(), geometric=()):
+    def __init__(self, integers=(), geometric=(), random=()):
         self._integers = [np.asarray(value, np.int64) for value in integers]
         self._geometric = [np.asarray(value, np.int64) for value in geometric]
+        self._random = [np.asarray(value, float) for value in random]
 
     def integers_upto(self, highs, size=None):
         value = self._integers.pop(0)
@@ -41,8 +100,13 @@ class VectorStubStream:
         assert value.size == size, f"scripted {value.size} runs, drawn {size}"
         return value
 
+    def random_array(self, size):
+        value = self._random.pop(0)
+        assert value.shape == (size,), f"scripted {value.shape} floats, drawn {size}"
+        return value
+
     def exhausted(self):
-        return not self._integers and not self._geometric
+        return not self._integers and not self._geometric and not self._random
 
 
 def chi_square_pvalue(counts, probabilities, total):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from boxchain import (
     unit_box,
 )
 
-from conftest import chi_square_pvalue
+from conftest import StubStream, chi_square_pvalue, draw_law
 
 
 def brute_force_subboxes(box):
@@ -74,6 +75,17 @@ def test_contract_uniform_unit_box():
     empty = sum(contract_uniform(unit_box(2), stream) is EMPTY_BOX for _ in range(draws))
     assert abs(empty / draws - 0.5) < 0.01
     assert contract_uniform(EMPTY_BOX, stream) is EMPTY_BOX
+
+
+def test_contract_uniform_decodes_each_rank_once():
+    # Rank 0 is the empty box and the other ranks give each nonempty
+    # sub-box once: exactly, over every draw, on boxes up to 3 x 3.
+    for sizes in [(1,), (2,), (3,), *itertools.product((1, 2, 3), repeat=2)]:
+        box = Box(tuple(Span(-axis, n - 1 - axis) for axis, n in enumerate(sizes)))
+        assert contract_uniform(box, StubStream(randbelow=[0])) is EMPTY_BOX
+        outcomes = [EMPTY_BOX] + brute_force_subboxes(box)
+        law = draw_law(lambda draws: contract_uniform(box, draws))
+        assert law == dict.fromkeys(outcomes, Fraction(1, len(outcomes))), sizes
 
 
 def test_contract_uniform_marginal_two_by_two():

@@ -475,6 +475,17 @@ def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suites", "bogus", "--out", str(tmp_path / "r.csv")]) == 2
 
 
+@pytest.mark.parametrize("config, flags", [({}, ["--suites", ""]), ({"suites": ""}, []), ({}, ["--suites", " "])])
+def test_verify_empty_suites_is_a_usage_error(tmp_path, config, flags, capsys):
+    # An empty list used to run all six suites and record "" as the suites.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.csv"
+    assert main(["--config", str(path), "verify", *flags, "--trials", "200", "--out", str(out)]) == 2
+    assert "no suites requested: --suites is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_copied_contraction_mutant_fails(tmp_path):
     out = tmp_path / "report.csv"
     code = main([

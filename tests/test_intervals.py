@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from boxchain import (
     unrank_subinterval,
 )
 
-from conftest import chi_square_pvalue
+from conftest import chi_square_pvalue, draw_law, rational_sizes
 
 def brute_force_subintervals(host):
     out = [EMPTY]
@@ -333,6 +334,36 @@ def test_kill_then_uniform_custom_death():
     draws = 40_000
     empty = sum(contract(Span(0, 1), rule, stream) is EMPTY for _ in range(draws))
     assert abs(empty / draws - 0.25) < 0.01
+
+
+def _random_choices(rule, n):
+    """``random()``'s values for ``rule`` on n sites, one per branch of the
+    sampler, each with its exact probability."""
+    if isinstance(rule, KillThenUniformContraction):
+        death = rule.death_at(n, exact=True)
+        return [(0.0, death), (rule.death_at(n), 1 - death)]
+    if isinstance(rule, SizeWeightedContraction):
+        # The float partial sum that _draw_size adds up before size k draws k.
+        below = itertools.accumulate(rule.pmf_at(n), initial=0.0)
+        return list(zip(below, rule.pmf_at(n, exact=True)))
+    return []
+
+
+@pytest.mark.parametrize("rule", [
+    UNIFORM,
+    KillThenUniformContraction(),
+    KillThenUniformContraction(lambda n: Fraction(1, 4)),
+    EndpointResampleContraction(),
+    SizeWeightedContraction(rational_sizes),
+], ids=["uniform", "kill", "kill-quarter", "endpoint", "size-weighted"])
+def test_contract_enumerated_is_the_reference_law(rule):
+    # Every draw of the scalar sampler, weighted by its probability, in
+    # Fractions: the law must be the enumerated one exactly.
+    for n in range(1, 7):
+        host = Span(-2, n - 3)
+        law = draw_law(lambda draws: contract(host, rule, draws), _random_choices(rule, n))
+        want = contraction_outcome_pmf(host, rule, exact=True)
+        assert law == {outcome: mass for outcome, mass in want.items() if mass}, n
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from boxchain import (
     CoupledState,
     EMPTY,
+    EndpointResampleContraction,
+    KillThenUniformContraction,
     PairClass,
     Span,
     Stream,
@@ -19,6 +24,7 @@ from boxchain import (
     check_monotone_l1,
     coupling_invariant_check,
     coupling_marginal_test,
+    contraction_outcome_pmf,
     estimate_occupancy,
     estimate_occupancy_2d,
     hoeffding_interval,
@@ -491,6 +497,50 @@ def test_uniform_contraction_marginal_four_sigma():
         share = 1.0 / (total + 1)
         sigma = (draws * share * (1 - share)) ** 0.5
         assert np.abs(counts - draws * share).max() < 4 * sigma
+
+
+def _chunk_law(host, rows, rule, stream):
+    """The outcome counts of ``_contract_chunk`` on ``rows`` copies of
+    ``host``, the empty outcome counted as the rows it drops."""
+    from boxchain.montecarlo import _contract_chunk
+
+    lo, hi = np.full((1, rows), host.left), np.full((1, rows), host.right)
+    keep, left, right = _contract_chunk(lo, hi, rule, stream, {})
+    assert stream.exhausted()
+    counts = Counter(Span(a, b) for a, b in zip(left[0].tolist(), right[0].tolist()))
+    if keep.size < rows:
+        counts[EMPTY] = rows - keep.size
+    return dict(counts)
+
+
+def _reference_counts(host, rule, rows):
+    law = contraction_outcome_pmf(host, rule, exact=True)
+    return {outcome: mass * rows for outcome, mass in law.items() if mass}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_engine_endpoint_rule_is_the_reference_law(n):
+    # Fed every (u, v) pair once, the n**2 rows are the law times n**2.
+    from conftest import VectorStubStream
+
+    rule, host = EndpointResampleContraction(), Span(-3, n - 4)
+    u, v = np.divmod(np.arange(n * n), n)
+    law = _chunk_law(host, n * n, rule, VectorStubStream(integers=[u, v]))
+    assert law == _reference_counts(host, rule, n * n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_engine_kill_rule_is_the_reference_law(n):
+    # Death 1/4 on 4 T(n) rows: u cycles over 0, 1/4, 1/2 and 3/4, so one
+    # row in four dies, and the survivors draw each rank three times.
+    from conftest import VectorStubStream
+
+    rule, host = KillThenUniformContraction(lambda n: Fraction(1, 4)), Span(2, n + 1)
+    total = n * (n + 1) // 2
+    u = np.arange(4 * total) % 4 / 4
+    ranks = np.arange(3 * total) % total
+    law = _chunk_law(host, 4 * total, rule, VectorStubStream(integers=[ranks], random=[u]))
+    assert law == _reference_counts(host, rule, 4 * total)
 
 
 # ---------------------------------------------------------------------------

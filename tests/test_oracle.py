@@ -27,6 +27,8 @@ from boxchain import (
     occupancy_table,
 )
 
+from conftest import rational_sizes
+
 
 def closed_form_t1(p, x):
     """One step from the point at the origin: survive the contraction with
@@ -876,6 +878,28 @@ def test_size_weighted_grid_law_matches_enumeration(size_pmf, start, exact):
     masses = {EMPTY: one / 4, Span(0, 2): one / 2, Span(1, 1): one / 8, Span(-3, 1): one / 8}
     dist = StateDist(masses, one * 0, exact)
     assert_same_law(contraction_pushforward(dist, rule), contract_by_enumeration(dist, rule))
+
+
+@pytest.mark.parametrize("rule", [
+    UNIFORM,
+    KillThenUniformContraction(),
+    KillThenUniformContraction(lambda n: Fraction(1, 3)),
+    EndpointResampleContraction(),
+    SizeWeightedContraction(rational_sizes),
+], ids=["uniform", "kill", "kill-third", "endpoint", "size-weighted"])
+def test_grid_factors_are_the_reference_law(rule):
+    # A source of n sites sends its death terms to the empty state and
+    # sum(share[n - 1] * outcome[k - 1]) to each outcome of size k: exactly
+    # the enumerated law's masses.
+    from boxchain.oracle import _grid_factors
+
+    terms = _grid_factors(rule, np.arange(1, 9), exact=True)
+    for n in range(1, 9):
+        want = contraction_outcome_pmf(Span(0, n - 1), rule, exact=True)
+        assert sum(death[n - 1] for _, death, _ in terms if death is not None) == want.get(EMPTY, 0), n
+        for k in range(1, n + 1):
+            share = sum(share[n - 1] * outcome[k - 1] for share, _, outcome in terms)
+            assert all(want[Span(a, a + k - 1)] == share for a in range(n - k + 1)), (n, k)
 
 
 def test_rational_size_pmf_conserves_mass_exactly():
